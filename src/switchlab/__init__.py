@@ -8,7 +8,4 @@ conversion), :mod:`switchlab.process` (bipartite process matrices),
 model and trigger), :mod:`switchlab.cli` (scenario front-end).
 """
 
-from .linalg import backend_name
-
-__all__ = ["backend_name"]
 __version__ = "0.1.0"

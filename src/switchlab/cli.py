@@ -8,6 +8,7 @@ byte-identical across runs for a fixed configuration and seed.
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -91,8 +92,16 @@ def _scenario_ocb_game(params, rng):
     return outputs, checks
 
 
+def _count(params, key):
+    # Loop counts below one would make the scenario's checks pass vacuously.
+    n = int(params[key])
+    if n < 1:
+        raise ValueError(f"{key} must be at least 1, got {n}")
+    return n
+
+
 def _scenario_switch_contract(params, rng):
-    pairs = int(params["pairs"])
+    pairs = _count(params, "pairs")
     worst = 0.0
     for _ in range(pairs):
         psi = rand_unitary(2, rng)[:, 0]
@@ -114,7 +123,7 @@ def _scenario_chsh_temporal(params, rng):
     state_minus = order.temporal_order_state(*order.TEMPORAL_ORDER_UNITARIES, up, up, -1)
     chsh_plus = order.chsh_value(state_plus)
     chsh_minus = order.chsh_value(state_minus)
-    samples = int(params["samples"])
+    samples = _count(params, "samples")
     worst_sep = 0.0
     for _ in range(samples):
         a = rand_unitary(2, rng)[:, 0]
@@ -361,7 +370,8 @@ def run_suite(configs):
 
 
 def render_report(report):
-    return json.dumps(report, indent=2) + "\n"
+    # allow_nan=False: NaN/Infinity tokens are not JSON, so refuse them.
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def _parse_param(text):
@@ -370,9 +380,12 @@ def _parse_param(text):
     key, raw = text.split("=", 1)
     for cast in (int, float):
         try:
-            return key, cast(raw)
+            value = cast(raw)
         except ValueError:
             continue
+        if not math.isfinite(value):
+            raise ValueError(f"parameter '{key}' must be finite, got {raw}")
+        return key, value
     return key, raw
 
 
@@ -382,14 +395,22 @@ def _configs_from_file(path):
     if not isinstance(data, list):
         raise ValueError("suite config must be a JSON list of scenario objects")
     configs = []
-    for entry in data:
-        configs.append(
-            ScenarioConfig(
-                scenario=entry["scenario"],
-                params=entry.get("params", {}),
-                seed=entry.get("seed", 0),
-            )
-        )
+    for i, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise ValueError(f"suite entry {i} is not a JSON object")
+        scenario = entry.get("scenario")
+        params = entry.get("params", {})
+        seed = entry.get("seed", 0)
+        if not isinstance(scenario, str):
+            raise ValueError(f"suite entry {i} needs a string 'scenario'")
+        if not isinstance(params, dict):
+            raise ValueError(f"suite entry {i}: 'params' is not a JSON object")
+        for key, value in params.items():
+            if not isinstance(value, (str, int, float)):
+                raise ValueError(f"suite entry {i}: parameter '{key}' is not a number or string")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"suite entry {i}: 'seed' is not an integer")
+        configs.append(ScenarioConfig(scenario=scenario, params=params, seed=seed))
     return configs
 
 

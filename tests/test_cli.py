@@ -12,6 +12,7 @@ from switchlab.cli import (
     SCENARIOS,
     ScenarioConfig,
     main,
+    render_report,
     run_scenario,
     run_suite,
 )
@@ -24,6 +25,16 @@ def run_cli(argv):
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def run_cli_usage_error(argv):
+    """Run the CLI expecting exit 2: nothing on stdout, one JSON error on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == EXIT_USAGE
+    assert out.getvalue() == ""
+    return json.loads(err.getvalue())["error"]
 
 
 def test_every_scenario_passes_with_defaults():
@@ -118,3 +129,45 @@ def test_cli_list():
     assert code == EXIT_OK
     listing = json.loads(out)
     assert set(listing["scenarios"]) == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+def test_cli_rejects_non_finite_param(raw):
+    message = run_cli_usage_error(["run", "--scenario", "grav-duration", "--param", f"d={raw}"])
+    assert "finite" in message
+
+
+def test_render_report_refuses_non_finite(tmp_path):
+    with pytest.raises(ValueError):
+        render_report({"x": float("nan")})
+    # a suite file can still carry NaN (Python's json accepts the token);
+    # the renderer turns it into a usage error instead of invalid JSON
+    config = tmp_path / "nan.json"
+    config.write_text('[{"scenario": "grav-duration", "params": {"d": NaN}}]')
+    run_cli_usage_error(["suite", "--config", str(config)])
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        "[1, 2]",
+        '[{"scenario": "trigger", "params": [1]}]',
+        '[{"scenario": ["trigger"]}]',
+        '[{"scenario": "trigger", "seed": [0]}]',
+        '[{"scenario": "switch-contract", "params": {"pairs": [1]}}]',
+    ],
+    ids=["entry-not-object", "params-not-object", "scenario-not-string", "seed-not-int", "param-not-scalar"],
+)
+def test_cli_rejects_malformed_suite_entries(tmp_path, suite):
+    config = tmp_path / "suite.json"
+    config.write_text(suite)
+    assert "suite entry 0" in run_cli_usage_error(["suite", "--config", str(config)])
+
+
+@pytest.mark.parametrize(
+    "scenario, param",
+    [("switch-contract", "pairs"), ("chsh-temporal", "samples"), ("validate-process", "samples")],
+)
+def test_cli_rejects_counts_below_one(scenario, param):
+    for value in (0, -3):
+        run_cli_usage_error(["run", "--scenario", scenario, "--param", f"{param}={value}"])

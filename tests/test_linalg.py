@@ -137,6 +137,32 @@ def test_hermitian_eigen_reconstruction(n):
     assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-9
 
 
+def test_hermitian_eigen_accepts_roundoff_asymmetry():
+    # 1e-12 anti-Hermitian noise is below the Hermiticity tolerance, so it is
+    # accepted, and the decomposition is of the Hermitian part. Reading one
+    # triangle unsymmetrized would leave an error of the noise size, ~3e-12.
+    rng = np.random.default_rng(8)
+    h = rand_hermitian(8, rng)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    noisy = h + 1e-12 * (g - g.conj().T)
+    w, v = hermitian_eigen(noisy)
+    assert np.all(np.diff(w) >= 0)
+    assert np.abs(v @ np.diag(w) @ v.conj().T - h).max() < 1e-12
+    assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-9
+
+
+def test_hermitian_eigen_degenerate_spectrum():
+    w, v = hermitian_eigen(np.eye(5, dtype=complex) * 2.0)
+    assert np.abs(w - 2.0).max() < 1e-12
+    assert np.abs(v.conj().T @ v - np.eye(5)).max() < 1e-12
+
+
+def test_hermitian_eigen_one_by_one():
+    w, v = hermitian_eigen(np.array([[3.5]], dtype=complex))
+    assert w.shape == (1,) and v.shape == (1, 1)
+    assert w[0] == 3.5 and abs(v[0, 0]) == 1.0
+
+
 def test_hermitian_eigen_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -173,6 +173,30 @@ def test_kraus_from_choi_orthogonality_and_rank():
         assert np.abs(apply_operation(extracted, rho) - apply_choi(choi, rho)).max() < 1e-9
 
 
+_U9 = rand_unitary(2, np.random.default_rng(9))
+DEGENERATE_CHANNELS = {
+    # completely depolarizing: Choi 1_4 / 2, one eigenvalue four times over
+    "depolarizing": ((ID2 / 2, PAULI_X / 2, PAULI_Y / 2, PAULI_Z / 2), 4),
+    # Tr(U^dag U Z) = 0, so the Choi spectrum is (0, 0, 1, 1)
+    "rank2-equal-weights": ((_U9 / np.sqrt(2), _U9 @ PAULI_Z / np.sqrt(2)), 2),
+}
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("name", list(DEGENERATE_CHANNELS))
+def test_kraus_from_choi_degenerate_spectrum_roundtrip(convention, name):
+    # Eigenvectors of a degenerate eigenvalue are fixed only up to a unitary
+    # mixing, so only Kraus-invariant quantities are compared.
+    kraus, rank = DEGENERATE_CHANNELS[name]
+    op = Operation(2, 2, kraus)
+    choi = choi_of_operation(op, convention)
+    extracted = kraus_from_choi(choi)
+    assert len(extracted.kraus) == rank
+    assert extracted.is_trace_preserving()
+    rebuilt = choi_of_operation(extracted, convention)
+    assert np.abs(rebuilt.matrix - choi.matrix).max() < 1e-9
+
+
 def test_choi_rejects_non_cp():
     with pytest.raises(ValueError):
         ChoiOperator(2, 2, kron(PAULI_Z, ID2), Convention.TRANSPOSED)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import agents, gravity, order, process
+from . import agents, gravity, linalg, order, process
 from .ops import rand_unitary
 
 EXIT_OK = 0
@@ -30,7 +30,6 @@ class ScenarioConfig:
     scenario: str
     params: dict = field(default_factory=dict)
     seed: int = 0
-    output_path: str = None
 
 
 def _round12(x):
@@ -67,16 +66,7 @@ def _bool_check(name, expected, actual):
 def _scenario_ocb_game(params, rng):
     w = process.ocb_process()
     strategy = order.ocb_strategy()
-    p_bob = sum(
-        0.25 * sum(order.game_probability(w, strategy, x, a, a, b, 1) for x in range(2))
-        for a in range(2)
-        for b in range(2)
-    )
-    p_alice = sum(
-        0.25 * sum(order.game_probability(w, strategy, b, y, a, b, 0) for y in range(2))
-        for a in range(2)
-        for b in range(2)
-    )
+    p_alice, p_bob = order.branch_probabilities(w, strategy)
     success = order.success_probability(w, strategy)
     outputs = {
         "success_probability": success,
@@ -93,8 +83,12 @@ def _scenario_ocb_game(params, rng):
 
 
 def _count(params, key):
-    # Loop counts below one would make the scenario's checks pass vacuously.
-    n = int(params[key])
+    # A fractional loop count would be truncated, and one below one would make
+    # the scenario's checks pass vacuously.
+    raw = params[key]
+    n = int(raw)
+    if isinstance(raw, float) and raw != n:
+        raise ValueError(f"{key} must be a whole number, got {raw}")
     if n < 1:
         raise ValueError(f"{key} must be at least 1, got {n}")
     return n
@@ -143,7 +137,7 @@ def _scenario_chsh_temporal(params, rng):
 
 
 def _scenario_validate_process(params, rng):
-    samples = int(params["samples"])
+    samples = _count(params, "samples")
     w = process.ocb_process()
     report = process.validate_process(w, samples, rng)
     trace = float(np.trace(w.matrix).real)
@@ -246,8 +240,7 @@ def _scenario_trigger(params, rng):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         angle = agents.crossing_rotation_angle(p)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    u = np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * sx
+    u = np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * linalg.PAULI_X
     fidelity = abs(np.vdot(np.array([0, 1]), u @ np.array([1, 0], dtype=complex)))
     outputs = {
         "omega": p.omega,

@@ -18,6 +18,7 @@ __all__ = [
     "dagger",
     "is_hermitian",
     "is_psd",
+    "require_psd",
     "is_unitary",
     "kron",
     "hermitian_eigen",
@@ -125,6 +126,14 @@ def is_psd(m, tol=DEFAULT_TOL):
     """True iff the Hermitian matrix has no eigenvalue below -tol."""
     w, _ = hermitian_eigen(m, tol)
     return bool(w[0] >= -tol)
+
+
+def require_psd(m, what, tol=DEFAULT_TOL):
+    """Raise ValueError, naming the matrix as `what`, if it has an eigenvalue
+    below -tol; :func:`hermitian_eigen` rejects a non-Hermitian one."""
+    w, _ = hermitian_eigen(m, tol)
+    if w[0] < -tol:
+        raise ValueError(f"{what} is not PSD (min eigenvalue {w[0]:.3e})")
 
 
 def sqrtm_psd(m, tol=DEFAULT_TOL):

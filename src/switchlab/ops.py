@@ -17,7 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger, hermitian_eigen, is_hermitian, is_unitary, kron
+from .linalg import (
+    DEFAULT_TOL,
+    dagger,
+    hermitian_eigen,
+    is_unitary,
+    kron,
+    partial_trace,
+    require_psd,
+    sqrtm_psd,
+)
 
 __all__ = [
     "Convention",
@@ -141,16 +150,10 @@ class ChoiOperator:
         d = self.d_in * self.d_out
         if m.shape != (d, d):
             raise ValueError(f"Choi matrix shape {m.shape} != ({d}, {d})")
-        if not is_hermitian(m):
-            raise ValueError("Choi matrix is not Hermitian")
-        w, _ = hermitian_eigen(m)
-        if w[0] < -1e-9:
-            raise ValueError(f"Choi matrix is not PSD (min eigenvalue {w[0]:.3e}); map not CP")
+        require_psd(m, "Choi matrix")
         object.__setattr__(self, "matrix", m)
 
     def is_cptp(self, tol=DEFAULT_TOL):
-        from .linalg import partial_trace
-
         marg = partial_trace(self.matrix, (self.d_in, self.d_out), keep=(0,))
         return bool(np.abs(marg - np.eye(self.d_in)).max() <= tol)
 
@@ -232,8 +235,6 @@ class StinespringDilation:
     projector: np.ndarray = None
 
     def apply(self, rho):
-        from .linalg import partial_trace
-
         rho = np.asarray(rho, dtype=complex)
         d_sys = max(self.d_in, self.d_out)
         big = np.zeros((d_sys, d_sys), dtype=complex)
@@ -274,8 +275,6 @@ def stinespring_dilation(op):
     sqrt(1 - sum E^dag E) appended internally as one extra environment level,
     which the returned projector then excludes.
     """
-    from .linalg import sqrtm_psd
-
     d_sys = max(op.d_in, op.d_out)
     padded = []
     for e in op.kraus:

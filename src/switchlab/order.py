@@ -12,12 +12,13 @@ import numpy as np
 
 from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, is_unitary, kron, partial_trace
 from .ops import ChoiOperator, Convention, choi_vector_of_unitary
-from .process import probability
+from .process import _rule_trace, probability
 
 __all__ = [
     "GameStrategy",
     "ocb_strategy",
     "game_probability",
+    "branch_probabilities",
     "success_probability",
     "bob_reduced_matrix",
     "alice_reduced_matrix",
@@ -74,17 +75,23 @@ def game_probability(w, strategy, x, y, a, b, bp):
     return probability(w, strategy.alice_choi(x, a), strategy.bob_choi(y, b, bp))
 
 
+def branch_probabilities(w, strategy):
+    """(P(x=b | b'=0), P(y=a | b'=1)) with uniform random bits, each the
+    probability rule Tr[W G] on one game operator, built from the 12 distinct
+    instrument elements:
+    G_A = 1/4 sum_b (sum_a M(b,a)) (x) (sum_y N(y,b,0))  (Alice guesses b),
+    G_B = 1/4 sum_a (sum_x M(x,a)) (x) (sum_b N(a,b,1))  (Bob guesses a).
+    """
+    m = {k: strategy.alice_choi(*k) for k in np.ndindex(2, 2)}
+    n = {k: strategy.bob_choi(*k) for k in np.ndindex(2, 2, 2)}
+    g_alice = [([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)]
+    g_bob = [([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)]
+    return 0.25 * _rule_trace(w, g_alice), 0.25 * _rule_trace(w, g_bob)
+
+
 def success_probability(w, strategy):
     """(1/2)[P(x=b | b'=0) + P(y=a | b'=1)] with uniform random bits."""
-    p_x_eq_b = 0.0
-    p_y_eq_a = 0.0
-    for a in range(2):
-        for b in range(2):
-            for y in range(2):
-                p_x_eq_b += 0.25 * game_probability(w, strategy, b, y, a, b, 0)
-            for x in range(2):
-                p_y_eq_a += 0.25 * game_probability(w, strategy, x, a, a, b, 1)
-    return 0.5 * (p_x_eq_b + p_y_eq_a)
+    return 0.5 * sum(branch_probabilities(w, strategy))
 
 
 def _reduced(w, other_choi_sum, keep):

@@ -15,11 +15,11 @@ import numpy as np
 from .linalg import (
     PAULI_X,
     PAULI_Z,
-    hermitian_eigen,
-    is_hermitian,
+    is_psd,
     kron,
     partial_trace,
     permute_subsystems,
+    require_psd,
 )
 from .ops import Convention, choi_of_operation, rand_cptp
 
@@ -60,11 +60,7 @@ class ProcessMatrix:
         total = int(np.prod(dims))
         if m.shape != (total, total):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-        if not is_hermitian(m):
-            raise ValueError("process matrix is not Hermitian")
-        w, _ = hermitian_eigen(m)
-        if w[0] < -1e-9:
-            raise ValueError(f"process matrix is not PSD (min eigenvalue {w[0]:.3e})")
+        require_psd(m, "process matrix")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -89,18 +85,27 @@ def _require_transposed(choi):
         raise ValueError("probability rule requires TRANSPOSED-convention Choi operators")
 
 
-def probability(w, choi_a, choi_b):
-    """Joint probability Tr[W (M (x) N)] for one instrument element each."""
-    _require_transposed(choi_a)
-    _require_transposed(choi_b)
-    if (choi_a.d_in, choi_a.d_out) != (w.d_a_in, w.d_a_out):
-        raise ValueError("Alice Choi dimensions do not match the process")
-    if (choi_b.d_in, choi_b.d_out) != (w.d_b_in, w.d_b_out):
-        raise ValueError("Bob Choi dimensions do not match the process")
-    val = np.trace(w.matrix @ kron(choi_a.matrix, choi_b.matrix))
+def _rule_trace(w, terms):
+    """The probability rule Tr[W G] for G = sum over `terms` = [(Alice Chois,
+    Bob Chois), ...] of (sum of Alice's) (x) (sum of Bob's). Every Choi must be
+    TRANSPOSED and match its side of W; the trace must be real within 1e-9."""
+    g = 0
+    for alice, bob in terms:
+        for party, chois, dims in (("Alice", alice, w.dims[:2]), ("Bob", bob, w.dims[2:])):
+            for choi in chois:
+                _require_transposed(choi)
+                if (choi.d_in, choi.d_out) != dims:
+                    raise ValueError(f"{party} Choi dimensions do not match the process")
+        g = g + kron(sum(c.matrix for c in alice), sum(c.matrix for c in bob))
+    val = np.trace(w.matrix @ g)
     if abs(val.imag) > 1e-9:
         raise ValueError(f"probability has imaginary part {val.imag:.3e}")
     return float(val.real)
+
+
+def probability(w, choi_a, choi_b):
+    """Joint probability Tr[W (M (x) N)] for one instrument element each."""
+    return _rule_trace(w, [((choi_a,), (choi_b,))])
 
 
 def state_process(rho, dims):
@@ -109,11 +114,9 @@ def state_process(rho, dims):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d_a_in * d_b_in,) * 2:
         raise ValueError("state must live on A_in (x) B_in")
-    if not is_hermitian(rho) or abs(np.trace(rho).real - 1.0) > 1e-9:
-        raise ValueError("state is not a density operator")
-    w, _ = hermitian_eigen(rho)
-    if w[0] < -1e-9:
-        raise ValueError("state is not a density operator")
+    if abs(np.trace(rho).real - 1.0) > 1e-9:
+        raise ValueError("state is not a density operator: trace is not 1")
+    require_psd(rho, "state")
     full = kron(rho, np.eye(d_a_out * d_b_out))
     # built on (A_in, B_in, A_out, B_out); reorder to (A_in, A_out, B_in, B_out)
     ordered, _ = permute_subsystems(full, (d_a_in, d_b_in, d_a_out, d_b_out), (0, 2, 1, 3))
@@ -122,8 +125,7 @@ def state_process(rho, dims):
 
 def _check_cptp_choi(choi):
     _require_transposed(choi)
-    marg = partial_trace(choi.matrix, (choi.d_in, choi.d_out), keep=(0,))
-    if np.abs(marg - np.eye(choi.d_in)).max() > 1e-9:
+    if not choi.is_cptp():
         raise ValueError("channel Choi is not trace-preserving")
 
 
@@ -162,8 +164,10 @@ def causal_mixture(w1, w2, q):
     return ProcessMatrix(w1.dims, q * w1.matrix + (1.0 - q) * w2.matrix)
 
 
-def _gell_mann(d):
-    # Generalized Gell-Mann matrices scaled so Tr(s_i s_j) = d delta_ij.
+def hs_basis(d):
+    """Hermitian operator basis with s_0 = 1, Tr(s_i s_j) = d delta_ij,
+    traceless otherwise, stacked as a (d^2, d, d) array: the generalized
+    Gell-Mann matrices, which reduce to the Pauli basis at d = 2."""
     mats = [np.eye(d, dtype=complex)]
     scale = np.sqrt(d / 2.0)
     for j in range(d):
@@ -182,17 +186,18 @@ def _gell_mann(d):
         diag[l, l] = -l
         diag *= np.sqrt(d / (l * (l + 1.0)))
         mats.append(diag)
-    return mats
+    return np.array(mats)
 
 
-def hs_basis(d):
-    """Hermitian operator basis with s_0 = 1, Tr(s_i s_j) = d delta_ij,
-    traceless otherwise. Reduces to the Pauli basis at d = 2."""
-    return _gell_mann(d)
+# W[(i j k l), (m n o p)] against the stacked basis s[a, row, col], one factor
+# at a time, so the d^4 x d^4 product basis is never formed.
+_HS_DECOMPOSE = "ijklmnop,ami,bnj,cok,epl->abce"
+_HS_RECONSTRUCT = "abce,aim,bjn,cko,elp->ijklmnop"
 
 
 def hs_decompose(w):
-    """Coefficients w_abcd of W = sum w_abcd s_a (x) s_b (x) s_c (x) s_d.
+    """Coefficients w_abcd of W = sum w_abcd s_a (x) s_b (x) s_c (x) s_d,
+    that is w_abcd = Tr[W s_a (x) s_b (x) s_c (x) s_d] / d^4.
 
     Accepts a :class:`ProcessMatrix` or a bare Hermitian matrix whose four
     tensor factors share one local dimension.
@@ -208,34 +213,17 @@ def hs_decompose(w):
         d = round(matrix.shape[0] ** 0.25)
         if d ** 4 != matrix.shape[0]:
             raise ValueError("matrix dimension is not a fourth power")
-    basis = hs_basis(d)
-    n = d * d
-    coeffs = np.zeros((n, n, n, n), dtype=float)
-    norm = float(d) ** 4
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for e in range(n):
-                    term = kron(basis[a], basis[b], basis[c], basis[e])
-                    val = np.trace(matrix @ term) / norm
-                    if abs(val.imag) > 1e-9:
-                        raise ValueError("non-real Hilbert-Schmidt coefficient")
-                    coeffs[a, b, c, e] = val.real
-    return coeffs
+    s = hs_basis(d)
+    coeffs = np.einsum(_HS_DECOMPOSE, matrix.reshape((d,) * 8), s, s, s, s, optimize=True) / d ** 4
+    if np.abs(coeffs.imag).max() > 1e-9:
+        raise ValueError("non-real Hilbert-Schmidt coefficient")
+    return coeffs.real.copy()
 
 
 def hs_reconstruct(coeffs, d):
     """Inverse of :func:`hs_decompose` (returns the bare matrix)."""
-    basis = hs_basis(d)
-    n = d * d
-    out = np.zeros((d ** 4, d ** 4), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for e in range(n):
-                    if coeffs[a, b, c, e] != 0.0:
-                        out += coeffs[a, b, c, e] * kron(basis[a], basis[b], basis[c], basis[e])
-    return out
+    s = hs_basis(d)
+    return np.einsum(_HS_RECONSTRUCT, coeffs, s, s, s, s, optimize=True).reshape(d ** 4, d ** 4)
 
 
 @dataclass(frozen=True)
@@ -257,8 +245,7 @@ def validate_process(w, samples, rng):
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    wvals, _ = hermitian_eigen(w.matrix)
-    psd = bool(wvals[0] >= -1e-9)
+    psd = is_psd(w.matrix)
     trace_ok = abs(np.trace(w.matrix).real - w.d_a_out * w.d_b_out) < 1e-6
     worst = 0.0
     for _ in range(samples):

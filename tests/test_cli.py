@@ -171,3 +171,11 @@ def test_cli_rejects_malformed_suite_entries(tmp_path, suite):
 def test_cli_rejects_counts_below_one(scenario, param):
     for value in (0, -3):
         run_cli_usage_error(["run", "--scenario", scenario, "--param", f"{param}={value}"])
+
+
+@pytest.mark.parametrize(
+    "scenario, param", [("switch-contract", "pairs"), ("validate-process", "samples")]
+)
+def test_cli_rejects_fractional_counts(scenario, param):
+    error = run_cli_usage_error(["run", "--scenario", scenario, "--param", f"{param}=2.5"])
+    assert "whole number" in error

@@ -11,6 +11,7 @@ from switchlab.linalg import (
     kron,
     partial_trace,
     permute_subsystems,
+    require_psd,
 )
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -176,3 +177,11 @@ def test_is_psd():
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     assert is_psd(kron(rho, rho))
+
+
+def test_require_psd():
+    require_psd(np.eye(4), "identity")
+    with pytest.raises(ValueError, match=r"Z is not PSD \(min eigenvalue -1\.000e\+00\)"):
+        require_psd(PAULI_Z, "Z")
+    with pytest.raises(ValueError):
+        require_psd(np.array([[0, 1], [0, 0]], dtype=complex), "nilpotent")

@@ -2,13 +2,22 @@ import numpy as np
 import pytest
 
 from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron
-from switchlab.ops import choi_of_operation, rand_cptp, rand_density, rand_unitary
+from switchlab.ops import (
+    ChoiOperator,
+    Convention,
+    choi_of_operation,
+    rand_cptp,
+    rand_density,
+    rand_unitary,
+)
 from switchlab.order import (
     CHSH_SETTINGS,
+    GameStrategy,
     SwitchSpec,
     TEMPORAL_ORDER_UNITARIES,
     alice_reduced_matrix,
     bob_reduced_matrix,
+    branch_probabilities,
     chsh_value,
     contract_switch_vector,
     control_measurement,
@@ -63,6 +72,56 @@ def test_success_invariant_under_bob_free_state():
     for _ in range(5):
         s = ocb_strategy(bob_free_state=rand_density(2, rng))
         assert abs(success_probability(w, s) - P_OCB) < 1e-9
+
+
+def branch_sums(w, s):
+    # Reference: each branch as a sum of eight single game probabilities.
+    p_alice = sum(0.25 * game_probability(w, s, b, y, a, b, 0) for a, b, y in np.ndindex(2, 2, 2))
+    p_bob = sum(0.25 * game_probability(w, s, x, a, a, b, 1) for a, b, x in np.ndindex(2, 2, 2))
+    return p_alice, p_bob
+
+
+def random_causal_mixture(rng):
+    w_ba = channel_process(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, 2, rng)))
+    w_ab = channel_process_reverse(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, 2, rng)))
+    return causal_mixture(w_ab, w_ba, float(rng.uniform()))
+
+
+def test_branch_probabilities_equal_game_probability_sums():
+    rng = np.random.default_rng(21)
+    cases = [(ocb_process(), ocb_strategy())]
+    cases += [(random_causal_mixture(rng), ocb_strategy()) for _ in range(10)]
+    cases += [(ocb_process(), ocb_strategy(bob_free_state=rand_density(2, rng))) for _ in range(3)]
+    cases += [(random_causal_mixture(rng), ocb_strategy(bob_free_state=rand_density(2, rng)))]
+    for w, s in cases:
+        got = branch_probabilities(w, s)
+        want = branch_sums(w, s)
+        assert max(abs(g - e) for g, e in zip(got, want)) < 1e-12
+        assert abs(success_probability(w, s) - 0.5 * (got[0] + got[1])) < 1e-12
+
+
+def test_ocb_branch_values():
+    p_alice, p_bob = branch_probabilities(ocb_process(), ocb_strategy())
+    assert abs(p_alice - P_OCB) < 1e-9 and abs(p_bob - P_OCB) < 1e-9
+
+
+def test_success_probability_enforces_the_probability_rule():
+    good = ocb_strategy()
+
+    def plain_alice(x, a):
+        m = good.alice_choi(x, a)
+        return ChoiOperator(m.d_in, m.d_out, m.matrix.T, Convention.PLAIN)
+
+    def wide_bob(y, b, bp):
+        return ChoiOperator(2, 3, np.eye(6) / 3)
+
+    w = ocb_process()
+    bad = (GameStrategy(plain_alice, good.bob_choi), GameStrategy(good.alice_choi, wide_bob))
+    for strategy in bad:
+        with pytest.raises(ValueError):
+            success_probability(w, strategy)
+        with pytest.raises(ValueError):
+            branch_probabilities(w, strategy)
 
 
 def test_success_on_no_signaling_process_is_half():

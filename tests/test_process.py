@@ -220,6 +220,43 @@ def test_hs_round_trip_random_hermitian():
     assert np.abs(hs_reconstruct(coeffs, 2) - h).max() < 1e-9
 
 
+def test_hs_decompose_matches_kron_trace_reference():
+    # Each coefficient is Tr[W s_a (x) s_b (x) s_c (x) s_e] / d^4, formed term by term.
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    h = g + g.conj().T
+    s = hs_basis(2)
+    want = np.zeros((4, 4, 4, 4))
+    for idx in np.ndindex(4, 4, 4, 4):
+        want[idx] = np.trace(h @ kron(*(s[i] for i in idx))).real / 16
+    assert np.abs(hs_decompose(h) - want).max() < 1e-12
+
+
+def test_hs_round_trip_qutrits():
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81))
+    h = g + g.conj().T
+    coeffs = hs_decompose(h)
+    assert coeffs.shape == (9, 9, 9, 9) and np.isrealobj(coeffs)
+    assert np.abs(hs_reconstruct(coeffs, 3) - h).max() < 1e-9
+
+
+def test_hs_decompose_rejects_non_hermitian():
+    m = np.zeros((16, 16), dtype=complex)
+    m[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        hs_decompose(m)
+
+
+def test_hs_decompose_rejects_bad_dimensions():
+    with pytest.raises(ValueError):
+        hs_decompose(np.eye(8))
+    qutrit_channel = choi_of_operation(rand_cptp(2, 3, 2, np.random.default_rng(4)))
+    w = channel_process_reverse(np.eye(2) / 2, qutrit_channel)
+    with pytest.raises(ValueError):
+        hs_decompose(w)
+
+
 def test_validate_process_ocb():
     report = validate_process(ocb_process(), 100, np.random.default_rng(10))
     assert report.psd

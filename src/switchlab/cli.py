@@ -24,6 +24,9 @@ EXIT_USAGE = 2
 
 SQRT2 = float(np.sqrt(2.0))
 
+# Largest accepted loop count (`pairs`, `samples`): a run must end in a report.
+MAX_COUNT = 10**6
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -83,14 +86,15 @@ def _scenario_ocb_game(params, rng):
 
 
 def _count(params, key):
-    # A fractional loop count would be truncated, and one below one would make
-    # the scenario's checks pass vacuously.
+    # A fractional loop count would be truncated, one below one would make
+    # the scenario's checks pass vacuously, and one above MAX_COUNT would
+    # keep the run from finishing.
     raw = params[key]
     n = int(raw)
     if isinstance(raw, float) and raw != n:
         raise ValueError(f"{key} must be a whole number, got {raw}")
-    if n < 1:
-        raise ValueError(f"{key} must be at least 1, got {n}")
+    if not 1 <= n <= MAX_COUNT:
+        raise ValueError(f"{key} must be between 1 and {MAX_COUNT}, got {raw}")
     return n
 
 

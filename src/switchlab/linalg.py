@@ -41,7 +41,8 @@ def close(a, b, tol=DEFAULT_TOL):
 
 
 def dagger(m):
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a (..., n, n) stack."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def kron(*matrices):
@@ -96,8 +97,9 @@ def partial_trace(m, dims, keep):
 
 
 def is_hermitian(m, tol=DEFAULT_TOL):
+    """True iff the matrix, or every matrix of a (..., n, n) stack, is Hermitian."""
     m = np.asarray(m)
-    return bool(np.abs(m - m.conj().T).max() <= tol)
+    return bool(np.abs(m - dagger(m)).max() <= tol)
 
 
 def is_unitary(m, tol=DEFAULT_TOL):
@@ -108,32 +110,40 @@ def is_unitary(m, tol=DEFAULT_TOL):
 
 
 def hermitian_eigen(m, tol=DEFAULT_TOL):
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix, or of each matrix in a
+    (..., n, n) stack.
 
     Returns (eigenvalues ascending, unitary matrix of eigenvector columns),
-    computed by LAPACK through ``numpy.linalg.eigh``. Raises ValueError for
-    input that is not Hermitian within `tol`. The input is symmetrized first,
-    because ``eigh`` reads only one triangle and would otherwise let a
-    roundoff-level asymmetry bias the result.
+    computed by LAPACK through ``numpy.linalg.eigh``, with the stack's leading
+    axes in front. Raises ValueError if any input matrix is not Hermitian
+    within `tol`. The input is symmetrized first, because ``eigh`` reads only
+    one triangle and would otherwise let a roundoff-level asymmetry bias the
+    result.
     """
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh(0.5 * (m + m.conj().T))
+    return np.linalg.eigh(0.5 * (m + dagger(m)))
+
+
+def _min_eigenvalue(m, tol):
+    w, _ = hermitian_eigen(m, tol)
+    return w[..., 0].min()
 
 
 def is_psd(m, tol=DEFAULT_TOL):
-    """True iff the Hermitian matrix has no eigenvalue below -tol."""
-    w, _ = hermitian_eigen(m, tol)
-    return bool(w[0] >= -tol)
+    """True iff the Hermitian matrix, or every matrix of a stack, has no
+    eigenvalue below -tol."""
+    return bool(_min_eigenvalue(m, tol) >= -tol)
 
 
 def require_psd(m, what, tol=DEFAULT_TOL):
-    """Raise ValueError, naming the matrix as `what`, if it has an eigenvalue
-    below -tol; :func:`hermitian_eigen` rejects a non-Hermitian one."""
-    w, _ = hermitian_eigen(m, tol)
-    if w[0] < -tol:
-        raise ValueError(f"{what} is not PSD (min eigenvalue {w[0]:.3e})")
+    """Raise ValueError, naming the matrix as `what`, if it (or any matrix of
+    a stack) has an eigenvalue below -tol; :func:`hermitian_eigen` rejects a
+    non-Hermitian one."""
+    low = _min_eigenvalue(m, tol)
+    if low < -tol:
+        raise ValueError(f"{what} is not PSD (min eigenvalue {low:.3e})")
 
 
 def sqrtm_psd(m, tol=DEFAULT_TOL):

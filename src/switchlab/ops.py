@@ -58,6 +58,14 @@ class Convention(enum.Enum):
     TRANSPOSED = "transposed"
 
 
+def _require_trace_nonincreasing(kraus):
+    # sum E^dag E <= 1 for a Kraus family, or for every member of a stack of
+    # families whose operators are (k, d_out, d_in) stacks.
+    w, _ = hermitian_eigen(sum(dagger(e) @ e for e in kraus))
+    if w[..., -1].max() > 1.0 + 1e-9:
+        raise ValueError("Kraus family is trace-increasing: sum E^dag E > 1")
+
+
 @dataclass(frozen=True)
 class Operation:
     """A quantum operation in Kraus form: rho -> sum_i E_i rho E_i^dag."""
@@ -74,10 +82,7 @@ class Operation:
             if e.shape != (self.d_out, self.d_in):
                 raise ValueError(f"Kraus operator shape {e.shape} != ({self.d_out}, {self.d_in})")
         object.__setattr__(self, "kraus", kraus)
-        gram = sum(dagger(e) @ e for e in kraus)
-        w, _ = hermitian_eigen(gram)
-        if w[-1] > 1.0 + 1e-9:
-            raise ValueError("Kraus family is trace-increasing: sum E^dag E > 1")
+        _require_trace_nonincreasing(kraus)
 
     @classmethod
     def from_unitary(cls, u):
@@ -159,20 +164,26 @@ class ChoiOperator:
 
 
 def _choi_vec(e):
-    # |E>> = sum_k |k> (x) E|k>, component (k, o) at index k*d_out + o.
-    return e.T.reshape(-1)
+    # |E>> = sum_k |k> (x) E|k>, component (k, o) at index k*d_out + o; one
+    # vector per member of a (..., d_out, d_in) stack.
+    return e.swapaxes(-1, -2).reshape(*e.shape[:-2], -1)
+
+
+def _choi_matrix(kraus, convention):
+    # sum_i |E_i>><<E_i|, transposed for TRANSPOSED, added one Kraus operator
+    # at a time; a stack of matrices when the operators are stacks.
+    m = 0
+    for e in kraus:
+        v = _choi_vec(e)
+        m = m + v[..., :, None] * v[..., None, :].conj()
+    if convention is Convention.TRANSPOSED:
+        m = m.swapaxes(-1, -2)
+    return m
 
 
 def choi_of_operation(op, convention=Convention.TRANSPOSED):
     """Choi operator of an operation in the requested convention."""
-    d = op.d_in * op.d_out
-    m = np.zeros((d, d), dtype=complex)
-    for e in op.kraus:
-        v = _choi_vec(e)
-        m += np.outer(v, v.conj())
-    if convention is Convention.TRANSPOSED:
-        m = m.T
-    return ChoiOperator(op.d_in, op.d_out, m, convention)
+    return ChoiOperator(op.d_in, op.d_out, _choi_matrix(op.kraus, convention), convention)
 
 
 def apply_choi(choi, rho):
@@ -356,16 +367,36 @@ def rand_density(d, rng, rank=None):
     return rho / np.trace(rho).real
 
 
-def rand_cptp(d_in, d_out, kraus_rank, rng):
-    """Random CPTP operation: orthonormalized Ginibre isometry cut into blocks."""
+def _ginibre_shape(d_in, d_out, kraus_rank):
+    # Shape of the complex Ginibre matrix that rand_cptp orthonormalizes.
     if d_out * kraus_rank < d_in:
         raise ValueError("CPTP map needs d_out * kraus_rank >= d_in")
-    g = rng.standard_normal((d_out * kraus_rank, d_in)) + 1j * rng.standard_normal(
-        (d_out * kraus_rank, d_in)
-    )
+    return (d_out * kraus_rank, d_in)
+
+
+def _isometry_kraus(g, d_out, kraus_rank):
+    # Orthonormalize the columns of a Ginibre matrix, or of each matrix in a
+    # stack, and cut the isometry into kraus_rank blocks of d_out rows.
     v, _ = np.linalg.qr(g)
-    kraus = tuple(v[i * d_out : (i + 1) * d_out, :] for i in range(kraus_rank))
-    return Operation(d_in, d_out, kraus)
+    return tuple(v[..., i * d_out : (i + 1) * d_out, :] for i in range(kraus_rank))
+
+
+def rand_cptp(d_in, d_out, kraus_rank, rng):
+    """Random CPTP operation: orthonormalized Ginibre isometry cut into blocks."""
+    shape = _ginibre_shape(d_in, d_out, kraus_rank)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Operation(d_in, d_out, _isometry_kraus(g, d_out, kraus_rank))
+
+
+def _cptp_chois(g, d_out, kraus_rank):
+    """TRANSPOSED Choi matrices, stacked, of the maps :func:`rand_cptp` builds
+    from a (k, d_out * kraus_rank, d_in) stack of Ginibre matrices. Every
+    member passes the checks of :class:`Operation` and :class:`ChoiOperator`."""
+    kraus = _isometry_kraus(g, d_out, kraus_rank)
+    _require_trace_nonincreasing(kraus)
+    m = _choi_matrix(kraus, Convention.TRANSPOSED)
+    require_psd(m, "Choi matrix")
+    return m
 
 
 def rand_operation(d_in, d_out, kraus_rank, rng):

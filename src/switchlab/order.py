@@ -12,7 +12,7 @@ import numpy as np
 
 from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, is_unitary, kron, partial_trace
 from .ops import ChoiOperator, Convention, choi_vector_of_unitary
-from .process import _rule_trace, probability
+from .process import _require_rule, _rule_trace, probability
 
 __all__ = [
     "GameStrategy",
@@ -94,24 +94,29 @@ def success_probability(w, strategy):
     return 0.5 * sum(branch_probabilities(w, strategy))
 
 
-def _reduced(w, other_choi_sum, keep):
-    if keep == (2, 3):
-        full = kron(other_choi_sum, np.eye(w.d_b_in * w.d_b_out))
+def _reduced(w, party, chois):
+    # W contracted with the sum of one party's Chois, after the probability
+    # rule's checks on them, leaving the other party's factors.
+    for c in chois:
+        _require_rule(w, party, c.convention, c.d_in, c.d_out)
+    choi_sum = sum(c.matrix for c in chois)
+    if party == "Alice":
+        full = kron(choi_sum, np.eye(w.d_b_in * w.d_b_out))
+        keep = (2, 3)
     else:
-        full = kron(np.eye(w.d_a_in * w.d_a_out), other_choi_sum)
+        full = kron(np.eye(w.d_a_in * w.d_a_out), choi_sum)
+        keep = (0, 1)
     return partial_trace(w.matrix @ full, w.dims, keep=keep)
 
 
 def bob_reduced_matrix(w, strategy, a):
     """Tr_A[W (sum_x M(x,a) (x) 1)]: the process Bob faces for Alice bit a."""
-    m_sum = sum(strategy.alice_choi(x, a).matrix for x in range(2))
-    return _reduced(w, m_sum, keep=(2, 3))
+    return _reduced(w, "Alice", [strategy.alice_choi(x, a) for x in range(2)])
 
 
 def alice_reduced_matrix(w, strategy, b, bp=0):
     """Tr_B[W (1 (x) sum_y N(y,b,b'))]: the process Alice faces."""
-    n_sum = sum(strategy.bob_choi(y, b, bp).matrix for y in range(2))
-    return _reduced(w, n_sum, keep=(0, 1))
+    return _reduced(w, "Bob", [strategy.bob_choi(y, b, bp) for y in range(2)])
 
 
 @dataclass(frozen=True)

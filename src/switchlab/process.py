@@ -8,6 +8,7 @@ the PLAIN convention is rejected so the two can never be mixed, which would
 silently transpose one tensor factor.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .linalg import (
     permute_subsystems,
     require_psd,
 )
-from .ops import Convention, choi_of_operation, rand_cptp
+from .ops import Convention, _cptp_chois, _ginibre_shape
 
 __all__ = [
     "ProcessMatrix",
@@ -80,27 +81,40 @@ class ProcessMatrix:
         return self.dims[3]
 
 
-def _require_transposed(choi):
-    if choi.convention is not Convention.TRANSPOSED:
+def _require_transposed(convention):
+    if convention is not Convention.TRANSPOSED:
         raise ValueError("probability rule requires TRANSPOSED-convention Choi operators")
+
+
+def _require_rule(w, party, convention, d_in, d_out):
+    """The probability rule's checks on a Choi operator (or a stack of them)
+    of `party`, "Alice" or "Bob": TRANSPOSED convention, and the dimensions of
+    that party's side of W."""
+    _require_transposed(convention)
+    if (d_in, d_out) != (w.dims[:2] if party == "Alice" else w.dims[2:]):
+        raise ValueError(f"{party} Choi dimensions do not match the process")
+
+
+def _real_probability(val):
+    # The probability rule's trace, or a stack of them, must be real within 1e-9.
+    val = np.asarray(val)
+    bad = np.abs(val.imag) > 1e-9
+    if bad.any():
+        raise ValueError(f"probability has imaginary part {val.imag[bad].flat[0]:.3e}")
+    return val.real
 
 
 def _rule_trace(w, terms):
     """The probability rule Tr[W G] for G = sum over `terms` = [(Alice Chois,
-    Bob Chois), ...] of (sum of Alice's) (x) (sum of Bob's). Every Choi must be
-    TRANSPOSED and match its side of W; the trace must be real within 1e-9."""
+    Bob Chois), ...] of (sum of Alice's) (x) (sum of Bob's), after the rule's
+    checks on every Choi."""
     g = 0
     for alice, bob in terms:
-        for party, chois, dims in (("Alice", alice, w.dims[:2]), ("Bob", bob, w.dims[2:])):
-            for choi in chois:
-                _require_transposed(choi)
-                if (choi.d_in, choi.d_out) != dims:
-                    raise ValueError(f"{party} Choi dimensions do not match the process")
+        for party, chois in (("Alice", alice), ("Bob", bob)):
+            for c in chois:
+                _require_rule(w, party, c.convention, c.d_in, c.d_out)
         g = g + kron(sum(c.matrix for c in alice), sum(c.matrix for c in bob))
-    val = np.trace(w.matrix @ g)
-    if abs(val.imag) > 1e-9:
-        raise ValueError(f"probability has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    return float(_real_probability(np.trace(w.matrix @ g)))
 
 
 def probability(w, choi_a, choi_b):
@@ -124,7 +138,7 @@ def state_process(rho, dims):
 
 
 def _check_cptp_choi(choi):
-    _require_transposed(choi)
+    _require_transposed(choi.convention)
     if not choi.is_cptp():
         raise ValueError("channel Choi is not trace-preserving")
 
@@ -237,22 +251,49 @@ class ValidationReport:
         return self.psd and self.trace_ok
 
 
+# validate_process checks its random pairs in stacks of at most this many,
+# so that peak memory does not grow with the sample count.
+_BLOCK = 64
+_KRAUS_RANK = 2
+
+
 def validate_process(w, samples, rng):
     """Certify the two process conditions plus randomized normalization.
 
-    Draws `samples` independent CPTP Choi pairs and reports the largest
-    deviation of Tr[W (M (x) N)] from one.
+    Draws `samples` independent CPTP Choi pairs, consuming `rng` exactly as
+    ``rand_cptp(d_in, d_out, 2, rng)`` for Alice and then for Bob would, once
+    per sample, and reports the largest deviation of Tr[W (M (x) N)] from one.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     psd = is_psd(w.matrix)
     trace_ok = abs(np.trace(w.matrix).real - w.d_a_out * w.d_b_out) < 1e-6
     worst = 0.0
-    for _ in range(samples):
-        ma = choi_of_operation(rand_cptp(w.d_a_in, w.d_a_out, 2, rng), Convention.TRANSPOSED)
-        nb = choi_of_operation(rand_cptp(w.d_b_in, w.d_b_out, 2, rng), Convention.TRANSPOSED)
-        worst = max(worst, abs(probability(w, ma, nb) - 1.0))
+    for start in range(0, samples, _BLOCK):
+        worst = max(worst, _block_deviation(w, min(_BLOCK, samples - start), rng))
     return ValidationReport(psd, trace_ok, worst)
+
+
+def _block_deviation(w, k, rng):
+    # Largest |Tr[W (M (x) N)] - 1| over k random CPTP pairs, stacked. One
+    # draw holds each sample's normals in rand_cptp's order: Alice real and
+    # imaginary, then Bob real and imaginary.
+    sides = (("Alice", w.dims[:2]), ("Bob", w.dims[2:]))
+    shapes = [_ginibre_shape(d_in, d_out, _KRAUS_RANK) for _, (d_in, d_out) in sides]
+    sizes = [math.prod(shape) for shape in shapes for _ in range(2)]
+    normals = np.split(rng.standard_normal((k, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    chois = []
+    for i, (party, (d_in, d_out)) in enumerate(sides):
+        real, imag = (x.reshape(k, *shapes[i]) for x in normals[2 * i : 2 * i + 2])
+        chois.append(_cptp_chois(real + 1j * imag, d_out, _KRAUS_RANK))
+        _require_rule(w, party, Convention.TRANSPOSED, d_in, d_out)
+    ma, nb = chois
+    # M (x) N is formed, as probability() forms it, so that every trace has
+    # probability()'s roundoff: the CLI prints the deviation to 12 digits.
+    n = len(w.matrix)
+    g = (ma[:, :, None, :, None] * nb[:, None, :, None, :]).reshape(k, n, n)
+    vals = _real_probability(np.trace(w.matrix @ g, axis1=1, axis2=2))
+    return float(np.abs(vals - 1.0).max())
 
 
 def ocb_process():

@@ -9,12 +9,14 @@ from switchlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_COUNT,
     SCENARIOS,
     ScenarioConfig,
     main,
     render_report,
     run_scenario,
     run_suite,
+    _count,
 )
 
 GOLDEN = Path(__file__).resolve().parent.parent / "suites" / "golden.json"
@@ -179,3 +181,21 @@ def test_cli_rejects_counts_below_one(scenario, param):
 def test_cli_rejects_fractional_counts(scenario, param):
     error = run_cli_usage_error(["run", "--scenario", scenario, "--param", f"{param}=2.5"])
     assert "whole number" in error
+
+
+@pytest.mark.parametrize(
+    "scenario, param, value",
+    [
+        ("switch-contract", "pairs", "1e12"),
+        ("validate-process", "samples", "1e30"),
+        ("chsh-temporal", "samples", str(MAX_COUNT + 1)),
+    ],
+)
+def test_cli_rejects_counts_above_the_limit(scenario, param, value):
+    error = run_cli_usage_error(["run", "--scenario", scenario, "--param", f"{param}={value}"])
+    assert f"between 1 and {MAX_COUNT}" in error
+
+
+def test_count_accepts_the_limit():
+    assert _count({"samples": MAX_COUNT}, "samples") == MAX_COUNT
+    assert _count({"samples": float(MAX_COUNT)}, "samples") == MAX_COUNT

@@ -185,3 +185,35 @@ def test_require_psd():
         require_psd(PAULI_Z, "Z")
     with pytest.raises(ValueError):
         require_psd(np.array([[0, 1], [0, 0]], dtype=complex), "nilpotent")
+
+
+def test_hermitian_eigen_and_is_psd_on_a_stack_match_per_matrix_calls():
+    rng = np.random.default_rng(21)
+    stack = np.array([rand_hermitian(5, rng) for _ in range(4)])
+    stack[0] = stack[0] @ stack[0]  # one PSD member among indefinite ones
+    w, v = hermitian_eigen(stack)
+    assert w.shape == (4, 5) and v.shape == (4, 5, 5)
+    for i, m in enumerate(stack):
+        w_i, v_i = hermitian_eigen(m)
+        assert np.abs(w[i] - w_i).max() < 1e-12
+        assert np.abs(v[i] @ np.diag(w[i]) @ v[i].conj().T - m).max() < 1e-9
+    psd_stack = np.array([m @ m.conj().T for m in stack])
+    for members in (stack, psd_stack, stack[:1]):
+        assert is_psd(members) == all(is_psd(m) for m in members)
+    assert not is_psd(stack) and is_psd(psd_stack) and is_psd(stack[:1])
+
+
+def test_require_psd_on_a_stack_names_the_lowest_eigenvalue():
+    stack = np.array([np.eye(2), np.diag([1.0, -0.25]), np.eye(2)], dtype=complex)
+    require_psd(stack[[0, 2]], "pair")
+    with pytest.raises(ValueError, match=r"stack is not PSD \(min eigenvalue -2\.500e-01\)"):
+        require_psd(stack, "stack")
+
+
+def test_hermitian_eigen_rejects_a_stack_with_one_non_hermitian_member():
+    stack = np.array([np.eye(2), PAULI_X, np.array([[0, 1], [0, 0]])], dtype=complex)
+    hermitian_eigen(stack[:2])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigen(stack)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        is_psd(stack)

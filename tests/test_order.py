@@ -142,6 +142,37 @@ def test_reduced_matrices_match_closed_forms():
         assert np.abs(got - want).max() < 1e-9
 
 
+def test_reduced_matrices_enforce_the_probability_rule():
+    good = ocb_strategy()
+
+    def plain_alice(x, a):
+        m = good.alice_choi(x, a)
+        return ChoiOperator(m.d_in, m.d_out, m.matrix.T, Convention.PLAIN)
+
+    def plain_bob(y, b, bp):
+        n = good.bob_choi(y, b, bp)
+        return ChoiOperator(n.d_in, n.d_out, n.matrix.T, Convention.PLAIN)
+
+    def wide_alice(x, a):
+        return ChoiOperator(2, 3, np.eye(6) / 3)
+
+    def wide_bob(y, b, bp):
+        return ChoiOperator(2, 3, np.eye(6) / 3)
+
+    w = ocb_process()
+    with pytest.raises(ValueError, match="TRANSPOSED"):
+        bob_reduced_matrix(w, GameStrategy(plain_alice, good.bob_choi), 0)
+    with pytest.raises(ValueError, match="TRANSPOSED"):
+        alice_reduced_matrix(w, GameStrategy(good.alice_choi, plain_bob), 0)
+    with pytest.raises(ValueError, match="Alice Choi dimensions"):
+        bob_reduced_matrix(w, GameStrategy(wide_alice, good.bob_choi), 1)
+    with pytest.raises(ValueError, match="Bob Choi dimensions"):
+        alice_reduced_matrix(w, GameStrategy(good.alice_choi, wide_bob), 1, bp=1)
+    # Each function checks only the Chois it contracts with W.
+    assert bob_reduced_matrix(w, GameStrategy(good.alice_choi, plain_bob), 0).shape == (4, 4)
+    assert alice_reduced_matrix(w, GameStrategy(plain_alice, good.bob_choi), 0).shape == (4, 4)
+
+
 def test_causal_bound_on_random_separable_processes():
     # Convex mixtures of one-way channel processes never beat 3/4.
     rng = np.random.default_rng(1)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from switchlab.linalg import ID2, PAULI_X, PAULI_Z, hermitian_eigen, kron
+from switchlab import ops
+from switchlab.linalg import ID2, PAULI_X, PAULI_Z, hermitian_eigen, is_psd, kron
 from switchlab.ops import (
     ChoiOperator,
     Convention,
@@ -13,6 +16,7 @@ from switchlab.ops import (
 )
 from switchlab.process import (
     ProcessMatrix,
+    ValidationReport,
     causal_mixture,
     channel_process,
     channel_process_reverse,
@@ -275,6 +279,120 @@ def test_validate_process_state_process():
     w = state_process(rand_density(4, rng), (2, 2, 2, 2))
     report = validate_process(w, 50, rng)
     assert report.ok and report.max_norm_deviation < 1e-8
+
+
+def reference_validate_process(w, samples, rng):
+    """The per-sample loop that validate_process stacks, from the public API."""
+    worst = 0.0
+    for _ in range(samples):
+        ma = choi_of_operation(rand_cptp(w.d_a_in, w.d_a_out, 2, rng), Convention.TRANSPOSED)
+        nb = choi_of_operation(rand_cptp(w.d_b_in, w.d_b_out, 2, rng), Convention.TRANSPOSED)
+        worst = max(worst, abs(probability(w, ma, nb) - 1.0))
+    trace_ok = abs(np.trace(w.matrix).real - w.d_a_out * w.d_b_out) < 1e-6
+    return ValidationReport(is_psd(w.matrix), trace_ok, worst)
+
+
+def _random_mixture(rng):
+    w1 = channel_process(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, 2, rng)))
+    w2 = channel_process_reverse(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, 2, rng)))
+    return causal_mixture(w1, w2, rng.uniform())
+
+
+PROCESSES = {
+    "ocb": lambda rng: ocb_process(),
+    "causal-mixture": _random_mixture,
+    "state": lambda rng: state_process(rand_density(4, rng), (2, 2, 2, 2)),
+    # dims (3, 4, 2, 2): the two sides, and in and out on Alice's, differ
+    "unequal-dims": lambda rng: channel_process(
+        rand_density(2, rng), choi_of_operation(rand_cptp(2, 3, 2, rng)), d_a_out=4
+    ),
+    # dims (2, 2, 3, 2)
+    "unequal-dims-reverse": lambda rng: channel_process_reverse(
+        rand_density(2, rng), choi_of_operation(rand_cptp(2, 3, 2, rng)), d_b_out=2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROCESSES))
+@settings(max_examples=15, deadline=None)
+@given(
+    samples=st.sampled_from([1, 63, 64, 65, 129]) | st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_validate_process_equals_the_per_sample_loop(name, samples, seed):
+    # Bit for bit: the report's 12-digit deviation is printed by the CLI.
+    w = PROCESSES[name](np.random.default_rng([seed, 0]))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert validate_process(w, samples, rng) == reference_validate_process(w, samples, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_validate_process_rejects_sides_without_a_rank_two_map():
+    # Alice's 5 -> 2 side admits no CPTP map of Kraus rank 2.
+    w = ProcessMatrix((5, 2, 1, 1), np.eye(10) / 5)
+    for validate in (validate_process, reference_validate_process):
+        with pytest.raises(ValueError, match="d_out \\* kraus_rank >= d_in"):
+            validate(w, 3, np.random.default_rng(0))
+
+
+def corrupt_one_sample(original, transform, shape, index):
+    # Wrap a sampling helper of ops so that `transform` alters its output for
+    # one sample only: the index-th whose matrices have `shape`, whether the
+    # helper is called for one sample or for a stack.
+    seen = 0
+
+    def patched(*args):
+        nonlocal seen
+        out = original(*args)
+        mats = out if isinstance(out, tuple) else (out,)
+        if mats[0].shape[-2:] != shape:
+            return out
+        k = len(mats[0]) if mats[0].ndim == 3 else 1
+        if seen <= index < seen + k:
+            mats = tuple(m.copy() for m in mats)
+            for m in mats:
+                member = m[index - seen] if m.ndim == 3 else m
+                member[...] = transform(member)
+        seen += k
+        return mats if isinstance(out, tuple) else mats[0]
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "target, shape, corrupt, message",
+    [
+        ("_isometry_kraus", (2, 2), lambda e: 1.1 * e, "trace-increasing"),
+        ("_choi_matrix", (4, 4), lambda m: -m, "Choi matrix is not PSD"),
+        ("_choi_matrix", (4, 4), lambda m: m + 1j * np.tril(np.ones((4, 4)), -1), "not Hermitian"),
+    ],
+)
+def test_validate_process_checks_every_sampled_operation(
+    monkeypatch, target, shape, corrupt, message
+):
+    # Only Bob's operation of sample 100 of 129, inside the second block, is
+    # corrupted; on dims (3, 4, 2, 2) its matrices are told apart by shape.
+    w = PROCESSES["unequal-dims"](np.random.default_rng(5))
+    original = getattr(ops, target)
+    for validate in (validate_process, reference_validate_process):
+        monkeypatch.setattr(ops, target, corrupt_one_sample(original, corrupt, shape, 100))
+        with pytest.raises(ValueError, match=message):
+            validate(w, 129, np.random.default_rng(3))
+        monkeypatch.setattr(ops, target, corrupt_one_sample(original, corrupt, shape, 129))
+        validate(w, 129, np.random.default_rng(3))
+
+
+def test_validate_process_checks_that_every_probability_is_real():
+    # An anti-Hermitian part c i J (J all ones) below the Hermiticity
+    # tolerance passes the positivity check, but gives each Tr[W (M (x) N)]
+    # the imaginary part c <1|M (x) N|1>. At seed 4 that exceeds 1e-9 only
+    # for sample 96, inside the second block.
+    w = ocb_process()
+    w = ProcessMatrix(w.dims, w.matrix + 7.65e-11j * np.ones((16, 16)))
+    for validate in (validate_process, reference_validate_process):
+        validate(w, 96, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="imaginary part"):
+            validate(w, 97, np.random.default_rng(4))
 
 
 def test_ocb_process_spectrum_and_trace():

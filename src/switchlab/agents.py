@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gravity import HBAR
+
 __all__ = [
     "DIMS",
     "AgentAmplitudes",
@@ -39,8 +41,6 @@ DIMS = (6, 5, 5, 2, 2)
 # level indices: A_j at index j; B_j and e_j at index j-1
 A3, A5 = 3, 5
 B3, B5 = 2, 4
-
-HBAR = 1.054571817e-34
 
 
 def _phase(angle):
@@ -204,12 +204,16 @@ def apply_agent_b_then_a(amps, state):
 _DETECTOR_PATTERN = {0: (1, 1), 1: (1, 0), 2: (0, 1), 3: (0, 0)}
 
 
+def _detector_pattern(zeta):
+    if zeta not in _DETECTOR_PATTERN:
+        raise ValueError("zeta must be 0, 1, 2 or 3")
+    return _DETECTOR_PATTERN[zeta]
+
+
 def postselect(state, zeta):
     """Project onto the herald pattern zeta; returns (state, probability),
     with state None on a zero-probability pattern."""
-    if zeta not in _DETECTOR_PATTERN:
-        raise ValueError("zeta must be 0, 1, 2 or 3")
-    det_a, det_b = _DETECTOR_PATTERN[zeta]
+    det_a, det_b = _detector_pattern(zeta)
     t = np.asarray(state.tensor if isinstance(state, ModelState) else state, dtype=complex)
     projected = np.zeros(DIMS, dtype=complex)
     projected[:, :, :, det_a, det_b] = t[:, :, :, det_a, det_b]
@@ -250,9 +254,10 @@ def _agent_target_split(branch, tol=1e-9):
     return pattern.reshape(6, 5), target
 
 
-def run_switch_model(amps, target_in, zeta, sign, path_amplitudes=None):
-    """Run both orders in superposition, postselect the heralds on zeta, then
-    measure the order register in the diagonal basis with the given sign.
+def run_switch_model(amps, target_in, zeta, sign):
+    """Run both orders in superposition (path amplitudes 1/sqrt 2 each),
+    postselect the heralds on zeta, then measure the order register in the
+    diagonal basis with the given sign.
 
     The path register and, when each branch carries a single agent pattern,
     the agent levels are measured together, so for such inputs the returned
@@ -260,17 +265,11 @@ def run_switch_model(amps, target_in, zeta, sign, path_amplitudes=None):
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    amp0, amp1 = (
-        (1 / np.sqrt(2.0), 1 / np.sqrt(2.0)) if path_amplitudes is None else path_amplitudes
-    )
+    path_amp = 1 / np.sqrt(2.0)
     state_in = ModelState.from_target(target_in)
-    det_a, det_b = _DETECTOR_PATTERN[zeta] if zeta in _DETECTOR_PATTERN else (None, None)
-    if det_a is None:
-        raise ValueError("zeta must be 0, 1, 2 or 3")
-    branch_ba = apply_agent_a_then_b(amps, state_in).tensor[:, :, :, det_a, det_b]
-    branch_ab = apply_agent_b_then_a(amps, state_in).tensor[:, :, :, det_a, det_b]
-    branch_ba = amp0 * branch_ba
-    branch_ab = amp1 * branch_ab
+    det_a, det_b = _detector_pattern(zeta)
+    branch_ba = path_amp * apply_agent_a_then_b(amps, state_in).tensor[:, :, :, det_a, det_b]
+    branch_ab = path_amp * apply_agent_b_then_a(amps, state_in).tensor[:, :, :, det_a, det_b]
     post_prob = float(np.linalg.norm(branch_ba) ** 2 + np.linalg.norm(branch_ab) ** 2)
     if post_prob < 1e-12:
         raise ValueError(f"postselection zeta={zeta} has zero probability for this input")
@@ -334,10 +333,6 @@ class TriggerParams:
     @property
     def sigma(self):
         return np.sqrt(HBAR / (self.mass * self.omega))
-
-    @property
-    def alpha0(self):
-        return self.amplitude / (np.sqrt(2.0) * self.sigma)
 
     @property
     def crossing_window(self):

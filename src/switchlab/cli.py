@@ -70,7 +70,7 @@ def _scenario_ocb_game(params, rng):
     w = process.ocb_process()
     strategy = order.ocb_strategy()
     p_alice, p_bob = order.branch_probabilities(w, strategy)
-    success = order.success_probability(w, strategy)
+    success = 0.5 * (p_alice + p_bob)
     outputs = {
         "success_probability": success,
         "p_alice_guesses_b": p_alice,
@@ -168,6 +168,9 @@ def _resolve_body(params):
 
 
 def _scenario_grav_duration(params, rng):
+    lo, hi = float(params["window_low"]), float(params["window_high"])
+    if not lo < hi:
+        raise ValueError(f"window_low must be below window_high, got {lo} and {hi}")
     body = _resolve_body(params)
     geom = gravity.SwitchGeometry(h=float(params["h"]), d=float(params["d"]))
     report = gravity.protocol_duration(body, geom)
@@ -188,7 +191,6 @@ def _scenario_grav_duration(params, rng):
         "dt_exp_low": report.dt_exp_low,
         "dt_exp_high": report.dt_exp_high,
     }
-    lo, hi = float(params["window_low"]), float(params["window_high"])
     checks = [
         _check("dt_r_in_window", 0.5 * (lo + hi), report.dt_r, 0.5 * (hi - lo)),
         _check(
@@ -345,7 +347,10 @@ def run_scenario(config):
         raise ValueError(f"unknown parameters for {config.scenario}: {sorted(unknown)}")
     params = {**defaults, **config.params}
     rng = np.random.default_rng(int(config.seed))
-    outputs, checks = runner(params, rng)
+    # An overflow, division by zero or NaN is a usage error, not a warning
+    # beside a report that may pass vacuously.
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        outputs, checks = runner(params, rng)
     report = {
         "scenario": config.scenario,
         "seed": int(config.seed),
@@ -457,7 +462,7 @@ def main(argv=None):
         suite = run_suite(configs)
         _emit(render_report(suite), args.out)
         return EXIT_OK if suite["pass"] else EXIT_CHECK_FAILED
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, ArithmeticError) as exc:
         error = {"error": str(exc)}
         sys.stderr.write(json.dumps(error) + "\n")
         return EXIT_USAGE

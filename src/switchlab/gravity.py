@@ -20,9 +20,6 @@ __all__ = [
     "HBAR",
     "BodyConfig",
     "EARTH",
-    "Metric",
-    "SCHWARZSCHILD",
-    "isotropic_weak_field",
     "lapse",
     "light_coordinate_time",
     "arrival_proper_time",
@@ -75,45 +72,6 @@ class BodyConfig:
 EARTH = BodyConfig(mass=5.9722e24, radius=6.371e6)
 
 
-@dataclass(frozen=True)
-class Metric:
-    """Static spherically symmetric metric, either the standard Schwarzschild
-    form or the isotropic weak-field form with parameters (beta, gamma);
-    beta = gamma = 1 is the general-relativity point."""
-
-    kind: str = "schwarzschild"
-    beta: float = 1.0
-    gamma: float = 1.0
-
-    def g00(self, r, body):
-        if self.kind == "schwarzschild":
-            rs = body.schwarzschild_radius
-            if r <= rs:
-                raise ValueError("radius inside the Schwarzschild radius")
-            return -(1.0 - rs / r)
-        phi = body.potential(r) / C_LIGHT ** 2
-        return -(1.0 + 2.0 * phi + 2.0 * self.beta * phi ** 2)
-
-    def grr(self, r, body):
-        if self.kind == "schwarzschild":
-            rs = body.schwarzschild_radius
-            if r <= rs:
-                raise ValueError("radius inside the Schwarzschild radius")
-            return 1.0 / (1.0 - rs / r)
-        phi = body.potential(r) / C_LIGHT ** 2
-        return 1.0 - 2.0 * self.gamma * phi
-
-    def time_dilation(self, r, body):
-        return np.sqrt(-self.g00(r, body))
-
-
-SCHWARZSCHILD = Metric("schwarzschild")
-
-
-def isotropic_weak_field(beta=1.0, gamma=1.0):
-    return Metric("isotropic", beta, gamma)
-
-
 def lapse(r, body):
     """d tau / dt = sqrt(1 - R_S/r) of a static Schwarzschild observer."""
     rs = body.schwarzschild_radius
@@ -122,86 +80,52 @@ def lapse(r, body):
     return float(np.sqrt(1.0 - rs / r))
 
 
-def _adaptive_simpson(f, a, b, tol):
-    # Classic recursive Simpson with Richardson acceptance.
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, eps / 2.0, depth - 1) + recurse(
-            xm, x2, f1, fr, f2, right, eps / 2.0, depth - 1
-        )
-
-    if a == b:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 48)
-
-
-def light_coordinate_time(r1, r2, body, metric=SCHWARZSCHILD, quad_tol=1e-15):
+def light_coordinate_time(r1, r2, body):
     """Coordinate time for a radial photon from r1 to r2:
-    t_c = (1/c) integral sqrt(-g_rr/g_00) dr.
-
-    The standard Schwarzschild metric uses the closed form
-    (1/c)[dr + R_S ln((r2-R_S)/(r1-R_S))]; other metrics are integrated
-    numerically.
+    t_c = (1/c)[(r2 - r1) + R_S ln((r2 - R_S)/(r1 - R_S))], the closed form of
+    (1/c) integral dr / (1 - R_S/r).
     """
     if not r1 < r2:
         raise ValueError("need r1 < r2")
-    if metric.kind == "schwarzschild":
-        rs = body.schwarzschild_radius
-        if r1 <= rs:
-            raise ValueError("emission point inside the Schwarzschild radius")
-        return ((r2 - r1) + rs * np.log((r2 - rs) / (r1 - rs))) / C_LIGHT
-
-    def integrand(r):
-        return np.sqrt(-metric.grr(r, body) / metric.g00(r, body))
-
-    return _adaptive_simpson(integrand, r1, r2, quad_tol * C_LIGHT) / C_LIGHT
+    rs = body.schwarzschild_radius
+    if r1 <= rs:
+        raise ValueError("emission point inside the Schwarzschild radius")
+    return ((r2 - r1) + rs * np.log((r2 - rs) / (r1 - rs))) / C_LIGHT
 
 
-def _tc_between(r_a, r_b, body, metric):
+def _tc_between(r_a, r_b, body):
     if r_a == r_b:
         return 0.0
     lo, hi = min(r_a, r_b), max(r_a, r_b)
-    return light_coordinate_time(lo, hi, body, metric)
+    return light_coordinate_time(lo, hi, body)
 
 
-def arrival_proper_time(tau_star, r_a, r_b, body, metric=SCHWARZSCHILD):
+def arrival_proper_time(tau_star, r_a, r_b, body):
     """Proper time shown by b's clock when a photon emitted by a at proper
-    time tau_star arrives: tau_bf = sqrt(-g00(r_b)) (tau*/sqrt(-g00(r_a)) + t_c)."""
-    t_c = _tc_between(r_a, r_b, body, metric)
-    dil_a = metric.time_dilation(r_a, body)
-    dil_b = metric.time_dilation(r_b, body)
+    time tau_star arrives: tau_bf = lapse(r_b) (tau*/lapse(r_a) + t_c)."""
+    t_c = _tc_between(r_a, r_b, body)
+    dil_a = lapse(r_a, body)
+    dil_b = lapse(r_b, body)
     return dil_b * (tau_star / dil_a + t_c)
 
 
-def min_tau_for_order(r_a, r_b, body, metric=SCHWARZSCHILD):
+def min_tau_for_order(r_a, r_b, body):
     """Threshold proper time tau* above which event A = (a's clock reads tau*)
     enters the past lightcone of B = (b's clock reads tau*).
 
     The threshold is the fixed point of :func:`arrival_proper_time`, so it
     requires b's clock to run slower than a's (r_b < r_a for a single body).
     """
-    dil_a = metric.time_dilation(r_a, body)
-    dil_b = metric.time_dilation(r_b, body)
+    dil_a = lapse(r_a, body)
+    dil_b = lapse(r_b, body)
     denom = 1.0 - dil_b / dil_a
     if denom <= 0.0:
         raise ValueError("no ordering threshold: b's clock does not run slower than a's")
-    t_c = _tc_between(r_a, r_b, body, metric)
+    t_c = _tc_between(r_a, r_b, body)
     return dil_b * t_c / denom
 
 
-def asymmetric_order_threshold(r, h, L, body, metric=SCHWARZSCHILD):
+def asymmetric_order_threshold(r, h, L, body):
     """Threshold for tau_a* in the two-configuration switch with the mass
     shifted by L: choosing tau_a* at or above it (with tau_b* set to the
     photon arrival time) gives A < B in one configuration and B < A in the
@@ -209,15 +133,15 @@ def asymmetric_order_threshold(r, h, L, body, metric=SCHWARZSCHILD):
     """
     if min(r, h, L) <= 0.0:
         raise ValueError("geometry lengths must be positive")
-    dil_r = metric.time_dilation(r, body)
-    dil_rh = metric.time_dilation(r + h, body)
-    dil_rl = metric.time_dilation(r + L, body)
-    dil_rlh = metric.time_dilation(r + L + h, body)
+    dil_r = lapse(r, body)
+    dil_rh = lapse(r + h, body)
+    dil_rl = lapse(r + L, body)
+    dil_rlh = lapse(r + L + h, body)
     denom = 1.0 - (dil_rlh * dil_r) / (dil_rh * dil_rl)
     if denom <= 0.0:
         raise ValueError("degenerate geometry: configurations cannot order oppositely")
-    t_far = light_coordinate_time(r + L, r + L + h, body, metric)
-    t_near = light_coordinate_time(r, r + h, body, metric)
+    t_far = light_coordinate_time(r + L, r + L + h, body)
+    t_near = light_coordinate_time(r, r + h, body)
     return dil_r * ((dil_rlh / dil_rh) * t_far + t_near) / denom
 
 
@@ -264,24 +188,19 @@ def switch_ratio_weak_field(body, h):
 
 @dataclass(frozen=True)
 class SwitchGeometry:
-    """Protocol geometry: height h of the upper points, horizontal separation
-    d of the two paths, optional overrides for the coordinate intervals."""
+    """Protocol geometry: height h of the upper points and horizontal
+    separation d of the two paths, crossed by a photon target."""
 
     h: float
     d: float
-    dt_c: float = None  # target crossing time; defaults to d/c (photon target)
-    dt_v: float = 0.0
-    dt_s: float = 0.0
 
     def __post_init__(self):
         if self.h <= 0 or self.d <= 0:
             raise ValueError("geometry lengths must be positive")
-        if self.dt_v < 0 or self.dt_s < 0:
-            raise ValueError("coordinate intervals must be nonnegative")
 
     @property
     def crossing_time(self):
-        return self.d / C_LIGHT if self.dt_c is None else self.dt_c
+        return self.d / C_LIGHT
 
 
 @dataclass(frozen=True)
@@ -307,14 +226,13 @@ class ClockModel:
     """Two-level internal clock with a single energy gap (J)."""
 
     energy_gap: float
-    initial_phase: float = 0.0
 
     def __post_init__(self):
         if self.energy_gap < 0:
             raise ValueError("energy gap must be nonnegative")
 
     def state(self, tau):
-        phase = self.initial_phase - self.energy_gap * tau / HBAR
+        phase = -self.energy_gap * tau / HBAR
         return np.array([1.0, np.exp(1j * phase)], dtype=complex) / np.sqrt(2.0)
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "validate_instrument",
     "rand_unitary",
     "rand_density",
-    "rand_pure_state",
     "rand_cptp",
     "rand_operation",
     "rand_instrument",
@@ -353,11 +352,6 @@ def rand_unitary(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def rand_pure_state(d, rng):
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
 
 
 def rand_density(d, rng, rank=None):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -199,3 +200,32 @@ def test_cli_rejects_counts_above_the_limit(scenario, param, value):
 def test_count_accepts_the_limit():
     assert _count({"samples": MAX_COUNT}, "samples") == MAX_COUNT
     assert _count({"samples": float(MAX_COUNT)}, "samples") == MAX_COUNT
+
+
+@pytest.mark.parametrize("low, high", [(10, 8), (9, 9)])
+def test_cli_rejects_reversed_check_windows(low, high):
+    error = run_cli_usage_error(
+        ["run", "--scenario", "grav-duration", "--param", f"window_low={low}", "--param", f"window_high={high}"]
+    )
+    assert "window_low must be below window_high" in error
+
+
+@pytest.mark.parametrize(
+    "scenario, params",
+    [
+        ("trigger", ["mass=1e300"]),
+        ("trigger", ["tau_star=1e-300"]),
+        ("grav-duration", ["body=custom", "mass=1e300", "radius=1e300"]),
+        ("grav-duration", ["h=1e308", "d=1e308"]),
+    ],
+    ids=["sigma-underflow", "omega-overflow", "huge-body", "huge-geometry"],
+)
+def test_cli_numeric_failures_are_usage_errors(scenario, params):
+    # A numeric warning would print a line to stderr ahead of the JSON
+    # error; raised as an exception here, it escapes main and fails the test.
+    argv = ["run", "--scenario", scenario]
+    for param in params:
+        argv += ["--param", param]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_cli_usage_error(argv)

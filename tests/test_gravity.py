@@ -8,14 +8,12 @@ from switchlab.gravity import (
     HBAR,
     BodyConfig,
     ClockModel,
-    SCHWARZSCHILD,
     SwitchGeometry,
     arrival_proper_time,
     asymmetric_order_threshold,
     grav_switch_clock_state,
     grav_switch_joint_state,
     grav_switch_resync_purity,
-    isotropic_weak_field,
     lapse,
     light_coordinate_time,
     min_tau_for_order,
@@ -23,7 +21,6 @@ from switchlab.gravity import (
     switch_ratio_exact,
     switch_ratio_weak_field,
 )
-from switchlab.gravity import _adaptive_simpson
 
 # Strong-field body (neutron-star scale) for exact-metric ordering tests.
 COMPACT = BodyConfig(mass=2.8e30, radius=1.2e4)
@@ -65,12 +62,16 @@ def test_light_time_earth_one_meter():
 
 
 def test_light_time_closed_form_vs_quadrature():
-    # independent oracle: integrate sqrt(-g_rr/g_00) = 1/(1 - R_S/r) numerically
-    r1, r2 = EARTH.radius, 2.0 * EARTH.radius
-    rs = EARTH.schwarzschild_radius
-    oracle = _adaptive_simpson(lambda r: 1.0 / (1.0 - rs / r), r1, r2, 1e-15 * C_LIGHT) / C_LIGHT
-    got = light_coordinate_time(r1, r2, EARTH)
-    assert abs(got - oracle) / oracle < 1e-9
+    # independent oracle: 64-point Gauss-Legendre quadrature of
+    # sqrt(-g_rr/g_00) = 1/(1 - R_S/r) on a compact body, where the
+    # R_S ln(...) term is about a quarter of the travel time
+    r1, r2 = COMPACT.radius, 2.0 * COMPACT.radius
+    rs = COMPACT.schwarzschild_radius
+    x, w = np.polynomial.legendre.leggauss(64)
+    r = 0.5 * (r2 - r1) * x + 0.5 * (r2 + r1)
+    oracle = 0.5 * (r2 - r1) * np.sum(w / (1.0 - rs / r)) / C_LIGHT
+    got = light_coordinate_time(r1, r2, COMPACT)
+    assert abs(got - oracle) / oracle < 1e-12
 
 
 def test_light_time_additive_over_segments():
@@ -78,15 +79,6 @@ def test_light_time_additive_over_segments():
     whole = light_coordinate_time(r1, r3, COMPACT)
     split = light_coordinate_time(r1, r2, COMPACT) + light_coordinate_time(r2, r3, COMPACT)
     assert abs(whole - split) < 1e-12 * whole
-
-
-def test_isotropic_weak_field_vs_standard():
-    # relative difference of travel times is O(R_S/R)
-    r1, r2 = EARTH.radius, EARTH.radius + 1e6
-    t_std = light_coordinate_time(r1, r2, EARTH)
-    t_iso = light_coordinate_time(r1, r2, EARTH, isotropic_weak_field())
-    rel = abs(t_std - t_iso) / t_std
-    assert rel < 10 * EARTH.schwarzschild_radius / EARTH.radius
 
 
 def test_arrival_proper_time_equal_radii_and_flat():
@@ -106,9 +98,9 @@ def test_arrival_proper_time_composition_oracle():
     r_a, r_b = 3e4, 2e4
     tau_star = 0.37
     # step-by-step: tau* -> coordinate time, add t_c, convert to b's clock
-    t_emit = tau_star / SCHWARZSCHILD.time_dilation(r_a, body)
+    t_emit = tau_star / lapse(r_a, body)
     t_arrive = t_emit + light_coordinate_time(r_b, r_a, body)
-    want = SCHWARZSCHILD.time_dilation(r_b, body) * t_arrive
+    want = lapse(r_b, body) * t_arrive
     got = arrival_proper_time(tau_star, r_a, r_b, body)
     assert abs(got - want) < 1e-12
 
@@ -144,7 +136,7 @@ def test_min_tau_flat_limit_raises():
 
 def check_asymmetric_conditions(body, r, h, L, tau_a):
     # substitute back into the two lightcone conditions
-    dil = lambda x: SCHWARZSCHILD.time_dilation(x, body)
+    dil = lambda x: lapse(x, body)
     t_far = light_coordinate_time(r + L, r + L + h, body)
     t_near = light_coordinate_time(r, r + h, body)
     tau_bf = dil(r + L + h) * (tau_a / dil(r + L) + t_far)

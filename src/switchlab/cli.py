@@ -9,6 +9,7 @@ byte-identical across runs for a fixed configuration and seed.
 import argparse
 import json
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -85,21 +86,8 @@ def _scenario_ocb_game(params, rng):
     return outputs, checks
 
 
-def _count(params, key):
-    # A fractional loop count would be truncated, one below one would make
-    # the scenario's checks pass vacuously, and one above MAX_COUNT would
-    # keep the run from finishing.
-    raw = params[key]
-    n = int(raw)
-    if isinstance(raw, float) and raw != n:
-        raise ValueError(f"{key} must be a whole number, got {raw}")
-    if not 1 <= n <= MAX_COUNT:
-        raise ValueError(f"{key} must be between 1 and {MAX_COUNT}, got {raw}")
-    return n
-
-
 def _scenario_switch_contract(params, rng):
-    pairs = _count(params, "pairs")
+    pairs = params["pairs"]
     worst = 0.0
     for _ in range(pairs):
         psi = rand_unitary(2, rng)[:, 0]
@@ -121,7 +109,7 @@ def _scenario_chsh_temporal(params, rng):
     state_minus = order.temporal_order_state(*order.TEMPORAL_ORDER_UNITARIES, up, up, -1)
     chsh_plus = order.chsh_value(state_plus)
     chsh_minus = order.chsh_value(state_minus)
-    samples = _count(params, "samples")
+    samples = params["samples"]
     worst_sep = 0.0
     for _ in range(samples):
         a = rand_unitary(2, rng)[:, 0]
@@ -141,7 +129,7 @@ def _scenario_chsh_temporal(params, rng):
 
 
 def _scenario_validate_process(params, rng):
-    samples = _count(params, "samples")
+    samples = params["samples"]
     w = process.ocb_process()
     report = process.validate_process(w, samples, rng)
     trace = float(np.trace(w.matrix).real)
@@ -159,20 +147,12 @@ def _scenario_validate_process(params, rng):
     return outputs, checks
 
 
-def _resolve_body(params):
-    if params["body"] == "earth":
-        return gravity.EARTH
-    if params["body"] == "custom":
-        return gravity.BodyConfig(mass=float(params["mass"]), radius=float(params["radius"]))
-    raise ValueError("body must be 'earth' or 'custom'")
-
-
 def _scenario_grav_duration(params, rng):
-    lo, hi = float(params["window_low"]), float(params["window_high"])
+    lo, hi = params["window_low"], params["window_high"]
     if not lo < hi:
         raise ValueError(f"window_low must be below window_high, got {lo} and {hi}")
-    body = _resolve_body(params)
-    geom = gravity.SwitchGeometry(h=float(params["h"]), d=float(params["d"]))
+    body = gravity.BodyConfig(mass=params["mass"], radius=params["radius"])
+    geom = gravity.SwitchGeometry(h=params["h"], d=params["d"])
     report = gravity.protocol_duration(body, geom)
     wf = gravity.switch_ratio_weak_field(body, geom.h)
     coefficient = report.ratio / gravity.C_LIGHT  # dt_r = coefficient * d
@@ -200,26 +180,23 @@ def _scenario_grav_duration(params, rng):
             1e-3,
         ),
     ]
-    if params["body"] == "earth":
+    if body == gravity.EARTH:
         # coefficient of dt_exp ~ 3e7 (d/h) s near Earth's surface
         checks.append(_check("earth_coefficient", 3.0e7, coefficient * geom.h, 0.05 * 3.0e7))
     return outputs, checks
 
 
 def _scenario_grav_order(params, rng):
-    body = _resolve_body(params)
-    r_a = body.radius + float(params["r_a_offset"])
-    r_b = body.radius + float(params["r_b_offset"])
+    body = gravity.BodyConfig(mass=params["mass"], radius=params["radius"])
+    r_a = body.radius + params["r_a_offset"]
+    r_b = body.radius + params["r_b_offset"]
     threshold = gravity.min_tau_for_order(r_a, r_b, body)
     above = 1.01 * threshold
     below = 0.99 * threshold
     orders_above = gravity.arrival_proper_time(above, r_a, r_b, body) < above
     orders_below = gravity.arrival_proper_time(below, r_a, r_b, body) < below
     asym = gravity.asymmetric_order_threshold(
-        body.radius + float(params["asym_r_offset"]),
-        float(params["asym_h"]),
-        float(params["asym_l"]),
-        body,
+        body.radius + params["asym_r_offset"], params["asym_h"], params["asym_l"], body
     )
     outputs = {
         "r_a": r_a,
@@ -237,12 +214,7 @@ def _scenario_grav_order(params, rng):
 
 
 def _scenario_trigger(params, rng):
-    p = agents.trigger_params(
-        float(params["tau_star"]),
-        float(params["width"]),
-        float(params["potential"]),
-        float(params["mass"]),
-    )
+    p = agents.trigger_params(params["tau_star"], params["width"], params["potential"], params["mass"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         angle = agents.crossing_rotation_angle(p)
@@ -260,7 +232,7 @@ def _scenario_trigger(params, rng):
     }
     checks = [
         _check("rotation_angle_is_pi_over_2", float(np.pi / 2), angle, 1e-12),
-        _check("period_is_4_tau_star", 4.0 * float(params["tau_star"]), p.period, 1e-12),
+        _check("period_is_4_tau_star", 4.0 * params["tau_star"], p.period, 1e-12),
         _check("rotation_lands_on_A1", 1.0, fidelity, 1e-12),
     ]
     return outputs, checks
@@ -306,9 +278,8 @@ SCENARIOS = {
     "validate-process": ({"samples": 500}, _scenario_validate_process),
     "grav-duration": (
         {
-            "body": "earth",
-            "mass": 0.0,
-            "radius": 0.0,
+            "mass": gravity.EARTH.mass,
+            "radius": gravity.EARTH.radius,
             "d": 3e-7,
             "h": 1.0,
             "window_low": 8.0,
@@ -318,9 +289,8 @@ SCENARIOS = {
     ),
     "grav-order": (
         {
-            "body": "earth",
-            "mass": 0.0,
-            "radius": 0.0,
+            "mass": gravity.EARTH.mass,
+            "radius": gravity.EARTH.radius,
             "r_a_offset": 1e5,
             "r_b_offset": 0.0,
             "asym_r_offset": 0.0,
@@ -337,6 +307,33 @@ SCENARIOS = {
 }
 
 
+def _coerce_param(scenario, key, raw, default):
+    """One scenario parameter, typed by its default: an int default is a loop
+    count, a whole number in [1, MAX_COUNT]; a float default is a finite
+    real. The value is a number (not a bool) or a string that parses as one."""
+    where = f"{scenario}: parameter '{key}'"
+    if isinstance(raw, bool) or not isinstance(raw, (numbers.Real, str)):
+        raise ValueError(f"{where} must be a number, got {raw!r}")
+    try:
+        value = float(raw)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    except ValueError:
+        raise ValueError(f"{where} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, got {raw}")
+    if isinstance(default, float):
+        return value
+    # A fractional loop count would be truncated, one below one would make
+    # the scenario's checks pass vacuously, and one above MAX_COUNT would
+    # keep the run from finishing.
+    if not value.is_integer():
+        raise ValueError(f"{where} must be a whole number, got {raw}")
+    if not 1 <= value <= MAX_COUNT:
+        raise ValueError(f"{where} must be between 1 and {MAX_COUNT}, got {raw}")
+    return int(value)
+
+
 def run_scenario(config):
     """Run one scenario and return its report dictionary."""
     if config.scenario not in SCENARIOS:
@@ -345,12 +342,20 @@ def run_scenario(config):
     unknown = set(config.params) - set(defaults)
     if unknown:
         raise ValueError(f"unknown parameters for {config.scenario}: {sorted(unknown)}")
-    params = {**defaults, **config.params}
+    params = {
+        key: _coerce_param(config.scenario, key, config.params.get(key, default), default)
+        for key, default in defaults.items()
+    }
     rng = np.random.default_rng(int(config.seed))
     # An overflow, division by zero or NaN is a usage error, not a warning
     # beside a report that may pass vacuously.
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        outputs, checks = runner(params, rng)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            outputs, checks = runner(params, rng)
+    except ArithmeticError as exc:
+        raise ValueError(f"{config.scenario}: {type(exc).__name__}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{config.scenario}: {exc}") from exc
     report = {
         "scenario": config.scenario,
         "seed": int(config.seed),
@@ -367,7 +372,12 @@ def run_suite(configs):
     configs = list(configs)
     if not configs:
         raise ValueError("suite is empty")
-    reports = [run_scenario(c) for c in configs]
+    reports = []
+    for i, config in enumerate(configs):
+        try:
+            reports.append(run_scenario(config))
+        except ValueError as exc:
+            raise ValueError(f"suite entry {i}: {exc}") from exc
     return {"reports": reports, "pass": all(r["pass"] for r in reports)}
 
 
@@ -379,16 +389,7 @@ def render_report(report):
 def _parse_param(text):
     if "=" not in text:
         raise ValueError(f"parameter '{text}' is not of the form key=value")
-    key, raw = text.split("=", 1)
-    for cast in (int, float):
-        try:
-            value = cast(raw)
-        except ValueError:
-            continue
-        if not math.isfinite(value):
-            raise ValueError(f"parameter '{key}' must be finite, got {raw}")
-        return key, value
-    return key, raw
+    return tuple(text.split("=", 1))
 
 
 def _configs_from_file(path):
@@ -407,9 +408,6 @@ def _configs_from_file(path):
             raise ValueError(f"suite entry {i} needs a string 'scenario'")
         if not isinstance(params, dict):
             raise ValueError(f"suite entry {i}: 'params' is not a JSON object")
-        for key, value in params.items():
-            if not isinstance(value, (str, int, float)):
-                raise ValueError(f"suite entry {i}: parameter '{key}' is not a number or string")
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError(f"suite entry {i}: 'seed' is not an integer")
         configs.append(ScenarioConfig(scenario=scenario, params=params, seed=seed))
@@ -462,7 +460,7 @@ def main(argv=None):
         suite = run_suite(configs)
         _emit(render_report(suite), args.out)
         return EXIT_OK if suite["pass"] else EXIT_CHECK_FAILED
-    except (ValueError, OSError, KeyError, ArithmeticError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         error = {"error": str(exc)}
         sys.stderr.write(json.dumps(error) + "\n")
         return EXIT_USAGE

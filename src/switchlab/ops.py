@@ -258,26 +258,6 @@ class StinespringDilation:
         return out[: self.d_out, : self.d_out]
 
 
-def _complete_isometry_columns(v):
-    # Deterministic unitary completion: Gram-Schmidt the canonical basis
-    # against the existing columns, in index order.
-    dim, ncols = v.shape
-    cols = [v[:, j] for j in range(ncols)]
-    for k in range(dim):
-        if len(cols) == dim:
-            break
-        cand = np.zeros(dim, dtype=complex)
-        cand[k] = 1.0
-        for c in cols:
-            cand = cand - c * (c.conj() @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-7:
-            cols.append(cand / norm)
-    if len(cols) != dim:
-        raise RuntimeError("unitary completion failed")
-    return cols[ncols:]
-
-
 def stinespring_dilation(op):
     """Dilate an operation to unitary + projection + environment discard.
 
@@ -305,10 +285,8 @@ def stinespring_dilation(op):
         v[i::k, :] = p
     u = np.zeros((dim, dim), dtype=complex)
     u[:, ::k] = v
-    extra = _complete_isometry_columns(v)
-    slots = [j for j in range(dim) if j % k != 0]
-    for j, col in zip(slots, extra):
-        u[:, j] = col
+    # The remaining columns: an orthonormal basis of the complement of V's range.
+    u[:, [j for j in range(dim) if j % k != 0]] = np.linalg.qr(v, mode="complete")[0][:, d_sys:]
 
     projector = None
     if needs_completion or op.d_out < d_sys:

@@ -12,12 +12,11 @@ import numpy as np
 
 from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, is_unitary, kron, partial_trace
 from .ops import ChoiOperator, Convention, choi_vector_of_unitary
-from .process import _require_rule, _rule_trace, probability
+from .process import _require_rule, _rule_trace
 
 __all__ = [
     "GameStrategy",
     "ocb_strategy",
-    "game_probability",
     "branch_probabilities",
     "success_probability",
     "bob_reduced_matrix",
@@ -68,11 +67,6 @@ def ocb_strategy(bob_free_state=None):
         return ChoiOperator(2, 2, m, Convention.TRANSPOSED)
 
     return GameStrategy(alice, bob, rho_b2)
-
-
-def game_probability(w, strategy, x, y, a, b, bp):
-    """P(x, y | a, b, b') for the causal game on process w."""
-    return probability(w, strategy.alice_choi(x, a), strategy.bob_choi(y, b, bp))
 
 
 def branch_probabilities(w, strategy):

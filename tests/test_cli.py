@@ -5,6 +5,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchlab.cli import (
     EXIT_CHECK_FAILED,
@@ -17,7 +19,8 @@ from switchlab.cli import (
     render_report,
     run_scenario,
     run_suite,
-    _count,
+    _coerce_param,
+    _round12,
 )
 
 GOLDEN = Path(__file__).resolve().parent.parent / "suites" / "golden.json"
@@ -105,8 +108,6 @@ def test_cli_small_mass_params():
             "run",
             "--scenario",
             "grav-duration",
-            "--param",
-            "body=custom",
             "--param",
             "mass=1e-10",
             "--param",
@@ -198,8 +199,8 @@ def test_cli_rejects_counts_above_the_limit(scenario, param, value):
 
 
 def test_count_accepts_the_limit():
-    assert _count({"samples": MAX_COUNT}, "samples") == MAX_COUNT
-    assert _count({"samples": float(MAX_COUNT)}, "samples") == MAX_COUNT
+    assert _coerce_param("chsh-temporal", "samples", MAX_COUNT, 50) == MAX_COUNT
+    assert _coerce_param("chsh-temporal", "samples", float(MAX_COUNT), 50) == MAX_COUNT
 
 
 @pytest.mark.parametrize("low, high", [(10, 8), (9, 9)])
@@ -215,7 +216,7 @@ def test_cli_rejects_reversed_check_windows(low, high):
     [
         ("trigger", ["mass=1e300"]),
         ("trigger", ["tau_star=1e-300"]),
-        ("grav-duration", ["body=custom", "mass=1e300", "radius=1e300"]),
+        ("grav-duration", ["mass=1e300", "radius=1e300"]),
         ("grav-duration", ["h=1e308", "d=1e308"]),
     ],
     ids=["sigma-underflow", "omega-overflow", "huge-body", "huge-geometry"],
@@ -228,4 +229,117 @@ def test_cli_numeric_failures_are_usage_errors(scenario, params):
         argv += ["--param", param]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run_cli_usage_error(argv)
+        assert scenario in run_cli_usage_error(argv)
+
+
+def test_cli_custom_body_is_set_by_mass_and_radius():
+    # A mass alone keeps Earth's radius and must be the mass computed with.
+    code, out = run_cli(["run", "--scenario", "grav-duration", "--param", "mass=5"])
+    assert code == EXIT_CHECK_FAILED
+    report = json.loads(out)
+    assert report["inputs"]["mass"] == report["outputs"]["body_mass"] == 5.0
+    assert "earth_coefficient" not in [c["name"] for c in report["checks"]]
+    code, out = run_cli(["run", "--scenario", "grav-duration"])
+    assert "earth_coefficient" in [c["name"] for c in json.loads(out)["checks"]]
+
+
+@pytest.mark.parametrize(
+    "scenario, params, key",
+    [
+        ("switch-contract", '{"pairs": true}', "pairs"),
+        ("grav-duration", '{"h": true}', "h"),
+        ("grav-duration", '{"d": 1e400}', "d"),
+    ],
+)
+def test_cli_suite_rejects_bool_and_overflowing_values(tmp_path, scenario, params, key):
+    config = tmp_path / "suite.json"
+    config.write_text(f'[{{"scenario": "ocb-game"}}, {{"scenario": "{scenario}", "params": {params}}}]')
+    error = run_cli_usage_error(["suite", "--config", str(config)])
+    assert error.startswith(f"suite entry 1: {scenario}: parameter '{key}'")
+
+
+def test_cli_rejects_non_numeric_param():
+    error = run_cli_usage_error(["run", "--scenario", "grav-duration", "--param", "h=abc"])
+    assert error == "grav-duration: parameter 'h' must be a number, got 'abc'"
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+# The scenarios that take parameters, each with its defaults.
+PARAMETRIZED = [(name, defaults) for name, (defaults, _) in SCENARIOS.items() if defaults]
+
+# A drawn value is the pair (text after "key=" on the command line, JSON text
+# in a suite file).
+INVALID_VALUES = [
+    st.sampled_from([("True", "true"), ("False", "false")]),
+    st.sampled_from(["nan", "inf", "-inf", "Infinity", "1e400"]).map(lambda t: (t, json.dumps(t))),
+    st.sampled_from([("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity"), ("1e400", "1e400")]),
+    st.text(max_size=8).filter(_not_a_number).map(lambda t: (t, json.dumps(t))),
+]
+INVALID_COUNTS = [
+    strategy.map(lambda v: (repr(v), json.dumps(v)))
+    for strategy in (
+        st.floats(0.01, 100.0).filter(lambda x: not x.is_integer()),
+        st.integers(-5, 0),
+        st.just(MAX_COUNT + 1),
+    )
+]
+
+
+def _invalid_texts(default):
+    return st.one_of(INVALID_VALUES + INVALID_COUNTS if isinstance(default, int) else INVALID_VALUES)
+
+
+def _valid_texts(default):
+    if isinstance(default, int):
+        # small counts, so that every example ends quickly
+        numbers = st.integers(1, 64).flatmap(lambda n: st.sampled_from([str(n), f"{n}.0"]))
+    else:
+        numbers = st.floats(0.5, 2.0).map(lambda f: repr(default * f))
+    return numbers.flatmap(lambda t: st.sampled_from([(t, t), (t, json.dumps(t))]))
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"report holds {token}")
+
+
+def _report_or_named_error(argv, scenario, key):
+    """Run the CLI; return the report, or None after checking the error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
+        message = json.loads(err.getvalue())["error"]
+        assert scenario in message and key in message.replace(scenario, ""), message
+        return None
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED) and err.getvalue() == ""
+    return json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_param_value_gives_a_finite_report_or_a_named_error(tmp_path_factory, data):
+    scenario, defaults = data.draw(st.sampled_from(PARAMETRIZED))
+    key = data.draw(st.sampled_from(sorted(defaults)))
+    default = defaults[key]
+    config = tmp_path_factory.getbasetemp() / "one-param-suite.json"
+    for invalid in (True, False):
+        cli_text, json_text = data.draw(_invalid_texts(default) if invalid else _valid_texts(default))
+        config.write_text(f'[{{"scenario": "{scenario}", "params": {{"{key}": {json_text}}}}}]')
+        argv = ["run", "--scenario", scenario, "--param", f"{key}={cli_text}"]
+        run = _report_or_named_error(argv, scenario, key)
+        suite = _report_or_named_error(["suite", "--config", str(config)], scenario, key)
+        assert (run is None) == (suite is None)
+        if invalid:
+            assert run is None
+        if run is not None:
+            coerced = int(float(cli_text)) if isinstance(default, int) else _round12(float(cli_text))
+            assert run["inputs"][key] == coerced
+            assert suite["reports"][0]["inputs"][key] == coerced

@@ -21,7 +21,6 @@ from switchlab.order import (
     chsh_value,
     contract_switch_vector,
     control_measurement,
-    game_probability,
     ocb_strategy,
     success_probability,
     switch_process_vector,
@@ -33,11 +32,18 @@ from switchlab.process import (
     channel_process,
     channel_process_reverse,
     ocb_process,
+    probability,
     state_process,
 )
 
 P_OCB = (2.0 + np.sqrt(2.0)) / 4.0
 KET0 = np.array([1, 0], dtype=complex)
+
+
+def game_probability(w, strategy, x, y, a, b, bp):
+    """P(x, y | a, b, b') for the causal game on process w: the reference
+    that the game operators of `branch_probabilities` are checked against."""
+    return probability(w, strategy.alice_choi(x, a), strategy.bob_choi(y, b, bp))
 
 
 def test_game_probabilities_normalize():

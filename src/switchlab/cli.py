@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import agents, gravity, linalg, order, process
-from .ops import rand_unitary
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -88,16 +87,7 @@ def _scenario_ocb_game(params, rng):
 
 def _scenario_switch_contract(params, rng):
     pairs = params["pairs"]
-    worst = 0.0
-    for _ in range(pairs):
-        psi = rand_unitary(2, rng)[:, 0]
-        spec = order.SwitchSpec(target_state=psi)
-        vec = order.switch_process_vector(spec)
-        ua, ub = rand_unitary(2, rng), rand_unitary(2, rng)
-        contracted = order.contract_switch_vector(vec, ua, ub)
-        supermap = order.switch_supermap_state(ua, ub, spec)
-        fidelity = abs(np.vdot(contracted, supermap)) ** 2
-        worst = max(worst, abs(fidelity - 1.0))
+    worst = order.max_contraction_deviation(pairs, rng)
     outputs = {"pairs": pairs, "max_fidelity_deviation": worst}
     checks = [_check("contraction_equals_supermap", 0.0, worst, 1e-9)]
     return outputs, checks
@@ -109,12 +99,7 @@ def _scenario_chsh_temporal(params, rng):
     state_minus = order.temporal_order_state(*order.TEMPORAL_ORDER_UNITARIES, up, up, -1)
     chsh_plus = order.chsh_value(state_plus)
     chsh_minus = order.chsh_value(state_minus)
-    samples = params["samples"]
-    worst_sep = 0.0
-    for _ in range(samples):
-        a = rand_unitary(2, rng)[:, 0]
-        b = rand_unitary(2, rng)[:, 0]
-        worst_sep = max(worst_sep, abs(order.chsh_value(np.kron(a, b))))
+    worst_sep = order.max_separable_chsh(params["samples"], rng)
     outputs = {
         "chsh_plus_state": chsh_plus,
         "chsh_minus_state": chsh_minus,
@@ -334,18 +319,25 @@ def _coerce_param(scenario, key, raw, default):
     return int(value)
 
 
-def run_scenario(config):
-    """Run one scenario and return its report dictionary."""
+def _scenario_params(config):
+    """The scenario's parameters: its defaults, overridden by the config's
+    values, each coerced by :func:`_coerce_param`."""
     if config.scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario '{config.scenario}'")
-    defaults, runner = SCENARIOS[config.scenario]
+    defaults, _ = SCENARIOS[config.scenario]
     unknown = set(config.params) - set(defaults)
     if unknown:
         raise ValueError(f"unknown parameters for {config.scenario}: {sorted(unknown)}")
-    params = {
+    return {
         key: _coerce_param(config.scenario, key, config.params.get(key, default), default)
         for key, default in defaults.items()
     }
+
+
+def run_scenario(config):
+    """Run one scenario and return its report dictionary."""
+    params = _scenario_params(config)
+    runner = SCENARIOS[config.scenario][1]
     rng = np.random.default_rng(int(config.seed))
     # An overflow, division by zero or NaN is a usage error, not a warning
     # beside a report that may pass vacuously.
@@ -368,17 +360,19 @@ def run_scenario(config):
 
 
 def run_suite(configs):
-    """Run a sequence of scenario configs and aggregate pass/fail."""
+    """Run a sequence of scenario configs and aggregate pass/fail. Every
+    entry's parameters are checked before the first entry runs."""
     configs = list(configs)
     if not configs:
         raise ValueError("suite is empty")
-    reports = []
-    for i, config in enumerate(configs):
-        try:
-            reports.append(run_scenario(config))
-        except ValueError as exc:
-            raise ValueError(f"suite entry {i}: {exc}") from exc
-    return {"reports": reports, "pass": all(r["pass"] for r in reports)}
+    for step in (_scenario_params, run_scenario):
+        results = []
+        for i, config in enumerate(configs):
+            try:
+                results.append(step(config))
+            except ValueError as exc:
+                raise ValueError(f"suite entry {i}: {exc}") from exc
+    return {"reports": results, "pass": all(r["pass"] for r in results)}
 
 
 def render_report(report):

@@ -14,6 +14,7 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "DEFAULT_TOL",
+    "ZERO_PROB_TOL",
     "close",
     "dagger",
     "is_hermitian",
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# Below this an outcome probability counts as zero: no post-measurement state.
+ZERO_PROB_TOL = 1e-12
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -103,10 +106,12 @@ def is_hermitian(m, tol=DEFAULT_TOL):
 
 
 def is_unitary(m, tol=DEFAULT_TOL):
+    """True iff the square matrix, or every matrix of a (..., n, n) stack, is
+    unitary within `tol`."""
     m = np.asarray(m)
-    if m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return close(m.conj().T @ m, np.eye(m.shape[0]), tol)
+    return close(dagger(m) @ m, np.eye(m.shape[-1]), tol)
 
 
 def hermitian_eigen(m, tol=DEFAULT_TOL):

@@ -325,11 +325,15 @@ def tomographic_apply(op_images, a):
     return out
 
 
-def rand_unitary(d, rng):
-    """Haar-ish unitary from the QR of a complex Ginibre matrix."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def rand_unitary(d, rng, shape=()):
+    """Haar-ish unitary from the QR of a complex Ginibre matrix, or a stack of
+    them with leading axes `shape`. One draw holds each member's real d x d
+    normals, then its imaginary ones, so a stack consumes `rng` exactly as one
+    call per member, in C order, would."""
+    real, imag = np.moveaxis(rng.standard_normal((*shape, 2, d, d)), -3, 0)
+    q, r = np.linalg.qr(real + 1j * imag)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
 def rand_density(d, rng, rank=None):

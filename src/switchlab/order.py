@@ -10,9 +10,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, is_unitary, kron, partial_trace
-from .ops import ChoiOperator, Convention, choi_vector_of_unitary
-from .process import _require_rule, _rule_trace
+from .linalg import (
+    DEFAULT_TOL,
+    ID2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    ZERO_PROB_TOL,
+    is_unitary,
+    kron,
+    partial_trace,
+)
+from .ops import ChoiOperator, Convention, choi_vector_of_unitary, rand_unitary
+from .process import _BLOCK, _require_rule, _rule_trace
 
 __all__ = [
     "GameStrategy",
@@ -25,8 +35,10 @@ __all__ = [
     "switch_supermap_state",
     "switch_process_vector",
     "contract_switch_vector",
+    "max_contraction_deviation",
     "control_measurement",
     "chsh_value",
+    "max_separable_chsh",
     "CHSH_SETTINGS",
     "temporal_order_state",
     "TEMPORAL_ORDER_UNITARIES",
@@ -115,7 +127,8 @@ def alice_reduced_matrix(w, strategy, b, bp=0):
 
 @dataclass(frozen=True)
 class SwitchSpec:
-    """Target state and control amplitudes feeding the quantum switch."""
+    """Target state, or a (..., 2) stack of target states, and the control
+    amplitudes feeding the quantum switch."""
 
     target_state: np.ndarray = None
     control_amplitudes: tuple = (1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -126,10 +139,10 @@ class SwitchSpec:
             if self.target_state is None
             else np.asarray(self.target_state, dtype=complex)
         )
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+        if np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max() > DEFAULT_TOL:
             raise ValueError("target state must be normalized")
         c = tuple(complex(x) for x in self.control_amplitudes)
-        if abs(abs(c[0]) ** 2 + abs(c[1]) ** 2 - 1.0) > 1e-9:
+        if abs(abs(c[0]) ** 2 + abs(c[1]) ** 2 - 1.0) > DEFAULT_TOL:
             raise ValueError("control amplitudes must be normalized")
         object.__setattr__(self, "target_state", psi)
         object.__setattr__(self, "control_amplitudes", c)
@@ -137,15 +150,19 @@ class SwitchSpec:
 
 def switch_supermap_state(ua, ub, spec):
     """Output of the switch supermap on unitaries: the target (x) control state
-    c0 U_B U_A |psi>|0> + c1 U_A U_B |psi>|1>."""
+    c0 U_B U_A |psi>|0> + c1 U_A U_B |psi>|1>, or one per member when the
+    unitaries and the target are stacks."""
     ua = np.asarray(ua, dtype=complex)
     ub = np.asarray(ub, dtype=complex)
     for u in (ua, ub):
         if not is_unitary(u):
             raise ValueError("switch branches must be unitary")
     c0, c1 = spec.control_amplitudes
-    psi = spec.target_state
-    return c0 * np.kron(ub @ ua @ psi, [1, 0]) + c1 * np.kron(ua @ ub @ psi, [0, 1])
+    psi = spec.target_state[..., None]
+    # v (x) |0> and v (x) |1> as kron forms them, on target column vectors.
+    branch_0 = ub @ ua @ psi * [1, 0]
+    branch_1 = ua @ ub @ psi * [0, 1]
+    return (c0 * branch_0 + c1 * branch_1).reshape(*branch_0.shape[:-2], -1)
 
 
 def switch_process_vector(spec):
@@ -153,34 +170,69 @@ def switch_process_vector(spec):
     A_in (x) A_out (x) B_in (x) B_out (x) C_target (x) C_control.
 
     Built literally with unnormalized |1>> link vectors, so its norm is
-    d = 2 for a normalized qubit target, not 1.
+    d = 2 for a normalized qubit target, not 1. A stack of targets gives one
+    vector per member.
     """
     c0, c1 = spec.control_amplitudes
     psi = spec.target_state
-    w = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)
+    lead = psi.shape[:-1]
+    w = np.zeros((*lead, 2, 2, 2, 2, 2, 2), dtype=complex)
     for a1 in range(2):
         for link1 in range(2):
             for link2 in range(2):
                 # psi enters A, identity links A_out->B_in and B_out->C_t, control |0>
-                w[a1, link1, link1, link2, link2, 0] += c0 * psi[a1]
+                w[..., a1, link1, link1, link2, link2, 0] += c0 * psi[..., a1]
     for b1 in range(2):
         for link1 in range(2):
             for link2 in range(2):
                 # psi enters B, links B_out->A_in and A_out->C_t, control |1>
-                w[link1, link2, b1, link1, link2, 1] += c1 * psi[b1]
-    return w.reshape(-1)
+                w[..., link1, link2, b1, link1, link2, 1] += c1 * psi[..., b1]
+    return w.reshape(*lead, -1)
 
 
 def contract_switch_vector(w_vec, ua, ub):
     """Contract the switch process vector with the Choi vectors of two
-    unitaries, leaving the target (x) control state at Charlie."""
+    unitaries, leaving the target (x) control state at Charlie; or, for
+    stacks with equal leading axes, one state per member."""
+    w_vec = np.asarray(w_vec, dtype=complex)
+    ua = np.asarray(ua, dtype=complex)
+    ub = np.asarray(ub, dtype=complex)
+    lead = w_vec.shape[:-1]
+    if not lead == ua.shape[:-2] == ub.shape[:-2]:
+        raise ValueError("process vectors and unitaries must stack alike")
     for u in (ua, ub):
-        if not is_unitary(np.asarray(u, dtype=complex)):
+        if not is_unitary(u):
             raise ValueError("contraction defined here for unitary operations")
-    w = np.asarray(w_vec, dtype=complex).reshape(2, 2, 2, 2, 2, 2)
-    bra_a = choi_vector_of_unitary(ua).conj().reshape(2, 2)
-    bra_b = choi_vector_of_unitary(ub).conj().reshape(2, 2)
-    return np.einsum("ij,kl,ijkltc->tc", bra_a, bra_b, w).reshape(-1)
+    w = w_vec.reshape(*lead, 2, 2, 2, 2, 2, 2)
+    bra_a = choi_vector_of_unitary(ua).conj().reshape(*lead, 2, 2)
+    bra_b = choi_vector_of_unitary(ub).conj().reshape(*lead, 2, 2)
+    out = np.empty((*lead, 4), dtype=complex)
+    # One contraction per member: a stacked einsum sums in another order.
+    for i in np.ndindex(lead):
+        out[i] = np.einsum("ij,kl,ijkltc->tc", bra_a[i], bra_b[i], w[i]).reshape(-1)
+    return out
+
+
+def max_contraction_deviation(pairs, rng):
+    """Largest |<contracted|supermap>|^2 - 1| over `pairs` random draws of a
+    target state and two unitaries.
+
+    Each pair consumes `rng` exactly as three ``rand_unitary(2, rng)`` calls
+    would: the target is the first column of the first, then U_A, then U_B.
+    Pairs are drawn, checked and contracted in stacks of at most ``_BLOCK``.
+    """
+    if pairs < 1:
+        raise ValueError("need at least one pair")
+    worst = 0.0
+    for start in range(0, pairs, _BLOCK):
+        draws = rand_unitary(2, rng, (min(_BLOCK, pairs - start), 3))
+        target, ua, ub = np.moveaxis(draws, 1, 0)
+        spec = SwitchSpec(target_state=target[..., 0])
+        contracted = contract_switch_vector(switch_process_vector(spec), ua, ub)
+        supermap = switch_supermap_state(ua, ub, spec)
+        for c, s in zip(contracted, supermap):
+            worst = max(worst, abs(abs(np.vdot(c, s)) ** 2 - 1.0))
+    return worst
 
 
 def control_measurement(state, sign):
@@ -195,7 +247,7 @@ def control_measurement(state, sign):
     t = state.reshape(-1, 2)
     target = (t[:, 0] + sign * t[:, 1]) / np.sqrt(2.0)
     prob = float(np.linalg.norm(target) ** 2 / np.linalg.norm(state) ** 2)
-    if prob < 1e-12:
+    if prob < ZERO_PROB_TOL:
         return None, 0.0
     return target / np.linalg.norm(target), prob
 
@@ -208,11 +260,11 @@ def charlie_measurement(state, projector):
     projector = np.asarray(projector, dtype=complex)
     if projector.shape != (state.size, state.size):
         raise ValueError("projector dimension does not match the state")
-    if np.abs(projector @ projector - projector).max() > 1e-9:
+    if np.abs(projector @ projector - projector).max() > DEFAULT_TOL:
         raise ValueError("measurement operator is not a projector")
     out = projector @ state
     prob = float(np.linalg.norm(out) ** 2 / np.linalg.norm(state) ** 2)
-    if prob < 1e-12:
+    if prob < ZERO_PROB_TOL:
         return None, 0.0
     return out / np.linalg.norm(out), prob
 
@@ -227,26 +279,50 @@ CHSH_SETTINGS = (
 
 def chsh_value(state, alice_obs=None, bob_obs=None):
     """E(0,0) + E(0,1) + E(1,0) - E(1,1) for +-1-valued observables on a
-    two-qubit pure state; the first observables act on the first factor."""
+    two-qubit pure state; the first observables act on the first factor.
+
+    A (..., 4) stack of states gives an array of values, one per member.
+    """
     if alice_obs is None or bob_obs is None:
         alice_obs, bob_obs = CHSH_SETTINGS
     state = np.asarray(state, dtype=complex)
-    if state.shape != (4,):
+    if state.shape[-1:] != (4,):
         raise ValueError("CHSH evaluation needs a two-qubit state vector")
     for obs in tuple(alice_obs) + tuple(bob_obs):
         obs = np.asarray(obs, dtype=complex)
-        if np.abs(obs - obs.conj().T).max() > 1e-9 or np.abs(obs @ obs - ID2).max() > 1e-9:
+        hermitian = np.abs(obs - obs.conj().T).max() <= DEFAULT_TOL
+        if not hermitian or np.abs(obs @ obs - ID2).max() > DEFAULT_TOL:
             raise ValueError("observables must be Hermitian with spectrum {-1, +1}")
+    operators = [kron(a, b) for a in alice_obs for b in bob_obs]
+    values = np.empty(state.shape[:-1])
+    # One member at a time: stacked correlations sum in another order.
+    for i in np.ndindex(values.shape):
+        bra = state[i].conj()
+        e00, e01, e10, e11 = (float(np.real(bra @ k @ state[i])) for k in operators)
+        value = e00 + e01 + e10 - e11
+        if abs(value) > 2 * np.sqrt(2) + DEFAULT_TOL:
+            raise RuntimeError("CHSH value exceeds the Tsirelson bound; broken state or settings")
+        values[i] = value
+    return values if state.ndim > 1 else float(values)
 
-    def corr(a, b):
-        return float(np.real(state.conj() @ kron(a, b) @ state))
 
-    a0, a1 = alice_obs
-    b0, b1 = bob_obs
-    value = corr(a0, b0) + corr(a0, b1) + corr(a1, b0) - corr(a1, b1)
-    if abs(value) > 2 * np.sqrt(2) + 1e-9:
-        raise RuntimeError("CHSH value exceeds the Tsirelson bound; broken state or settings")
-    return value
+def max_separable_chsh(samples, rng):
+    """Largest |CHSH| over `samples` random product states a (x) b.
+
+    Each sample consumes `rng` exactly as two ``rand_unitary(2, rng)`` calls
+    would: a and b are the first columns of the first and the second.
+    Samples are drawn and scored in stacks of at most ``_BLOCK``.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    worst = 0.0
+    for start in range(0, samples, _BLOCK):
+        draws = rand_unitary(2, rng, (min(_BLOCK, samples - start), 2))
+        a, b = draws[:, 0, :, 0], draws[:, 1, :, 0]
+        # a (x) b for each member, as kron forms it.
+        products = (a[:, :, None] * b[:, None, :]).reshape(len(draws), 4)
+        worst = max(worst, float(np.abs(chsh_value(products)).max()))
+    return worst
 
 
 # The gravitational-switch example choice: U_A1 = U_B2 = Hadamard,
@@ -282,6 +358,6 @@ def temporal_order_state(u_a1, u_b1, u_a2, u_b2, psi1, psi2, sign):
     branch_kp = np.kron(u_a1 @ u_b1 @ psi1, u_b2 @ u_a2 @ psi2)
     out = (branch_k + sign * branch_kp) / np.sqrt(2.0)
     norm = np.linalg.norm(out)
-    if norm < 1e-9:
+    if norm < DEFAULT_TOL:
         raise ValueError("degenerate choice: the two order branches cancel")
     return out / norm

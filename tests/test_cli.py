@@ -258,6 +258,28 @@ def test_cli_suite_rejects_bool_and_overflowing_values(tmp_path, scenario, param
     assert error.startswith(f"suite entry 1: {scenario}: parameter '{key}'")
 
 
+def test_cli_suite_checks_every_entry_before_running_any(tmp_path, monkeypatch):
+    calls = []
+    defaults, runner = SCENARIOS["validate-process"]
+
+    def recording_runner(params, rng):
+        calls.append(params)
+        return runner(params, rng)
+
+    monkeypatch.setitem(SCENARIOS, "validate-process", (defaults, recording_runner))
+    config = tmp_path / "suite.json"
+    config.write_text(
+        '[{"scenario": "validate-process", "params": {"samples": 20000}},'
+        ' {"scenario": "switch-contract", "params": {"pairs": true}}]'
+    )
+    error = run_cli_usage_error(["suite", "--config", str(config)])
+    assert error.startswith("suite entry 1: switch-contract: parameter 'pairs'")
+    assert calls == []
+    config.write_text('[{"scenario": "validate-process", "params": {"samples": 2}}]')
+    assert run_cli(["suite", "--config", str(config)])[0] == EXIT_OK
+    assert calls == [{"samples": 2}]
+
+
 def test_cli_rejects_non_numeric_param():
     error = run_cli_usage_error(["run", "--scenario", "grav-duration", "--param", "h=abc"])
     assert error == "grav-duration: parameter 'h' must be a number, got 'abc'"

@@ -8,11 +8,13 @@ from switchlab.linalg import (
     PAULI_Z,
     hermitian_eigen,
     is_psd,
+    is_unitary,
     kron,
     partial_trace,
     permute_subsystems,
     require_psd,
 )
+from switchlab.ops import rand_unitary
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -217,3 +219,13 @@ def test_hermitian_eigen_rejects_a_stack_with_one_non_hermitian_member():
         hermitian_eigen(stack)
     with pytest.raises(ValueError, match="not Hermitian"):
         is_psd(stack)
+
+
+def test_is_unitary_on_a_stack_checks_every_member():
+    assert is_unitary(np.stack([np.eye(2)] * 3))
+    pair = rand_unitary(2, np.random.default_rng(22), (2,))
+    assert pair.shape == (2, 2, 2) and is_unitary(pair)
+    stack = np.array([np.eye(2), PAULI_Y, 1.01 * PAULI_Z, PAULI_X], dtype=complex)
+    assert is_unitary(stack[[0, 1, 3]]) and not is_unitary(stack)
+    assert not is_unitary(np.ones((2, 3)) / np.sqrt(2))
+    assert not is_unitary(np.ones((4, 2, 3)))

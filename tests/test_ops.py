@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, hermitian_eigen, kron
+from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, hermitian_eigen, is_unitary, kron
 from switchlab.ops import (
     ChoiOperator,
     Convention,
@@ -92,6 +92,16 @@ def test_choi_plain_of_unitary_is_rank_one():
     w, _ = hermitian_eigen(choi.matrix)
     assert np.sum(w > 1e-9) == 1
     assert abs(w[-1] - 2.0) < 1e-9  # squared norm of (1 (x) U)|1>>
+
+
+@pytest.mark.parametrize("d, shape", [(2, (3,)), (3, (2, 4))])
+def test_rand_unitary_stack_draws_as_one_call_per_member(d, shape):
+    rng, ref_rng = np.random.default_rng(10), np.random.default_rng(10)
+    stack = rand_unitary(d, rng, shape)
+    assert stack.shape == (*shape, d, d) and is_unitary(stack)
+    members = [rand_unitary(d, ref_rng) for _ in np.ndindex(shape)]
+    assert np.array_equal(stack, np.reshape(members, stack.shape))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_choi_of_trace_operation_is_identity():

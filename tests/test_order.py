@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from switchlab import order
 
 from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron
 from switchlab.ops import (
@@ -21,6 +25,8 @@ from switchlab.order import (
     chsh_value,
     contract_switch_vector,
     control_measurement,
+    max_contraction_deviation,
+    max_separable_chsh,
     ocb_strategy,
     success_probability,
     switch_process_vector,
@@ -377,3 +383,113 @@ def test_chsh_separable_sweep_stays_classical():
 def test_chsh_rejects_bad_observables():
     with pytest.raises(ValueError):
         chsh_value(np.kron(KET0, KET0), (ID2 * 2, PAULI_Z), (PAULI_Y, PAULI_Z))
+
+
+def test_single_and_stacked_calls_agree():
+    rng = np.random.default_rng(12)
+    targets = rand_unitary(2, rng, (5,))[..., 0]
+    ua, ub = rand_unitary(2, rng, (2, 5))
+    spec = SwitchSpec(target_state=targets)
+    vectors = switch_process_vector(spec)
+    contracted = contract_switch_vector(vectors, ua, ub)
+    supermap = switch_supermap_state(ua, ub, spec)
+    products = np.array([np.kron(t, t) for t in targets])
+    values = chsh_value(products)
+    assert vectors.shape == (5, 64) and contracted.shape == supermap.shape == (5, 4)
+    assert values.shape == (5,)
+    for i, target in enumerate(targets):
+        one = SwitchSpec(target_state=target)
+        assert np.array_equal(vectors[i], switch_process_vector(one))
+        assert np.array_equal(contracted[i], contract_switch_vector(vectors[i], ua[i], ub[i]))
+        assert np.array_equal(supermap[i], switch_supermap_state(ua[i], ub[i], one))
+        assert values[i] == chsh_value(products[i])
+    with pytest.raises(ValueError, match="stack alike"):
+        contract_switch_vector(vectors[0], ua, ub)
+
+
+def reference_unitary(rng):
+    """rand_unitary(2, rng) as drawn one unitary at a time: real normals, then
+    imaginary ones, orthonormalized by QR with the phases of R's diagonal."""
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def reference_contraction_deviation(pairs, rng):
+    """The per-pair loop that max_contraction_deviation stacks."""
+    worst = 0.0
+    for _ in range(pairs):
+        psi = reference_unitary(rng)[:, 0]
+        spec = SwitchSpec(target_state=psi)
+        vec = switch_process_vector(spec)
+        ua, ub = reference_unitary(rng), reference_unitary(rng)
+        contracted = contract_switch_vector(vec, ua, ub)
+        supermap = switch_supermap_state(ua, ub, spec)
+        fidelity = abs(np.vdot(contracted, supermap)) ** 2
+        worst = max(worst, abs(fidelity - 1.0))
+    return worst
+
+
+def reference_separable_chsh(samples, rng):
+    """The per-sample loop that max_separable_chsh stacks."""
+    worst = 0.0
+    for _ in range(samples):
+        a = reference_unitary(rng)[:, 0]
+        b = reference_unitary(rng)[:, 0]
+        worst = max(worst, abs(chsh_value(np.kron(a, b))))
+    return worst
+
+
+STACKED_SAMPLERS = {
+    "switch-contract": (max_contraction_deviation, reference_contraction_deviation),
+    "chsh-temporal": (max_separable_chsh, reference_separable_chsh),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_SAMPLERS))
+@settings(max_examples=15, deadline=None)
+@given(
+    count=st.sampled_from([1, 63, 64, 65, 129]) | st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_sampling_equals_the_per_pair_loop(name, count, seed):
+    # Bit for bit: the CLI prints the worst value to 12 digits.
+    stacked, reference = STACKED_SAMPLERS[name]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert stacked(count, rng) == reference(count, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def corrupt_one_draw(index, which, scale):
+    # order.rand_unitary with the `which`-th unitary of the index-th sample
+    # scaled by `scale`, samples counted across the stacked calls.
+    seen = 0
+
+    def patched(d, rng, shape=()):
+        nonlocal seen
+        draws = rand_unitary(d, rng, shape)
+        if seen <= index < seen + len(draws):
+            draws[index - seen, which] *= scale
+        seen += len(draws)
+        return draws
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "name, which, scale, error, message",
+    [
+        ("switch-contract", 1, 1.01, ValueError, "defined here for unitary operations"),
+        ("switch-contract", 0, 1.01, ValueError, "target state must be normalized"),
+        ("chsh-temporal", 0, 10.0, RuntimeError, "Tsirelson bound"),
+    ],
+    ids=["non-unitary-U_A", "unnormalized-target", "beyond-Tsirelson"],
+)
+def test_stacked_sampling_checks_every_member(monkeypatch, name, which, scale, error, message):
+    # Only sample 100 of 129, inside the second block, is corrupted.
+    stacked, _ = STACKED_SAMPLERS[name]
+    monkeypatch.setattr(order, "rand_unitary", corrupt_one_draw(100, which, scale))
+    with pytest.raises(error, match=message):
+        stacked(129, np.random.default_rng(3))
+    monkeypatch.setattr(order, "rand_unitary", corrupt_one_draw(129, which, scale))
+    stacked(129, np.random.default_rng(3))

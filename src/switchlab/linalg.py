@@ -15,6 +15,7 @@ __all__ = [
     "PAULI_Z",
     "DEFAULT_TOL",
     "ZERO_PROB_TOL",
+    "TRACE_TOL",
     "close",
     "dagger",
     "is_hermitian",
@@ -31,6 +32,8 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 # Below this an outcome probability counts as zero: no post-measurement state.
 ZERO_PROB_TOL = 1e-12
+# Allowed deviation of a process matrix's trace from d_A_out * d_B_out.
+TRACE_TOL = 1e-6
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -131,23 +134,36 @@ def hermitian_eigen(m, tol=DEFAULT_TOL):
     return np.linalg.eigh(0.5 * (m + dagger(m)))
 
 
-def _min_eigenvalue(m, tol):
-    w, _ = hermitian_eigen(m, tol)
-    return w[..., 0].min()
+def _low_eigenvalue(m, tol):
+    # None when positivity within `tol` is certified without an eigensolver:
+    # a Cholesky factor of sym + tol * 1 exists, for the symmetrized matrix or
+    # every member of a stack, iff no eigenvalue of sym lies below -tol (up to
+    # roundoff). Otherwise the smallest eigenvalue, which alone decides.
+    m = np.asarray(m, dtype=complex)
+    if not is_hermitian(m, tol):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    try:
+        np.linalg.cholesky(0.5 * (m + dagger(m)) + tol * np.eye(m.shape[-1]))
+        return None
+    except np.linalg.LinAlgError:
+        w, _ = hermitian_eigen(m, tol)
+        return w[..., 0].min()
 
 
 def is_psd(m, tol=DEFAULT_TOL):
     """True iff the Hermitian matrix, or every matrix of a stack, has no
-    eigenvalue below -tol."""
-    return bool(_min_eigenvalue(m, tol) >= -tol)
+    eigenvalue below -tol. One stacked Cholesky factorization certifies a pass;
+    the eigenvalues are computed only when it fails."""
+    low = _low_eigenvalue(m, tol)
+    return bool(low is None or low >= -tol)
 
 
 def require_psd(m, what, tol=DEFAULT_TOL):
     """Raise ValueError, naming the matrix as `what`, if it (or any matrix of
-    a stack) has an eigenvalue below -tol; :func:`hermitian_eigen` rejects a
-    non-Hermitian one."""
-    low = _min_eigenvalue(m, tol)
-    if low < -tol:
+    a stack) has an eigenvalue below -tol, or if it is not Hermitian. Decided
+    as :func:`is_psd` decides."""
+    low = _low_eigenvalue(m, tol)
+    if low is not None and low < -tol:
         raise ValueError(f"{what} is not PSD (min eigenvalue {low:.3e})")
 
 

@@ -21,6 +21,7 @@ from .linalg import (
     DEFAULT_TOL,
     dagger,
     hermitian_eigen,
+    is_psd,
     is_unitary,
     kron,
     partial_trace,
@@ -59,9 +60,10 @@ class Convention(enum.Enum):
 
 def _require_trace_nonincreasing(kraus):
     # sum E^dag E <= 1 for a Kraus family, or for every member of a stack of
-    # families whose operators are (k, d_out, d_in) stacks.
-    w, _ = hermitian_eigen(sum(dagger(e) @ e for e in kraus))
-    if w[..., -1].max() > 1.0 + 1e-9:
+    # families whose operators are (k, d_out, d_in) stacks: its largest
+    # eigenvalue is at most 1 + tol iff 1 - sum E^dag E has none below -tol.
+    gram = sum(dagger(e) @ e for e in kraus)
+    if not is_psd(np.eye(gram.shape[-1]) - gram):
         raise ValueError("Kraus family is trace-increasing: sum E^dag E > 1")
 
 
@@ -198,7 +200,7 @@ def apply_choi(choi, rho):
     return np.einsum("im,maib->ab", rho, t).T
 
 
-def kraus_from_choi(choi, rank_tol=1e-9):
+def kraus_from_choi(choi, rank_tol=DEFAULT_TOL):
     """Canonical Kraus family from a Choi matrix.
 
     Eigenvectors with eigenvalue > rank_tol each yield one Kraus operator, so
@@ -208,7 +210,7 @@ def kraus_from_choi(choi, rank_tol=1e-9):
     if choi.convention is Convention.TRANSPOSED:
         m = m.T
     w, v = hermitian_eigen(m)
-    if w[0] < -1e-9:
+    if w[0] < -DEFAULT_TOL:
         raise ValueError("Choi matrix has a negative eigenvalue; map not CP")
     kraus = []
     for lam, vec in zip(w, v.T):
@@ -272,7 +274,7 @@ def stinespring_dilation(op):
         p[: op.d_out, : op.d_in] = e
         padded.append(p)
     defect = np.eye(d_sys, dtype=complex) - sum(dagger(p) @ p for p in padded)
-    needs_completion = np.abs(defect).max() > 1e-9
+    needs_completion = np.abs(defect).max() > DEFAULT_TOL
     if needs_completion:
         padded.append(sqrtm_psd(defect))
     k = len(padded)

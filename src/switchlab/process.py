@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DEFAULT_TOL,
     PAULI_X,
     PAULI_Z,
+    TRACE_TOL,
     is_psd,
     kron,
     partial_trace,
@@ -96,9 +98,9 @@ def _require_rule(w, party, convention, d_in, d_out):
 
 
 def _real_probability(val):
-    # The probability rule's trace, or a stack of them, must be real within 1e-9.
+    # The probability rule's trace, or a stack of them, must be real.
     val = np.asarray(val)
-    bad = np.abs(val.imag) > 1e-9
+    bad = np.abs(val.imag) > DEFAULT_TOL
     if bad.any():
         raise ValueError(f"probability has imaginary part {val.imag[bad].flat[0]:.3e}")
     return val.real
@@ -128,7 +130,7 @@ def state_process(rho, dims):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d_a_in * d_b_in,) * 2:
         raise ValueError("state must live on A_in (x) B_in")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
+    if abs(np.trace(rho).real - 1.0) > DEFAULT_TOL:
         raise ValueError("state is not a density operator: trace is not 1")
     require_psd(rho, "state")
     full = kron(rho, np.eye(d_a_out * d_b_out))
@@ -229,7 +231,7 @@ def hs_decompose(w):
             raise ValueError("matrix dimension is not a fourth power")
     s = hs_basis(d)
     coeffs = np.einsum(_HS_DECOMPOSE, matrix.reshape((d,) * 8), s, s, s, s, optimize=True) / d ** 4
-    if np.abs(coeffs.imag).max() > 1e-9:
+    if np.abs(coeffs.imag).max() > DEFAULT_TOL:
         raise ValueError("non-real Hilbert-Schmidt coefficient")
     return coeffs.real.copy()
 
@@ -267,7 +269,7 @@ def validate_process(w, samples, rng):
     if samples < 1:
         raise ValueError("need at least one sample")
     psd = is_psd(w.matrix)
-    trace_ok = abs(np.trace(w.matrix).real - w.d_a_out * w.d_b_out) < 1e-6
+    trace_ok = abs(np.trace(w.matrix).real - w.d_a_out * w.d_b_out) < TRACE_TOL
     worst = 0.0
     for start in range(0, samples, _BLOCK):
         worst = max(worst, _block_deviation(w, min(_BLOCK, samples - start), rng))
@@ -317,7 +319,7 @@ def _marginal_invariance(w, factor):
     order = [factor] + [i for i in range(4) if i != factor]
     inverse = [order.index(i) for i in range(4)]
     rebuilt, _ = permute_subsystems(rebuilt, [dims[i] for i in order], inverse)
-    return bool(np.abs(rebuilt - w.matrix).max() <= 1e-9)
+    return bool(np.abs(rebuilt - w.matrix).max() <= DEFAULT_TOL)
 
 
 def no_signaling_a_to_b(w):

@@ -1,11 +1,19 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from switchlab import cli, order
 from switchlab.linalg import (
+    DEFAULT_TOL,
     ID2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    dagger,
     hermitian_eigen,
     is_psd,
     is_unitary,
@@ -14,7 +22,17 @@ from switchlab.linalg import (
     permute_subsystems,
     require_psd,
 )
-from switchlab.ops import rand_unitary
+from switchlab.ops import (
+    Operation,
+    _require_trace_nonincreasing,
+    choi_of_operation,
+    rand_cptp,
+    rand_density,
+    rand_unitary,
+)
+from switchlab.process import causal_mixture, channel_process, channel_process_reverse
+
+SUITES = Path(__file__).resolve().parent.parent / "suites"
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -229,3 +247,98 @@ def test_is_unitary_on_a_stack_checks_every_member():
     assert is_unitary(stack[[0, 1, 3]]) and not is_unitary(stack)
     assert not is_unitary(np.ones((2, 3)) / np.sqrt(2))
     assert not is_unitary(np.ones((4, 2, 3)))
+
+
+def with_spectrum(eigenvalues, rng):
+    # U diag(eigenvalues) U^dag for Haar-ish U, one per leading index.
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    u = rand_unitary(eigenvalues.shape[-1], rng, eigenvalues.shape[:-1])
+    return (u * eigenvalues[..., None, :]) @ dagger(u)
+
+
+# Each member's lowest eigenvalue: of order one, or within a few tolerances
+# of -tol. The other eigenvalues lie in [0, 1].
+LOWEST = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-4.0 * DEFAULT_TOL, 2.0 * DEFAULT_TOL),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 4, 16]),
+    shape=st.sampled_from([(), (1,), (3,)]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_is_psd_agrees_with_the_smallest_eigenvalue(n, shape, seed, data):
+    members = math.prod(shape)
+    lowest = data.draw(st.lists(LOWEST, min_size=members, max_size=members))
+    size = members * (n - 1)
+    rest = data.draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    eigenvalues = np.column_stack([lowest, np.reshape(rest, (members, n - 1))])
+    m = with_spectrum(eigenvalues.reshape(*shape, n), np.random.default_rng(seed))
+    low = np.linalg.eigvalsh(0.5 * (m + dagger(m))).min()
+    # Within roundoff of -tol either answer is right.
+    assume(abs(low + DEFAULT_TOL) > 1e-12)
+    assert is_psd(m) == (low >= -DEFAULT_TOL)
+
+
+def test_psd_decision_at_the_tolerance():
+    rng = np.random.default_rng(31)
+    inside = with_spectrum([-0.5 * DEFAULT_TOL, 0.3, 1.0, 2.0], rng)
+    outside = with_spectrum([-2.0 * DEFAULT_TOL, 0.3, 1.0, 2.0], rng)
+    assert is_psd(inside) and not is_psd(outside)
+    require_psd(inside, "inside")
+    with pytest.raises(ValueError, match=r"outside is not PSD \(min eigenvalue -2\.000e-09\)"):
+        require_psd(outside, "outside")
+    stack = with_spectrum(rng.uniform(0.0, 1.0, (5, 4)), rng)
+    assert is_psd(stack)
+    stack[3] = outside
+    assert not is_psd(stack)
+    with pytest.raises(ValueError, match=r"stack is not PSD \(min eigenvalue -2\.000e-09\)"):
+        require_psd(stack, "stack")
+
+
+def test_psd_decision_reads_the_hermitian_part():
+    # A Hermitian part that is positive does not excuse a non-Hermitian matrix.
+    with pytest.raises(ValueError, match="not Hermitian"):
+        is_psd(np.array([[1, 1], [0, 1]], dtype=complex))
+    # An asymmetry below the Hermiticity tolerance is accepted, and the
+    # decision is on 0.5 (m + m^dag), whose eigenvalues are -/+1.295e-9; the
+    # lower (upper) triangle alone would read -/+0.8e-9 (-/+1.79e-9).
+    m = np.array([[0.0, 1.79e-9], [0.8e-9, 0.0]], dtype=complex)
+    for members in (m, m.T, np.stack([np.eye(2), m])):
+        assert not is_psd(members)
+        with pytest.raises(ValueError, match=r"m is not PSD \(min eigenvalue -1\.295e-09\)"):
+            require_psd(members, "m")
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_require_trace_nonincreasing_on_an_isometry(exact):
+    # sum E^dag E = 1: exactly for (1, 0), to roundoff for a QR isometry.
+    if exact:
+        kraus = (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
+    else:
+        v = rand_unitary(4, np.random.default_rng(32))[:, :2]
+        kraus = (v[:2], v[2:])
+    _require_trace_nonincreasing(kraus)
+    with pytest.raises(ValueError, match="Kraus family is trace-increasing"):
+        _require_trace_nonincreasing(tuple(1.01 * e for e in kraus))
+
+
+def test_passing_checks_make_no_eigendecomposition(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called on a passing path")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    suite = cli.run_suite(cli._configs_from_file(SUITES / "golden.json"))
+    assert cli.render_report(suite) == (SUITES / "golden.expected.json").read_text(encoding="utf-8")
+    rng = np.random.default_rng(33)
+    kraus_ba, kraus_ab = (rand_cptp(2, 2, 2, rng).kraus for _ in range(2))
+    w = causal_mixture(
+        channel_process(rand_density(2, rng), choi_of_operation(Operation(2, 2, kraus_ba))),
+        channel_process_reverse(rand_density(2, rng), choi_of_operation(Operation(2, 2, kraus_ab))),
+        0.3,
+    )
+    assert order.success_probability(w, order.ocb_strategy()) <= 0.75 + DEFAULT_TOL

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gravity import HBAR
+from .linalg import DEFAULT_TOL, MODULUS_TOL, ZERO_PROB_TOL
 
 __all__ = [
     "DIMS",
@@ -69,7 +70,7 @@ class AgentAmplitudes:
 
     def __post_init__(self):
         for name in ("c_1a", "c_4a", "c_1b", "c_2b", "f_ba", "f_ab"):
-            if abs(getattr(self, name)) > 1.0 + 1e-12:
+            if abs(getattr(self, name)) > 1.0 + MODULUS_TOL:
                 raise ValueError(f"|{name}| exceeds one")
         if len(self.delta_a) != 5 or len(self.delta_b) != 5:
             raise ValueError("need one free phase per photon channel")
@@ -105,7 +106,7 @@ class ModelState:
         t = np.asarray(self.tensor, dtype=complex)
         if t.shape != DIMS:
             raise ValueError(f"state tensor must have shape {DIMS}")
-        if abs(np.linalg.norm(t) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(t) - 1.0) > DEFAULT_TOL:
             raise ValueError("state is not normalized")
         object.__setattr__(self, "tensor", t)
 
@@ -120,85 +121,63 @@ class ModelState:
         t[1, 0, :, 0, 0] = alpha / np.linalg.norm(alpha)
         return cls(t)
 
-    def target_amplitudes(self):
-        return self.tensor[1, 0, :, 0, 0]
-
 
 def _require_ready_support(state):
     t = state.tensor
     mask = np.zeros(DIMS, dtype=bool)
     mask[1, 0, :, 0, 0] = True
-    if np.abs(t[~mask]).max() > 1e-12:
+    if np.abs(t[~mask]).max() > ZERO_PROB_TOL:
         raise ValueError("input must have agents in A_1, B_1 with silent detectors")
     return t[1, 0, :, 0, 0]
 
 
-# Branch tables: target index i -> list of
-# (amplitude factory, A level, B level, outgoing target index, det A, det B).
-def _branches_a_then_b(amps, i):
-    if i == 0:  # e_1
-        return [
-            (amps.c_a(1) * amps.f_ba, A3, B5, 2, 0, 0),
-            (amps.c_a(1) * amps.g_ba, A3, B5, 1, 0, 1),
-            (amps.d_a(1) * amps.c_b(1), A5, B3, 3, 1, 0),
-            (amps.d_a(1) * amps.d_b(1), A5, B5, 0, 1, 1),
-        ]
-    if i == 1:  # e_2
-        return [
-            (amps.d_a(2) * amps.c_b(2), A5, B5, 2, 1, 0),
-            (amps.d_a(2) * amps.d_b(2), A5, B5, 1, 1, 1),
-        ]
-    if i == 3:  # e_4
-        return [
-            (amps.c_a(4) * amps.d_b(5), A5, B5, 4, 0, 1),
-            (amps.d_a(4) * amps.d_b(4), A5, B5, 3, 1, 1),
-        ]
-    # e_3, e_5 couple to nothing
-    j = i + 1
-    return [(amps.d_a(j) * amps.d_b(j), A5, B5, i, 1, 1)]
+# Per agent: its ground level and the target photons it absorbs
+# (index -> emitted photon index, landing level).
+_RULES = {"a": (A5, {0: (1, A3), 3: (4, A5)}), "b": (B5, {0: (3, B3), 1: (2, B5)})}
 
 
-def _branches_b_then_a(amps, i):
-    if i == 0:  # e_1
-        return [
-            (amps.c_b(1) * amps.f_ab, A5, B3, 4, 0, 0),
-            (amps.c_b(1) * amps.g_ab, A5, B3, 3, 1, 0),
-            (amps.d_b(1) * amps.c_a(1), A3, B5, 1, 0, 1),
-            (amps.d_b(1) * amps.d_a(1), A5, B5, 0, 1, 1),
-        ]
-    if i == 1:  # e_2
-        return [
-            (amps.c_b(2) * amps.d_a(3), A5, B5, 2, 1, 0),
-            (amps.d_b(2) * amps.d_a(2), A5, B5, 1, 1, 1),
-        ]
-    if i == 3:  # e_4
-        return [
-            (amps.d_b(4) * amps.c_a(4), A5, B5, 4, 0, 1),
-            (amps.d_b(4) * amps.d_a(4), A5, B5, 3, 1, 1),
-        ]
-    j = i + 1
-    return [(amps.d_b(j) * amps.d_a(j), A5, B5, i, 1, 1)]
+def _scatter(agent, amps, e, emitted):
+    """Agent meets photon e: [(amplitude, level, herald, outgoing photon)].
+
+    It absorbs and re-emits with amplitude c, or f for a photon the other
+    agent emitted; otherwise (d, or g) the photon passes unchanged while the
+    agent decays to ground and fires its herald.
+    """
+    ground, absorbs = _RULES[agent]
+    c, d = (amps.c_a, amps.d_a) if agent == "a" else (amps.c_b, amps.d_b)
+    if e not in absorbs:
+        return [(d(e + 1), ground, 1, e)]
+    if emitted:
+        absorb, passing = (amps.f_ab, amps.g_ab) if agent == "a" else (amps.f_ba, amps.g_ba)
+    else:
+        absorb, passing = c(e + 1), d(e + 1)
+    e_out, level = absorbs[e]
+    return [(absorb, level, 0, e_out), (passing, ground, 1, e)]
 
 
-def _apply(branches, amps, state):
+def _apply(first, amps, state):
+    # Photon i meets the `first` agent, then whatever leaves meets the other.
     alpha = _require_ready_support(state)
+    second, step = ("b", 1) if first == "a" else ("a", -1)
     out = np.zeros(DIMS, dtype=complex)
     for i in range(5):
         if alpha[i] == 0:
             continue
-        for amp, a_lvl, b_lvl, e_out, det_a, det_b in branches(amps, i):
-            out[a_lvl, b_lvl, e_out, det_a, det_b] += alpha[i] * amp
+        for amp_1, *agent_1, e_1 in _scatter(first, amps, i, False):
+            for amp_2, *agent_2, e_2 in _scatter(second, amps, e_1, e_1 != i):
+                (level_a, herald_a), (level_b, herald_b) = (agent_1, agent_2)[::step]
+                out[level_a, level_b, e_2, herald_a, herald_b] += alpha[i] * (amp_1 * amp_2)
     return ModelState(out)
 
 
 def apply_agent_a_then_b(amps, state):
     """Order A then B: the four-branch scattering outcome of the A < B path."""
-    return _apply(_branches_a_then_b, amps, state)
+    return _apply("a", amps, state)
 
 
 def apply_agent_b_then_a(amps, state):
-    """Order B then A, the mirrored branch structure of the B < A path."""
-    return _apply(_branches_b_then_a, amps, state)
+    """Order B then A: the same scattering rules, met in the other order."""
+    return _apply("b", amps, state)
 
 
 _DETECTOR_PATTERN = {0: (1, 1), 1: (1, 0), 2: (0, 1), 3: (0, 0)}
@@ -218,7 +197,7 @@ def postselect(state, zeta):
     projected = np.zeros(DIMS, dtype=complex)
     projected[:, :, :, det_a, det_b] = t[:, :, :, det_a, det_b]
     prob = float(np.linalg.norm(projected) ** 2)
-    if prob < 1e-12:
+    if prob < ZERO_PROB_TOL:
         return None, 0.0
     return ModelState(projected / np.sqrt(prob)), prob
 
@@ -237,7 +216,7 @@ class SwitchModelResult:
     target: np.ndarray = None
 
 
-def _agent_target_split(branch, tol=1e-9):
+def _agent_target_split(branch, tol=DEFAULT_TOL):
     # branch: (6, 5, 5) tensor; if it is a product across the (agents |
     # target) cut, return (unit agent pattern, target carrying the weight).
     # The pattern phase is canonicalized on its largest component so that
@@ -271,36 +250,33 @@ def run_switch_model(amps, target_in, zeta, sign):
     branch_ba = path_amp * apply_agent_a_then_b(amps, state_in).tensor[:, :, :, det_a, det_b]
     branch_ab = path_amp * apply_agent_b_then_a(amps, state_in).tensor[:, :, :, det_a, det_b]
     post_prob = float(np.linalg.norm(branch_ba) ** 2 + np.linalg.norm(branch_ab) ** 2)
-    if post_prob < 1e-12:
+    if post_prob < ZERO_PROB_TOL:
         raise ValueError(f"postselection zeta={zeta} has zero probability for this input")
 
     residual = branch_ba + sign * branch_ab
     res_norm = np.linalg.norm(residual)
-    if res_norm < 1e-12:
+    if res_norm < ZERO_PROB_TOL:
         raise ValueError("diagonal measurement outcome has zero probability")
     probability = float(res_norm ** 2 / 2.0)  # path-diagonal outcome weight
 
-    target = None
-    n_ba = np.linalg.norm(branch_ba)
-    n_ab = np.linalg.norm(branch_ab)
-    split_ba = _agent_target_split(branch_ba) if n_ba > 1e-12 else None
-    split_ab = _agent_target_split(branch_ab) if n_ab > 1e-12 else None
-    combo = None
+    # A vanished order gives a zero target on a zero pattern, orthogonal to
+    # every pattern, so one path serves one or two surviving orders.
+    vanished = (np.zeros((6, 5)), np.zeros(5))
+    split_ba, split_ab = (
+        _agent_target_split(b) if np.linalg.norm(b) > ZERO_PROB_TOL else vanished
+        for b in (branch_ba, branch_ab)
+    )
+    combo = target = None
     if split_ba is not None and split_ab is not None:
-        pat_ba, t_ba = split_ba
-        pat_ab, t_ab = split_ab
+        (pat_ba, t_ba), (pat_ab, t_ab) = split_ba, split_ab
         overlap = np.vdot(pat_ba, pat_ab)
-        if abs(overlap) < 1e-9:
+        if abs(overlap) < DEFAULT_TOL:
             # orthogonal agent patterns: measure them alongside the path
             combo = t_ba + sign * t_ab
-        elif abs(abs(overlap) - 1.0) < 1e-9:
+        elif abs(abs(overlap) - 1.0) < DEFAULT_TOL:
             # common pattern up to phase: the path measurement disentangles
             combo = t_ba + sign * overlap * t_ab
-    elif split_ba is not None and n_ab <= 1e-12:
-        combo = split_ba[1]
-    elif split_ab is not None and n_ba <= 1e-12:
-        combo = sign * split_ab[1]
-    if combo is not None and np.linalg.norm(combo) > 1e-9:
+    if combo is not None and np.linalg.norm(combo) > DEFAULT_TOL:
         target = combo / np.linalg.norm(combo)
     return SwitchModelResult(residual / res_norm, probability, target)
 

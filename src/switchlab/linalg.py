@@ -15,6 +15,7 @@ __all__ = [
     "PAULI_Z",
     "DEFAULT_TOL",
     "ZERO_PROB_TOL",
+    "MODULUS_TOL",
     "TRACE_TOL",
     "close",
     "dagger",
@@ -30,8 +31,11 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-# Below this an outcome probability counts as zero: no post-measurement state.
+# Below this an outcome probability, or the norm of a state, branch or
+# off-support part, counts as zero: no post-measurement state.
 ZERO_PROB_TOL = 1e-12
+# Roundoff allowed on an amplitude's modulus above one.
+MODULUS_TOL = 1e-12
 # Allowed deviation of a process matrix's trace from d_A_out * d_B_out.
 TRACE_TOL = 1e-6
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    close,
     dagger,
     hermitian_eigen,
     is_psd,
@@ -97,10 +98,7 @@ class Operation:
         return sum(dagger(e) @ e for e in self.kraus)
 
     def is_trace_preserving(self, tol=DEFAULT_TOL):
-        return bool(np.abs(self.kraus_gram - np.eye(self.d_in)).max() <= tol)
-
-    def __call__(self, rho):
-        return apply_operation(self, rho)
+        return close(self.kraus_gram, np.eye(self.d_in), tol)
 
 
 @dataclass(frozen=True)
@@ -120,15 +118,11 @@ class Instrument:
             if (op.d_in, op.d_out) != (self.d_in, self.d_out):
                 raise ValueError("instrument element dimensions disagree")
 
-    def total(self):
-        kraus = tuple(e for op in self.elements for e in op.kraus)
-        return Operation(self.d_in, self.d_out, kraus)
-
 
 def validate_instrument(instr, tol=DEFAULT_TOL):
     """True iff every element is trace-nonincreasing and the sum is CPTP."""
     total = sum(op.kraus_gram for op in instr.elements)
-    return bool(np.abs(total - np.eye(instr.d_in)).max() <= tol)
+    return close(total, np.eye(instr.d_in), tol)
 
 
 def apply_operation(op, rho):
@@ -161,7 +155,7 @@ class ChoiOperator:
 
     def is_cptp(self, tol=DEFAULT_TOL):
         marg = partial_trace(self.matrix, (self.d_in, self.d_out), keep=(0,))
-        return bool(np.abs(marg - np.eye(self.d_in)).max() <= tol)
+        return close(marg, np.eye(self.d_in), tol)
 
 
 def _choi_vec(e):
@@ -210,8 +204,6 @@ def kraus_from_choi(choi, rank_tol=DEFAULT_TOL):
     if choi.convention is Convention.TRANSPOSED:
         m = m.T
     w, v = hermitian_eigen(m)
-    if w[0] < -DEFAULT_TOL:
-        raise ValueError("Choi matrix has a negative eigenvalue; map not CP")
     kraus = []
     for lam, vec in zip(w, v.T):
         if lam > rank_tol:
@@ -274,7 +266,7 @@ def stinespring_dilation(op):
         p[: op.d_out, : op.d_in] = e
         padded.append(p)
     defect = np.eye(d_sys, dtype=complex) - sum(dagger(p) @ p for p in padded)
-    needs_completion = np.abs(defect).max() > DEFAULT_TOL
+    needs_completion = not close(defect, 0)
     if needs_completion:
         padded.append(sqrtm_psd(defect))
     k = len(padded)

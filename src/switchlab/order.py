@@ -6,7 +6,7 @@ Bit convention throughout: bit 0 encodes |up> = |0>, bit 1 encodes
 Switch states live on target (x) control, in that factor order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,8 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     ZERO_PROB_TOL,
+    close,
+    is_hermitian,
     is_unitary,
     kron,
     partial_trace,
@@ -55,7 +57,6 @@ class GameStrategy:
 
     alice_choi: object
     bob_choi: object
-    bob_free_state: np.ndarray = field(default=None)
 
 
 def ocb_strategy(bob_free_state=None):
@@ -78,7 +79,7 @@ def ocb_strategy(bob_free_state=None):
             m = 0.25 * kron(ID2 + (-1) ** y * PAULI_X, ID2 + (-1) ** (b + y) * PAULI_Z)
         return ChoiOperator(2, 2, m, Convention.TRANSPOSED)
 
-    return GameStrategy(alice, bob, rho_b2)
+    return GameStrategy(alice, bob)
 
 
 def branch_probabilities(w, strategy):
@@ -139,7 +140,7 @@ class SwitchSpec:
             if self.target_state is None
             else np.asarray(self.target_state, dtype=complex)
         )
-        if np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max() > DEFAULT_TOL:
+        if not close(np.linalg.norm(psi, axis=-1), 1.0):
             raise ValueError("target state must be normalized")
         c = tuple(complex(x) for x in self.control_amplitudes)
         if abs(abs(c[0]) ** 2 + abs(c[1]) ** 2 - 1.0) > DEFAULT_TOL:
@@ -177,16 +178,11 @@ def switch_process_vector(spec):
     psi = spec.target_state
     lead = psi.shape[:-1]
     w = np.zeros((*lead, 2, 2, 2, 2, 2, 2), dtype=complex)
-    for a1 in range(2):
-        for link1 in range(2):
-            for link2 in range(2):
-                # psi enters A, identity links A_out->B_in and B_out->C_t, control |0>
-                w[..., a1, link1, link1, link2, link2, 0] += c0 * psi[..., a1]
-    for b1 in range(2):
-        for link1 in range(2):
-            for link2 in range(2):
-                # psi enters B, links B_out->A_in and A_out->C_t, control |1>
-                w[..., link1, link2, b1, link1, link2, 1] += c1 * psi[..., b1]
+    for j, l in np.ndindex(2, 2):
+        # control |0>: psi enters A, identity links A_out->B_in and B_out->C_t
+        w[..., :, j, j, l, l, 0] += c0 * psi
+        # control |1>: the same with the parties exchanged
+        w[..., j, l, :, j, l, 1] += c1 * psi
     return w.reshape(*lead, -1)
 
 
@@ -260,7 +256,7 @@ def charlie_measurement(state, projector):
     projector = np.asarray(projector, dtype=complex)
     if projector.shape != (state.size, state.size):
         raise ValueError("projector dimension does not match the state")
-    if np.abs(projector @ projector - projector).max() > DEFAULT_TOL:
+    if not close(projector @ projector, projector):
         raise ValueError("measurement operator is not a projector")
     out = projector @ state
     prob = float(np.linalg.norm(out) ** 2 / np.linalg.norm(state) ** 2)
@@ -290,8 +286,7 @@ def chsh_value(state, alice_obs=None, bob_obs=None):
         raise ValueError("CHSH evaluation needs a two-qubit state vector")
     for obs in tuple(alice_obs) + tuple(bob_obs):
         obs = np.asarray(obs, dtype=complex)
-        hermitian = np.abs(obs - obs.conj().T).max() <= DEFAULT_TOL
-        if not hermitian or np.abs(obs @ obs - ID2).max() > DEFAULT_TOL:
+        if not (is_hermitian(obs) and close(obs @ obs, ID2)):
             raise ValueError("observables must be Hermitian with spectrum {-1, +1}")
     operators = [kron(a, b) for a in alice_obs for b in bob_obs]
     values = np.empty(state.shape[:-1])

@@ -18,6 +18,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Z,
     TRACE_TOL,
+    close,
     is_psd,
     kron,
     partial_trace,
@@ -319,7 +320,7 @@ def _marginal_invariance(w, factor):
     order = [factor] + [i for i in range(4) if i != factor]
     inverse = [order.index(i) for i in range(4)]
     rebuilt, _ = permute_subsystems(rebuilt, [dims[i] for i in order], inverse)
-    return bool(np.abs(rebuilt - w.matrix).max() <= DEFAULT_TOL)
+    return close(rebuilt, w.matrix)
 
 
 def no_signaling_a_to_b(w):

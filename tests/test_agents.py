@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchlab.agents import (
     DIMS,
@@ -14,6 +16,10 @@ from switchlab.agents import (
     trigger_params,
     trigger_timeline,
 )
+
+# Level indices as in switchlab.agents: A_j at index j, B_j at index j-1.
+A3, A5 = 3, 5
+B3, B5 = 2, 4
 
 E = {i: np.eye(5)[i - 1] for i in range(1, 6)}  # target basis vectors
 
@@ -186,6 +192,22 @@ def test_zeta3_state_independent_of_other_components():
     assert abs(overlap - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_run_switch_model_single_surviving_order(sign):
+    # f_ab = 0.6 under zeta = 1 keeps only B then A (the A-herald branch
+    # c_1b g_ab |e_4>); f_ba = 0.6 under zeta = 2 keeps only A then B
+    # (c_1a g_ba |e_2>). The measured sign reaches the target only when the
+    # surviving order is the one it multiplies.
+    only_ba = run_switch_model(AgentAmplitudes(f_ab=0.6), E[1], zeta=1, sign=sign)
+    assert only_ba.target is not None
+    assert np.abs(only_ba.target - sign * E[4]).max() < 1e-12
+    assert abs(only_ba.probability - 0.16) < 1e-12
+    only_ab = run_switch_model(AgentAmplitudes(f_ba=0.6), E[1], zeta=2, sign=sign)
+    assert only_ab.target is not None
+    assert np.abs(only_ab.target - E[2]).max() < 1e-12
+    assert abs(only_ab.probability - 0.16) < 1e-12
+
+
 def test_run_switch_model_zero_probability_paths():
     with pytest.raises(ValueError):
         run_switch_model(AgentAmplitudes(), E[3], zeta=3, sign=+1)
@@ -252,3 +274,95 @@ def test_trigger_timeline():
     assert window.level == "rotating"
     # the window is narrow on the scale of the quarter period
     assert p.crossing_window < 0.01 * p.tau_star
+
+
+# Reference: the two orders written out as explicit branch tables, target
+# index i -> [(amplitude, A level, B level, outgoing target, det A, det B)].
+def reference_a_then_b(amps, i):
+    if i == 0:  # e_1
+        return [
+            (amps.c_a(1) * amps.f_ba, A3, B5, 2, 0, 0),
+            (amps.c_a(1) * amps.g_ba, A3, B5, 1, 0, 1),
+            (amps.d_a(1) * amps.c_b(1), A5, B3, 3, 1, 0),
+            (amps.d_a(1) * amps.d_b(1), A5, B5, 0, 1, 1),
+        ]
+    if i == 1:  # e_2
+        return [
+            (amps.d_a(2) * amps.c_b(2), A5, B5, 2, 1, 0),
+            (amps.d_a(2) * amps.d_b(2), A5, B5, 1, 1, 1),
+        ]
+    if i == 3:  # e_4
+        return [
+            (amps.c_a(4) * amps.d_b(5), A5, B5, 4, 0, 1),
+            (amps.d_a(4) * amps.d_b(4), A5, B5, 3, 1, 1),
+        ]
+    # e_3, e_5 couple to nothing
+    j = i + 1
+    return [(amps.d_a(j) * amps.d_b(j), A5, B5, i, 1, 1)]
+
+
+def reference_b_then_a(amps, i):
+    if i == 0:  # e_1
+        return [
+            (amps.c_b(1) * amps.f_ab, A5, B3, 4, 0, 0),
+            (amps.c_b(1) * amps.g_ab, A5, B3, 3, 1, 0),
+            (amps.d_b(1) * amps.c_a(1), A3, B5, 1, 0, 1),
+            (amps.d_b(1) * amps.d_a(1), A5, B5, 0, 1, 1),
+        ]
+    if i == 1:  # e_2
+        return [
+            (amps.c_b(2) * amps.d_a(3), A5, B5, 2, 1, 0),
+            (amps.d_b(2) * amps.d_a(2), A5, B5, 1, 1, 1),
+        ]
+    if i == 3:  # e_4
+        return [
+            (amps.d_b(4) * amps.c_a(4), A5, B5, 4, 0, 1),
+            (amps.d_b(4) * amps.d_a(4), A5, B5, 3, 1, 1),
+        ]
+    j = i + 1
+    return [(amps.d_b(j) * amps.d_a(j), A5, B5, i, 1, 1)]
+
+
+def reference_apply(branches, amps, state):
+    alpha = state.tensor[1, 0, :, 0, 0]
+    out = np.zeros(DIMS, dtype=complex)
+    for i in range(5):
+        if alpha[i] == 0:
+            continue
+        for amp, a_lvl, b_lvl, e_out, det_a, det_b in branches(amps, i):
+            out[a_lvl, b_lvl, e_out, det_a, det_b] += alpha[i] * amp
+    return out
+
+
+def assert_same_bits(actual, expected):
+    # Equal float64 components, signs of zeros included.
+    actual, expected = actual.view(np.float64), expected.view(np.float64)
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+PHASES = st.floats(-2 * np.pi, 2 * np.pi)
+MODULI = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+AMPLITUDES = MODULI | st.builds(lambda m, p: m * np.exp(1j * p), MODULI, PHASES)
+TARGET_COMPONENTS = st.sampled_from([0j, -0j, 1 + 0j]) | st.complex_numbers(
+    max_magnitude=1.0, allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.tuples(*[AMPLITUDES] * 6),
+    deltas=st.tuples(*[PHASES] * 10),
+    gammas=st.tuples(PHASES, PHASES),
+    alpha=st.lists(TARGET_COMPONENTS, min_size=5, max_size=5).filter(
+        lambda a: np.linalg.norm(a) > 1e-3
+    ),
+)
+def test_both_orders_equal_the_branch_tables_bit_for_bit(c, deltas, gammas, alpha):
+    amps = AgentAmplitudes(*c, deltas[:5], deltas[5:], *gammas)
+    state = ModelState.from_target(alpha)
+    for order, table in (
+        (apply_agent_a_then_b, reference_a_then_b),
+        (apply_agent_b_then_a, reference_b_then_a),
+    ):
+        assert_same_bits(order(amps, state).tensor, reference_apply(table, amps, state))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from switchlab import order
@@ -282,6 +282,54 @@ def test_switch_contraction_identity_random_unitaries():
         supermap = switch_supermap_state(ua, ub, spec)
         fidelity = abs(np.vdot(contracted, supermap)) ** 2
         assert abs(fidelity - 1.0) < 1e-9
+
+
+def reference_switch_process_vector(spec):
+    # The two branches written out as separate triple loops.
+    c0, c1 = spec.control_amplitudes
+    psi = spec.target_state
+    lead = psi.shape[:-1]
+    w = np.zeros((*lead, 2, 2, 2, 2, 2, 2), dtype=complex)
+    for a1 in range(2):
+        for link1 in range(2):
+            for link2 in range(2):
+                # psi enters A, identity links A_out->B_in and B_out->C_t, control |0>
+                w[..., a1, link1, link1, link2, link2, 0] += c0 * psi[..., a1]
+    for b1 in range(2):
+        for link1 in range(2):
+            for link2 in range(2):
+                # psi enters B, links B_out->A_in and A_out->C_t, control |1>
+                w[..., link1, link2, b1, link1, link2, 1] += c1 * psi[..., b1]
+    return w.reshape(*lead, -1)
+
+
+SIGNED_REALS = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-1.0, 1.0)
+PHASES = st.floats(-2 * np.pi, 2 * np.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.sampled_from([(), (2, 3)]) | st.tuples(st.integers(1, 5)),
+    data=st.data(),
+    control=st.sampled_from([(1.0, 0.0), (0.0, 1.0)])
+    | st.builds(
+        lambda t, p0, p1: (np.cos(t) * np.exp(1j * p0), np.sin(t) * np.exp(1j * p1)),
+        st.floats(0.0, np.pi / 2),
+        PHASES,
+        PHASES,
+    ),
+)
+def test_switch_process_vector_equals_the_two_loops_bit_for_bit(shape, data, control):
+    size = 4 * int(np.prod(shape))
+    parts = data.draw(st.lists(SIGNED_REALS, min_size=size, max_size=size))
+    psi = np.array(parts).view(complex).reshape(*shape, 2)
+    norm = np.linalg.norm(psi, axis=-1, keepdims=True)
+    assume(np.all(norm > 1e-3))
+    spec = SwitchSpec(target_state=psi / norm, control_amplitudes=control)
+    actual = switch_process_vector(spec).view(np.float64)
+    expected = reference_switch_process_vector(spec).view(np.float64)
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
 def test_control_measurement_identity_case():

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gravity import HBAR
-from .linalg import DEFAULT_TOL, MODULUS_TOL, ZERO_PROB_TOL
+from .linalg import DEFAULT_TOL, MODULUS_TOL, ZERO_PROB_TOL, close
 
 __all__ = [
     "DIMS",
@@ -48,6 +48,11 @@ def _phase(angle):
     return complex(np.exp(1j * angle))
 
 
+def _complement(amp):
+    # sqrt(1 - |amp|^2), zero for a modulus in the MODULUS_TOL slack above one.
+    return np.sqrt(max(1.0 - abs(amp) ** 2, 0.0))
+
+
 @dataclass(frozen=True)
 class AgentAmplitudes:
     """Absorption and double-scattering amplitudes with their free phases.
@@ -70,7 +75,7 @@ class AgentAmplitudes:
 
     def __post_init__(self):
         for name in ("c_1a", "c_4a", "c_1b", "c_2b", "f_ba", "f_ab"):
-            if abs(getattr(self, name)) > 1.0 + MODULUS_TOL:
+            if not abs(getattr(self, name)) <= 1.0 + MODULUS_TOL:
                 raise ValueError(f"|{name}| exceeds one")
         if len(self.delta_a) != 5 or len(self.delta_b) != 5:
             raise ValueError("need one free phase per photon channel")
@@ -82,18 +87,18 @@ class AgentAmplitudes:
         return {1: complex(self.c_1b), 2: complex(self.c_2b)}.get(i, 0.0)
 
     def d_a(self, i):
-        return _phase(self.delta_a[i - 1]) * np.sqrt(1.0 - abs(self.c_a(i)) ** 2)
+        return _phase(self.delta_a[i - 1]) * _complement(self.c_a(i))
 
     def d_b(self, i):
-        return _phase(self.delta_b[i - 1]) * np.sqrt(1.0 - abs(self.c_b(i)) ** 2)
+        return _phase(self.delta_b[i - 1]) * _complement(self.c_b(i))
 
     @property
     def g_ba(self):
-        return _phase(self.gamma_ba) * np.sqrt(1.0 - abs(self.f_ba) ** 2)
+        return _phase(self.gamma_ba) * _complement(self.f_ba)
 
     @property
     def g_ab(self):
-        return _phase(self.gamma_ab) * np.sqrt(1.0 - abs(self.f_ab) ** 2)
+        return _phase(self.gamma_ab) * _complement(self.f_ab)
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,7 @@ class ModelState:
         t = np.asarray(self.tensor, dtype=complex)
         if t.shape != DIMS:
             raise ValueError(f"state tensor must have shape {DIMS}")
-        if abs(np.linalg.norm(t) - 1.0) > DEFAULT_TOL:
+        if not close(np.linalg.norm(t), 1.0):
             raise ValueError("state is not normalized")
         object.__setattr__(self, "tensor", t)
 
@@ -117,8 +122,11 @@ class ModelState:
         alpha = np.asarray(alpha, dtype=complex)
         if alpha.shape != (5,):
             raise ValueError("target amplitudes must be a 5-vector")
+        norm = np.linalg.norm(alpha)
+        if not norm > ZERO_PROB_TOL:
+            raise ValueError("target amplitudes must not all vanish")
         t = np.zeros(DIMS, dtype=complex)
-        t[1, 0, :, 0, 0] = alpha / np.linalg.norm(alpha)
+        t[1, 0, :, 0, 0] = alpha / norm
         return cls(t)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import agents, gravity, linalg, order, process
+from .linalg import APPROX_REL_TOL, DEFAULT_TOL, ESTIMATE_REL_TOL, NORMALIZATION_TOL, ROUNDOFF_TOL
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -78,9 +79,9 @@ def _scenario_ocb_game(params, rng):
         "causal_bound": 0.75,
     }
     checks = [
-        _check("success_equals_(2+sqrt2)/4", (2.0 + SQRT2) / 4.0, success, 1e-9),
-        _check("alice_branch_value", (2.0 + SQRT2) / 4.0, p_alice, 1e-9),
-        _check("bob_branch_value", (2.0 + SQRT2) / 4.0, p_bob, 1e-9),
+        _check("success_equals_(2+sqrt2)/4", (2.0 + SQRT2) / 4.0, success, DEFAULT_TOL),
+        _check("alice_branch_value", (2.0 + SQRT2) / 4.0, p_alice, DEFAULT_TOL),
+        _check("bob_branch_value", (2.0 + SQRT2) / 4.0, p_bob, DEFAULT_TOL),
     ]
     return outputs, checks
 
@@ -89,7 +90,7 @@ def _scenario_switch_contract(params, rng):
     pairs = params["pairs"]
     worst = order.max_contraction_deviation(pairs, rng)
     outputs = {"pairs": pairs, "max_fidelity_deviation": worst}
-    checks = [_check("contraction_equals_supermap", 0.0, worst, 1e-9)]
+    checks = [_check("contraction_equals_supermap", 0.0, worst, DEFAULT_TOL)]
     return outputs, checks
 
 
@@ -106,9 +107,9 @@ def _scenario_chsh_temporal(params, rng):
         "max_separable_chsh": worst_sep,
     }
     checks = [
-        _check("plus_state_reaches_-2sqrt2", -2.0 * SQRT2, chsh_plus, 1e-9),
-        _check("minus_state_reaches_+2sqrt2", 2.0 * SQRT2, chsh_minus, 1e-9),
-        _check("separable_within_classical_bound", 0.0, max(0.0, worst_sep - 2.0), 1e-9),
+        _check("plus_state_reaches_-2sqrt2", -2.0 * SQRT2, chsh_plus, DEFAULT_TOL),
+        _check("minus_state_reaches_+2sqrt2", 2.0 * SQRT2, chsh_minus, DEFAULT_TOL),
+        _check("separable_within_classical_bound", 0.0, max(0.0, worst_sep - 2.0), DEFAULT_TOL),
     ]
     return outputs, checks
 
@@ -126,8 +127,8 @@ def _scenario_validate_process(params, rng):
     }
     checks = [
         _bool_check("psd", True, report.psd),
-        _check("trace_equals_4", 4.0, trace, 1e-9),
-        _check("normalization_deviation", 0.0, report.max_norm_deviation, 1e-8),
+        _check("trace_equals_4", 4.0, trace, DEFAULT_TOL),
+        _check("normalization_deviation", 0.0, report.max_norm_deviation, NORMALIZATION_TOL),
     ]
     return outputs, checks
 
@@ -162,12 +163,13 @@ def _scenario_grav_duration(params, rng):
             "weak_field_consistent",
             0.0,
             abs(report.ratio - wf.ratio) / wf.ratio,
-            1e-3,
+            APPROX_REL_TOL,
         ),
     ]
     if body == gravity.EARTH:
         # coefficient of dt_exp ~ 3e7 (d/h) s near Earth's surface
-        checks.append(_check("earth_coefficient", 3.0e7, coefficient * geom.h, 0.05 * 3.0e7))
+        window = ESTIMATE_REL_TOL * 3.0e7
+        checks.append(_check("earth_coefficient", 3.0e7, coefficient * geom.h, window))
     return outputs, checks
 
 
@@ -216,9 +218,9 @@ def _scenario_trigger(params, rng):
         "rotated_fidelity_with_A1": fidelity,
     }
     checks = [
-        _check("rotation_angle_is_pi_over_2", float(np.pi / 2), angle, 1e-12),
-        _check("period_is_4_tau_star", 4.0 * params["tau_star"], p.period, 1e-12),
-        _check("rotation_lands_on_A1", 1.0, fidelity, 1e-12),
+        _check("rotation_angle_is_pi_over_2", float(np.pi / 2), angle, ROUNDOFF_TOL),
+        _check("period_is_4_tau_star", 4.0 * params["tau_star"], p.period, ROUNDOFF_TOL),
+        _check("rotation_lands_on_A1", 1.0, fidelity, ROUNDOFF_TOL),
     ]
     return outputs, checks
 
@@ -248,10 +250,10 @@ def _scenario_agent_switch(params, rng):
         "postselection_total": total,
     }
     checks = [
-        _check("e1_plus_target", 1.0, fid[+1], 1e-9),
-        _check("e1_minus_target", 1.0, fid[-1], 1e-9),
-        _check("e4_trivial_switch", 1.0, fid_e4, 1e-9),
-        _check("postselection_completeness", 1.0, total, 1e-9),
+        _check("e1_plus_target", 1.0, fid[+1], DEFAULT_TOL),
+        _check("e1_minus_target", 1.0, fid[-1], DEFAULT_TOL),
+        _check("e4_trivial_switch", 1.0, fid_e4, DEFAULT_TOL),
+        _check("postselection_completeness", 1.0, total, DEFAULT_TOL),
     ]
     return outputs, checks
 

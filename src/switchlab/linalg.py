@@ -17,6 +17,10 @@ __all__ = [
     "ZERO_PROB_TOL",
     "MODULUS_TOL",
     "TRACE_TOL",
+    "ROUNDOFF_TOL",
+    "NORMALIZATION_TOL",
+    "APPROX_REL_TOL",
+    "ESTIMATE_REL_TOL",
     "close",
     "dagger",
     "is_hermitian",
@@ -38,6 +42,15 @@ ZERO_PROB_TOL = 1e-12
 MODULUS_TOL = 1e-12
 # Allowed deviation of a process matrix's trace from d_A_out * d_B_out.
 TRACE_TOL = 1e-6
+# Roundoff allowed on an order-one value that has a closed form.
+ROUNDOFF_TOL = 1e-12
+# Allowed deviation from one of a total probability sampled over random
+# instruments.
+NORMALIZATION_TOL = 1e-8
+# Relative windows: an exact value against its leading-order approximation,
+# and a coefficient the paper quotes to one significant figure.
+APPROX_REL_TOL = 1e-3
+ESTIMATE_REL_TOL = 0.05
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,10 +69,17 @@ def dagger(m):
 
 
 def kron(*matrices):
-    """Kronecker product of one or more matrices, leftmost factor first."""
+    """Kronecker product of one or more matrices, leftmost factor first.
+
+    Each factor is one broadcast multiply, entry (i, k; j, l) = a[i, j] b[k, l],
+    the same single product per entry as ``np.kron`` and so bit-identical to it,
+    without its shape handling for arbitrary dimensions.
+    """
     out = np.asarray(matrices[0], dtype=complex)
     for m in matrices[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        m = np.asarray(m, dtype=complex)
+        (r0, c0), (r1, c1) = out.shape, m.shape
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(r0 * r1, c0 * c1)
     return out
 
 
@@ -144,10 +164,11 @@ def _low_eigenvalue(m, tol):
     # every member of a stack, iff no eigenvalue of sym lies below -tol (up to
     # roundoff). Otherwise the smallest eigenvalue, which alone decides.
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
+    m_dag = dagger(m)
+    if not close(m, m_dag, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
     try:
-        np.linalg.cholesky(0.5 * (m + dagger(m)) + tol * np.eye(m.shape[-1]))
+        np.linalg.cholesky(0.5 * (m + m_dag) + tol * np.eye(m.shape[-1]))
         return None
     except np.linalg.LinAlgError:
         w, _ = hermitian_eigen(m, tol)

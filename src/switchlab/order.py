@@ -59,27 +59,45 @@ class GameStrategy:
     bob_choi: object
 
 
+def _read_only_choi(m):
+    choi = ChoiOperator(2, 2, m, Convention.TRANSPOSED)
+    choi.matrix.setflags(write=False)
+    return choi
+
+
+def _ocb_strategy(rho_b2):
+    # The 12 instrument elements, each built and validated once, indexed by
+    # their bits: Alice's (x, a) and Bob's (y, b, b').
+    alice = {
+        (x, a): _read_only_choi(0.25 * kron(ID2 + (-1) ** x * PAULI_Z, ID2 + (-1) ** a * PAULI_Z))
+        for x, a in np.ndindex(2, 2)
+    }
+    bob = {}
+    for y, b, bp in np.ndindex(2, 2, 2):
+        if bp == 1:
+            m = 0.5 * kron(ID2 + (-1) ** y * PAULI_Z, rho_b2)
+        else:
+            m = 0.25 * kron(ID2 + (-1) ** y * PAULI_X, ID2 + (-1) ** (b + y) * PAULI_Z)
+        bob[y, b, bp] = _read_only_choi(m)
+    return GameStrategy(lambda x, a: alice[x, a], lambda y, b, bp: bob[y, b, bp])
+
+
+_OCB_STRATEGY = _ocb_strategy(ID2 / 2)
+
+
 def ocb_strategy(bob_free_state=None):
     """The strategies achieving P_succ = (2 + sqrt 2)/4 on the OCB process.
 
     Alice measures and reprepares in z. For b' = 1 Bob reads z and reprepares
     an arbitrary state; for b' = 0 he measures x and encodes b in z with the
     sign fixed by his outcome.
+
+    The 12 Chois are built and validated when the strategy is made, and their
+    matrices are read-only; the default strategy is one shared instance.
     """
-    rho_b2 = ID2 / 2 if bob_free_state is None else np.asarray(bob_free_state, dtype=complex)
-
-    def alice(x, a):
-        m = 0.25 * kron(ID2 + (-1) ** x * PAULI_Z, ID2 + (-1) ** a * PAULI_Z)
-        return ChoiOperator(2, 2, m, Convention.TRANSPOSED)
-
-    def bob(y, b, bp):
-        if bp == 1:
-            m = 0.5 * kron(ID2 + (-1) ** y * PAULI_Z, rho_b2)
-        else:
-            m = 0.25 * kron(ID2 + (-1) ** y * PAULI_X, ID2 + (-1) ** (b + y) * PAULI_Z)
-        return ChoiOperator(2, 2, m, Convention.TRANSPOSED)
-
-    return GameStrategy(alice, bob)
+    if bob_free_state is None:
+        return _OCB_STRATEGY
+    return _ocb_strategy(np.asarray(bob_free_state, dtype=complex))
 
 
 def branch_probabilities(w, strategy):
@@ -143,7 +161,7 @@ class SwitchSpec:
         if not close(np.linalg.norm(psi, axis=-1), 1.0):
             raise ValueError("target state must be normalized")
         c = tuple(complex(x) for x in self.control_amplitudes)
-        if abs(abs(c[0]) ** 2 + abs(c[1]) ** 2 - 1.0) > DEFAULT_TOL:
+        if not close(abs(c[0]) ** 2 + abs(c[1]) ** 2, 1.0):
             raise ValueError("control amplitudes must be normalized")
         object.__setattr__(self, "target_state", psi)
         object.__setattr__(self, "control_amplitudes", c)

@@ -131,7 +131,7 @@ def state_process(rho, dims):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d_a_in * d_b_in,) * 2:
         raise ValueError("state must live on A_in (x) B_in")
-    if abs(np.trace(rho).real - 1.0) > DEFAULT_TOL:
+    if not close(np.trace(rho).real, 1.0):
         raise ValueError("state is not a density operator: trace is not 1")
     require_psd(rho, "state")
     full = kron(rho, np.eye(d_a_out * d_b_out))

@@ -111,6 +111,27 @@ def test_rejects_malformed_input_support():
         apply_agent_a_then_b(AgentAmplitudes(), ModelState(bad))
 
 
+def test_rejects_vanishing_or_nan_states():
+    with pytest.raises(ValueError, match="vanish"):
+        ModelState.from_target(np.zeros(5))
+    nan_state = np.zeros(DIMS, dtype=complex)
+    nan_state[1, 0, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="normalized"):
+        ModelState(nan_state)
+    with pytest.raises(ValueError, match="exceeds one"):
+        AgentAmplitudes(c_1a=np.nan)
+
+
+def test_modulus_in_the_slack_above_one_scatters_finitely():
+    # |c| = 1 + 1e-13 is within MODULUS_TOL; its complement clamps to 0
+    # instead of the square root of a negative number.
+    amps = AgentAmplitudes(c_1a=1 + 1e-13)
+    assert amps.d_a(1) == 0
+    out = apply_agent_a_then_b(amps, ModelState.from_target(E[1])).tensor
+    assert np.isfinite(out).all()
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-9
+
+
 def test_postselect_ideal_run():
     out = apply_agent_a_then_b(AgentAmplitudes(), ModelState.from_target(E[1]))
     selected, prob = postselect(out, 3)

@@ -60,6 +60,30 @@ def test_kron_index_formula_oracle():
     assert np.abs(got - expected).max() == 0
 
 
+def hypothesis_matrix(draw, complex_entries):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    size = rows * cols * (2 if complex_entries else 1)
+    entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+    values = np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+    if complex_entries:
+        values = values[0::2] + 1j * values[1::2]
+    return values.reshape(rows, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), factors=st.integers(1, 3), complex_entries=st.booleans())
+def test_kron_equals_numpy_kron_bit_for_bit(data, factors, complex_entries):
+    # Rectangular real or complex factors up to 4x4, signed zeros included.
+    matrices = [hypothesis_matrix(data.draw, complex_entries) for _ in range(factors)]
+    want = np.asarray(matrices[0], dtype=complex)
+    for m in matrices[1:]:
+        want = np.kron(want, np.asarray(m, dtype=complex))
+    got = kron(*matrices)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
 def test_kron_associativity_and_trace_product():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

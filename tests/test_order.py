@@ -211,8 +211,45 @@ def test_causal_bound_is_tight_for_identity_channel():
     assert abs(got - 0.75) < 1e-9
 
 
+def test_ocb_strategy_is_one_read_only_instance():
+    s = ocb_strategy()
+    assert s is ocb_strategy()
+    chois = [s.alice_choi(*k) for k in np.ndindex(2, 2)]
+    chois += [s.bob_choi(*k) for k in np.ndindex(2, 2, 2)]
+    chois += [ocb_strategy(bob_free_state=np.diag([1.0, 0.0])).bob_choi(0, 0, 1)]
+    for c in chois:
+        with pytest.raises(ValueError, match="read-only"):
+            c.matrix[0, 0] = 1.0
+
+
+def test_success_probability_builds_no_choi_operator(monkeypatch):
+    # The default strategy's 12 Chois are validated once, not per call.
+    calls = []
+    post_init = ChoiOperator.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        post_init(self)
+
+    w = ocb_process()
+    strategy = ocb_strategy()
+    monkeypatch.setattr(ChoiOperator, "__post_init__", counting)
+    assert abs(success_probability(w, strategy) - P_OCB) < 1e-9
+    assert abs(success_probability(w, ocb_strategy()) - P_OCB) < 1e-9
+    assert calls == []
+    # The counter sees constructions: a new strategy validates its 12 Chois.
+    ocb_strategy(bob_free_state=ID2 / 2)
+    assert len(calls) == 12
+
+
 def proj(v):
     return np.outer(v, v.conj())
+
+
+@pytest.mark.parametrize("control", [(np.nan, 0), (1, 1)])
+def test_switch_spec_rejects_unnormalized_control(control):
+    with pytest.raises(ValueError, match="control amplitudes"):
+        SwitchSpec(control_amplitudes=control)
 
 
 def test_switch_supermap_commuting_case():

@@ -72,6 +72,8 @@ def test_state_process_product_state_deterministic():
 def test_state_process_rejects_invalid_state():
     with pytest.raises(ValueError):
         state_process(np.eye(4), (2, 1, 2, 1))  # trace 4, not a state
+    with pytest.raises(ValueError, match="trace"):
+        state_process(np.full((4, 4), np.nan), (2, 1, 2, 1))
 
 
 def sequential_probability(m_op, channel, n_op, rho_b):

@@ -224,14 +224,14 @@ class SwitchModelResult:
     target: np.ndarray = None
 
 
-def _agent_target_split(branch, tol=DEFAULT_TOL):
+def _agent_target_split(branch):
     # branch: (6, 5, 5) tensor; if it is a product across the (agents |
     # target) cut, return (unit agent pattern, target carrying the weight).
     # The pattern phase is canonicalized on its largest component so that
     # diagonal measurement bases are well defined.
     flat = branch.reshape(30, 5)
     u, s, vh = np.linalg.svd(flat)
-    if s[0] < tol or (s.size > 1 and s[1] > tol * max(1.0, s[0])):
+    if s[0] < DEFAULT_TOL or (s.size > 1 and s[1] > DEFAULT_TOL * max(1.0, s[0])):
         return None
     pattern = u[:, 0]
     pivot = pattern[np.argmax(np.abs(pattern))]

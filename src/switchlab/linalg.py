@@ -58,9 +58,9 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def close(a, b, tol=DEFAULT_TOL):
-    """Entrywise equality within an absolute tolerance."""
-    return bool(np.abs(np.asarray(a) - np.asarray(b)).max() <= tol)
+def close(a, b):
+    """Entrywise equality within DEFAULT_TOL."""
+    return bool(np.abs(np.asarray(a) - np.asarray(b)).max() <= DEFAULT_TOL)
 
 
 def dagger(m):
@@ -126,75 +126,78 @@ def partial_trace(m, dims, keep):
     return t.reshape(d_keep, d_keep)
 
 
-def is_hermitian(m, tol=DEFAULT_TOL):
+def is_hermitian(m):
     """True iff the matrix, or every matrix of a (..., n, n) stack, is Hermitian."""
     m = np.asarray(m)
-    return bool(np.abs(m - dagger(m)).max() <= tol)
+    return close(m, dagger(m))
 
 
-def is_unitary(m, tol=DEFAULT_TOL):
+def is_unitary(m):
     """True iff the square matrix, or every matrix of a (..., n, n) stack, is
-    unitary within `tol`."""
+    unitary within DEFAULT_TOL."""
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return close(dagger(m) @ m, np.eye(m.shape[-1]), tol)
+    return close(dagger(m) @ m, np.eye(m.shape[-1]))
 
 
-def hermitian_eigen(m, tol=DEFAULT_TOL):
+def _hermitian_part(m):
+    # 0.5 (m + m^dag), for a matrix or every member of a stack, once m is
+    # known to be Hermitian within DEFAULT_TOL. eigh reads only one triangle,
+    # so symmetrizing keeps a roundoff-level asymmetry from biasing it.
+    m = np.asarray(m, dtype=complex)
+    m_dag = dagger(m)
+    if not close(m, m_dag):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return 0.5 * (m + m_dag)
+
+
+def hermitian_eigen(m):
     """Spectral decomposition of a Hermitian matrix, or of each matrix in a
     (..., n, n) stack.
 
     Returns (eigenvalues ascending, unitary matrix of eigenvector columns),
-    computed by LAPACK through ``numpy.linalg.eigh``, with the stack's leading
-    axes in front. Raises ValueError if any input matrix is not Hermitian
-    within `tol`. The input is symmetrized first, because ``eigh`` reads only
-    one triangle and would otherwise let a roundoff-level asymmetry bias the
-    result.
+    computed by LAPACK through ``numpy.linalg.eigh`` on the symmetrized input,
+    with the stack's leading axes in front. Raises ValueError if any input
+    matrix is not Hermitian within DEFAULT_TOL.
     """
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh(0.5 * (m + dagger(m)))
+    return np.linalg.eigh(_hermitian_part(m))
 
 
-def _low_eigenvalue(m, tol):
-    # None when positivity within `tol` is certified without an eigensolver:
-    # a Cholesky factor of sym + tol * 1 exists, for the symmetrized matrix or
-    # every member of a stack, iff no eigenvalue of sym lies below -tol (up to
-    # roundoff). Otherwise the smallest eigenvalue, which alone decides.
-    m = np.asarray(m, dtype=complex)
-    m_dag = dagger(m)
-    if not close(m, m_dag, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
+def _low_eigenvalue(m):
+    # None when positivity within DEFAULT_TOL is certified without an
+    # eigensolver: a Cholesky factor of sym + DEFAULT_TOL * 1 exists, for the
+    # symmetrized matrix or every member of a stack, iff no eigenvalue of sym
+    # lies below -DEFAULT_TOL (up to roundoff). Otherwise the smallest
+    # eigenvalue, which alone decides.
+    sym = _hermitian_part(m)
     try:
-        np.linalg.cholesky(0.5 * (m + m_dag) + tol * np.eye(m.shape[-1]))
+        np.linalg.cholesky(sym + DEFAULT_TOL * np.eye(sym.shape[-1]))
         return None
     except np.linalg.LinAlgError:
-        w, _ = hermitian_eigen(m, tol)
-        return w[..., 0].min()
+        return np.linalg.eigh(sym)[0][..., 0].min()
 
 
-def is_psd(m, tol=DEFAULT_TOL):
+def is_psd(m):
     """True iff the Hermitian matrix, or every matrix of a stack, has no
-    eigenvalue below -tol. One stacked Cholesky factorization certifies a pass;
-    the eigenvalues are computed only when it fails."""
-    low = _low_eigenvalue(m, tol)
-    return bool(low is None or low >= -tol)
+    eigenvalue below -DEFAULT_TOL. One stacked Cholesky factorization
+    certifies a pass; the eigenvalues are computed only when it fails."""
+    low = _low_eigenvalue(m)
+    return bool(low is None or low >= -DEFAULT_TOL)
 
 
-def require_psd(m, what, tol=DEFAULT_TOL):
+def require_psd(m, what):
     """Raise ValueError, naming the matrix as `what`, if it (or any matrix of
-    a stack) has an eigenvalue below -tol, or if it is not Hermitian. Decided
-    as :func:`is_psd` decides."""
-    low = _low_eigenvalue(m, tol)
-    if low is not None and low < -tol:
+    a stack) has an eigenvalue below -DEFAULT_TOL, or if it is not Hermitian.
+    Decided as :func:`is_psd` decides."""
+    low = _low_eigenvalue(m)
+    if low is not None and low < -DEFAULT_TOL:
         raise ValueError(f"{what} is not PSD (min eigenvalue {low:.3e})")
 
 
-def sqrtm_psd(m, tol=DEFAULT_TOL):
+def sqrtm_psd(m):
     """Hermitian square root of a positive semidefinite matrix."""
-    w, v = hermitian_eigen(m, tol)
-    if w[0] < -tol:
+    w, v = hermitian_eigen(m)
+    if w[0] < -DEFAULT_TOL:
         raise ValueError("matrix is not positive semidefinite")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

@@ -97,8 +97,8 @@ class Operation:
     def kraus_gram(self):
         return sum(dagger(e) @ e for e in self.kraus)
 
-    def is_trace_preserving(self, tol=DEFAULT_TOL):
-        return close(self.kraus_gram, np.eye(self.d_in), tol)
+    def is_trace_preserving(self):
+        return close(self.kraus_gram, np.eye(self.d_in))
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,10 @@ class Instrument:
                 raise ValueError("instrument element dimensions disagree")
 
 
-def validate_instrument(instr, tol=DEFAULT_TOL):
+def validate_instrument(instr):
     """True iff every element is trace-nonincreasing and the sum is CPTP."""
     total = sum(op.kraus_gram for op in instr.elements)
-    return close(total, np.eye(instr.d_in), tol)
+    return close(total, np.eye(instr.d_in))
 
 
 def apply_operation(op, rho):
@@ -153,9 +153,9 @@ class ChoiOperator:
         require_psd(m, "Choi matrix")
         object.__setattr__(self, "matrix", m)
 
-    def is_cptp(self, tol=DEFAULT_TOL):
+    def is_cptp(self):
         marg = partial_trace(self.matrix, (self.d_in, self.d_out), keep=(0,))
-        return close(marg, np.eye(self.d_in), tol)
+        return close(marg, np.eye(self.d_in))
 
 
 def _choi_vec(e):
@@ -194,10 +194,10 @@ def apply_choi(choi, rho):
     return np.einsum("im,maib->ab", rho, t).T
 
 
-def kraus_from_choi(choi, rank_tol=DEFAULT_TOL):
+def kraus_from_choi(choi):
     """Canonical Kraus family from a Choi matrix.
 
-    Eigenvectors with eigenvalue > rank_tol each yield one Kraus operator, so
+    Eigenvectors with eigenvalue > DEFAULT_TOL each yield one Kraus operator, so
     the Kraus rank equals the numerical rank and Tr(E_i E_j^dag) = lam_i d_ij.
     """
     m = choi.matrix
@@ -206,7 +206,7 @@ def kraus_from_choi(choi, rank_tol=DEFAULT_TOL):
     w, v = hermitian_eigen(m)
     kraus = []
     for lam, vec in zip(w, v.T):
-        if lam > rank_tol:
+        if lam > DEFAULT_TOL:
             e = np.sqrt(lam) * vec.reshape(choi.d_in, choi.d_out).T
             kraus.append(e)
     if not kraus:
@@ -214,10 +214,10 @@ def kraus_from_choi(choi, rank_tol=DEFAULT_TOL):
     return Operation(choi.d_in, choi.d_out, tuple(kraus))
 
 
-def choi_vector_of_unitary(u, tol=DEFAULT_TOL):
+def choi_vector_of_unitary(u):
     """Choi vector |U*>> = sum_k |k> (x) U*|k> of a unitary."""
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
     return _choi_vec(u.conj())
 
@@ -330,9 +330,8 @@ def rand_unitary(d, rng, shape=()):
     return q * (phases / np.abs(phases))[..., None, :]
 
 
-def rand_density(d, rng, rank=None):
-    rank = rank or d
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+def rand_density(d, rng):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

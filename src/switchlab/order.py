@@ -23,7 +23,7 @@ from .linalg import (
     kron,
     partial_trace,
 )
-from .ops import ChoiOperator, Convention, choi_vector_of_unitary, rand_unitary
+from .ops import ChoiOperator, Convention, rand_unitary
 from .process import _BLOCK, _require_rule, _rule_trace
 
 __all__ = [
@@ -122,8 +122,7 @@ def success_probability(w, strategy):
 def _reduced(w, party, chois):
     # W contracted with the sum of one party's Chois, after the probability
     # rule's checks on them, leaving the other party's factors.
-    for c in chois:
-        _require_rule(w, party, c.convention, c.d_in, c.d_out)
+    _require_rule(w, party, chois)
     choi_sum = sum(c.matrix for c in chois)
     if party == "Alice":
         full = kron(choi_sum, np.eye(w.d_b_in * w.d_b_out))
@@ -218,8 +217,9 @@ def contract_switch_vector(w_vec, ua, ub):
         if not is_unitary(u):
             raise ValueError("contraction defined here for unitary operations")
     w = w_vec.reshape(*lead, 2, 2, 2, 2, 2, 2)
-    bra_a = choi_vector_of_unitary(ua).conj().reshape(*lead, 2, 2)
-    bra_b = choi_vector_of_unitary(ub).conj().reshape(*lead, 2, 2)
+    # <<U*| reshaped to 2 x 2 is U^T.
+    bra_a = np.ascontiguousarray(ua.swapaxes(-1, -2))
+    bra_b = np.ascontiguousarray(ub.swapaxes(-1, -2))
     out = np.empty((*lead, 4), dtype=complex)
     # One contraction per member: a stacked einsum sums in another order.
     for i in np.ndindex(lead):

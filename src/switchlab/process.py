@@ -89,13 +89,15 @@ def _require_transposed(convention):
         raise ValueError("probability rule requires TRANSPOSED-convention Choi operators")
 
 
-def _require_rule(w, party, convention, d_in, d_out):
-    """The probability rule's checks on a Choi operator (or a stack of them)
-    of `party`, "Alice" or "Bob": TRANSPOSED convention, and the dimensions of
-    that party's side of W."""
-    _require_transposed(convention)
-    if (d_in, d_out) != (w.dims[:2] if party == "Alice" else w.dims[2:]):
-        raise ValueError(f"{party} Choi dimensions do not match the process")
+def _require_rule(w, party, chois):
+    """The probability rule's checks on the Choi operators of `party`, "Alice"
+    or "Bob": TRANSPOSED convention, and the dimensions of that party's side
+    of W."""
+    dims = w.dims[:2] if party == "Alice" else w.dims[2:]
+    for c in chois:
+        _require_transposed(c.convention)
+        if (c.d_in, c.d_out) != dims:
+            raise ValueError(f"{party} Choi dimensions do not match the process")
 
 
 def _real_probability(val):
@@ -114,8 +116,7 @@ def _rule_trace(w, terms):
     g = 0
     for alice, bob in terms:
         for party, chois in (("Alice", alice), ("Bob", bob)):
-            for c in chois:
-                _require_rule(w, party, c.convention, c.d_in, c.d_out)
+            _require_rule(w, party, chois)
         g = g + kron(sum(c.matrix for c in alice), sum(c.matrix for c in bob))
     return float(_real_probability(np.trace(w.matrix @ g)))
 
@@ -133,7 +134,6 @@ def state_process(rho, dims):
         raise ValueError("state must live on A_in (x) B_in")
     if not close(np.trace(rho).real, 1.0):
         raise ValueError("state is not a density operator: trace is not 1")
-    require_psd(rho, "state")
     full = kron(rho, np.eye(d_a_out * d_b_out))
     # built on (A_in, B_in, A_out, B_out); reorder to (A_in, A_out, B_in, B_out)
     ordered, _ = permute_subsystems(full, (d_a_in, d_b_in, d_a_out, d_b_out), (0, 2, 1, 3))
@@ -281,15 +281,14 @@ def _block_deviation(w, k, rng):
     # Largest |Tr[W (M (x) N)] - 1| over k random CPTP pairs, stacked. One
     # draw holds each sample's normals in rand_cptp's order: Alice real and
     # imaginary, then Bob real and imaginary.
-    sides = (("Alice", w.dims[:2]), ("Bob", w.dims[2:]))
-    shapes = [_ginibre_shape(d_in, d_out, _KRAUS_RANK) for _, (d_in, d_out) in sides]
+    sides = (w.dims[:2], w.dims[2:])
+    shapes = [_ginibre_shape(d_in, d_out, _KRAUS_RANK) for d_in, d_out in sides]
     sizes = [math.prod(shape) for shape in shapes for _ in range(2)]
     normals = np.split(rng.standard_normal((k, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
     chois = []
-    for i, (party, (d_in, d_out)) in enumerate(sides):
+    for i, (_, d_out) in enumerate(sides):
         real, imag = (x.reshape(k, *shapes[i]) for x in normals[2 * i : 2 * i + 2])
         chois.append(_cptp_chois(real + 1j * imag, d_out, _KRAUS_RANK))
-        _require_rule(w, party, Convention.TRANSPOSED, d_in, d_out)
     ma, nb = chois
     # M (x) N is formed, as probability() forms it, so that every trace has
     # probability()'s roundoff: the CLI prints the deviation to 12 digits.

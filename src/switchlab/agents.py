@@ -13,7 +13,6 @@ State layout: (A levels 6) x (B levels 5) x (target e_1..e_5) x (det A 2)
 x (det B 2).
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -347,9 +346,8 @@ def trigger_params(tau_star, interaction_width, potential, mass):
 
 def crossing_rotation_angle(p):
     """Rotation angle V0 epsilon / hbar picked up while the wavepacket crosses
-    the interaction zone; pi/2 exactly for constructor-built parameters."""
-    if not p.regime_ok:
-        warnings.warn("trigger outside its validity regime; rotation angle unreliable")
+    the interaction zone; pi/2 exactly for constructor-built parameters.
+    The model holds only where `p.regime_ok` is true."""
     return p.potential * p.crossing_window / HBAR
 
 

@@ -11,7 +11,6 @@ import json
 import math
 import numbers
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,9 +201,7 @@ def _scenario_grav_order(params, rng):
 
 def _scenario_trigger(params, rng):
     p = agents.trigger_params(params["tau_star"], params["width"], params["potential"], params["mass"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        angle = agents.crossing_rotation_angle(p)
+    angle = agents.crossing_rotation_angle(p)
     u = np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * linalg.PAULI_X
     fidelity = abs(np.vdot(np.array([0, 1]), u @ np.array([1, 0], dtype=complex)))
     outputs = {
@@ -221,6 +218,7 @@ def _scenario_trigger(params, rng):
         _check("rotation_angle_is_pi_over_2", float(np.pi / 2), angle, ROUNDOFF_TOL),
         _check("period_is_4_tau_star", 4.0 * params["tau_star"], p.period, ROUNDOFF_TOL),
         _check("rotation_lands_on_A1", 1.0, fidelity, ROUNDOFF_TOL),
+        _bool_check("regime_ok", True, p.regime_ok),
     ]
     return outputs, checks
 
@@ -287,7 +285,7 @@ SCENARIOS = {
         _scenario_grav_order,
     ),
     "trigger": (
-        {"tau_star": 1.0, "width": 1e-6, "potential": 1e-21, "mass": 1e-25},
+        {"tau_star": 1.0, "width": 1e-6, "potential": 1e-30, "mass": 1e-20},
         _scenario_trigger,
     ),
     "agent-switch": ({}, _scenario_agent_switch),

@@ -128,7 +128,6 @@ def partial_trace(m, dims, keep):
 
 def is_hermitian(m):
     """True iff the matrix, or every matrix of a (..., n, n) stack, is Hermitian."""
-    m = np.asarray(m)
     return close(m, dagger(m))
 
 
@@ -142,9 +141,9 @@ def is_unitary(m):
 
 
 def _hermitian_part(m):
-    # 0.5 (m + m^dag), for a matrix or every member of a stack, once m is
-    # known to be Hermitian within DEFAULT_TOL. eigh reads only one triangle,
-    # so symmetrizing keeps a roundoff-level asymmetry from biasing it.
+    # 0.5 (m + m^dag), for a matrix or every member of a stack, after checking
+    # that m is Hermitian within DEFAULT_TOL. eigh reads only one triangle, so
+    # symmetrizing keeps a roundoff-level asymmetry from biasing it.
     m = np.asarray(m, dtype=complex)
     m_dag = dagger(m)
     if not close(m, m_dag):
@@ -165,11 +164,10 @@ def hermitian_eigen(m):
 
 
 def _low_eigenvalue(m):
-    # None when positivity within DEFAULT_TOL is certified without an
-    # eigensolver: a Cholesky factor of sym + DEFAULT_TOL * 1 exists, for the
-    # symmetrized matrix or every member of a stack, iff no eigenvalue of sym
-    # lies below -DEFAULT_TOL (up to roundoff). Otherwise the smallest
-    # eigenvalue, which alone decides.
+    # None when positivity is certified without an eigensolver: a Cholesky
+    # factor of sym + DEFAULT_TOL * 1 exists, for the symmetrized matrix or
+    # every member of a stack, iff no eigenvalue of sym lies below -DEFAULT_TOL
+    # (up to roundoff). Otherwise the smallest eigenvalue, which alone decides.
     sym = _hermitian_part(m)
     try:
         np.linalg.cholesky(sym + DEFAULT_TOL * np.eye(sym.shape[-1]))

@@ -218,8 +218,7 @@ def contract_switch_vector(w_vec, ua, ub):
             raise ValueError("contraction defined here for unitary operations")
     w = w_vec.reshape(*lead, 2, 2, 2, 2, 2, 2)
     # <<U*| reshaped to 2 x 2 is U^T.
-    bra_a = np.ascontiguousarray(ua.swapaxes(-1, -2))
-    bra_b = np.ascontiguousarray(ub.swapaxes(-1, -2))
+    bra_a, bra_b = ua.swapaxes(-1, -2), ub.swapaxes(-1, -2)
     out = np.empty((*lead, 4), dtype=complex)
     # One contraction per member: a stacked einsum sums in another order.
     for i in np.ndindex(lead):
@@ -259,11 +258,7 @@ def control_measurement(state, sign):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     t = state.reshape(-1, 2)
-    target = (t[:, 0] + sign * t[:, 1]) / np.sqrt(2.0)
-    prob = float(np.linalg.norm(target) ** 2 / np.linalg.norm(state) ** 2)
-    if prob < ZERO_PROB_TOL:
-        return None, 0.0
-    return target / np.linalg.norm(target), prob
+    return _measured(state, (t[:, 0] + sign * t[:, 1]) / np.sqrt(2.0))
 
 
 def charlie_measurement(state, projector):
@@ -276,8 +271,15 @@ def charlie_measurement(state, projector):
         raise ValueError("projector dimension does not match the state")
     if not close(projector @ projector, projector):
         raise ValueError("measurement operator is not a projector")
-    out = projector @ state
-    prob = float(np.linalg.norm(out) ** 2 / np.linalg.norm(state) ** 2)
+    return _measured(state, projector @ state)
+
+
+def _measured(state, out):
+    # (normalized `out` or None, probability) for the part `out` of `state`.
+    norm = np.linalg.norm(state)
+    if not ZERO_PROB_TOL < norm < np.inf:
+        raise ValueError("state must be nonzero and finite")
+    prob = float(np.linalg.norm(out) ** 2 / norm ** 2)
     if prob < ZERO_PROB_TOL:
         return None, 0.0
     return out / np.linalg.norm(out), prob
@@ -313,8 +315,8 @@ def chsh_value(state, alice_obs=None, bob_obs=None):
         bra = state[i].conj()
         e00, e01, e10, e11 = (float(np.real(bra @ k @ state[i])) for k in operators)
         value = e00 + e01 + e10 - e11
-        if abs(value) > 2 * np.sqrt(2) + DEFAULT_TOL:
-            raise RuntimeError("CHSH value exceeds the Tsirelson bound; broken state or settings")
+        if not abs(value) <= 2 * np.sqrt(2) + DEFAULT_TOL:
+            raise RuntimeError(f"CHSH value {value} beyond the Tsirelson bound; broken state or settings")
         values[i] = value
     return values if state.ndim > 1 else float(values)
 
@@ -356,7 +358,7 @@ def temporal_order_state(u_a1, u_b1, u_a2, u_b2, psi1, psi2, sign):
           +- (U_A1 U_B1 psi1) (x) (U_B2 U_A2 psi2) ] / sqrt(2),
 
     normalized, on system-1 (x) system-2. A zero vector (identical branches
-    with sign -) raises ValueError.
+    with sign -) or a non-finite one raises ValueError.
     """
     mats = [np.asarray(u, dtype=complex) for u in (u_a1, u_b1, u_a2, u_b2)]
     for u in mats:
@@ -371,6 +373,6 @@ def temporal_order_state(u_a1, u_b1, u_a2, u_b2, psi1, psi2, sign):
     branch_kp = np.kron(u_a1 @ u_b1 @ psi1, u_b2 @ u_a2 @ psi2)
     out = (branch_k + sign * branch_kp) / np.sqrt(2.0)
     norm = np.linalg.norm(out)
-    if norm < DEFAULT_TOL:
-        raise ValueError("degenerate choice: the two order branches cancel")
+    if not DEFAULT_TOL <= norm < np.inf:
+        raise ValueError("degenerate choice: the two order branches cancel or are not finite")
     return out / norm

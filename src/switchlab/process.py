@@ -103,7 +103,7 @@ def _require_rule(w, party, chois):
 def _real_probability(val):
     # The probability rule's trace, or a stack of them, must be real.
     val = np.asarray(val)
-    bad = np.abs(val.imag) > DEFAULT_TOL
+    bad = ~(np.abs(val.imag) <= DEFAULT_TOL)
     if bad.any():
         raise ValueError(f"probability has imaginary part {val.imag[bad].flat[0]:.3e}")
     return val.real
@@ -232,7 +232,7 @@ def hs_decompose(w):
             raise ValueError("matrix dimension is not a fourth power")
     s = hs_basis(d)
     coeffs = np.einsum(_HS_DECOMPOSE, matrix.reshape((d,) * 8), s, s, s, s, optimize=True) / d ** 4
-    if np.abs(coeffs.imag).max() > DEFAULT_TOL:
+    if not np.abs(coeffs.imag).max() <= DEFAULT_TOL:
         raise ValueError("non-real Hilbert-Schmidt coefficient")
     return coeffs.real.copy()
 

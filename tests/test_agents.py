@@ -387,3 +387,11 @@ def test_both_orders_equal_the_branch_tables_bit_for_bit(c, deltas, gammas, alph
         (apply_agent_b_then_a, reference_b_then_a),
     ):
         assert_same_bits(order(amps, state).tensor, reference_apply(table, amps, state))
+
+
+def test_crossing_rotation_angle_leaves_the_regime_to_its_caller():
+    # Out of regime, the angle is still V0 epsilon / hbar, with no warning;
+    # the CLI reports the regime as a check.
+    bad = trigger_params(1.0, 1e-6, 1e-21, 1e-25)
+    assert not bad.regime_ok
+    assert abs(crossing_rotation_angle(bad) - np.pi / 2) < 1e-12

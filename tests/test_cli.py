@@ -99,7 +99,7 @@ def test_cli_suite_golden_and_out_file(tmp_path):
     assert out_file.read_text() == out
     suite = json.loads(out)
     assert suite["pass"]
-    assert len(suite["reports"]) == 8
+    assert len(suite["reports"]) == 9
 
 
 def test_cli_small_mass_params():
@@ -365,3 +365,9 @@ def test_every_param_value_gives_a_finite_report_or_a_named_error(tmp_path_facto
             coerced = int(float(cli_text)) if isinstance(default, int) else _round12(float(cli_text))
             assert run["inputs"][key] == coerced
             assert suite["reports"][0]["inputs"][key] == coerced
+
+
+def test_cli_trigger_outside_its_regime_fails_its_check():
+    code, out = run_cli(["run", "--scenario", "trigger", "--param", "potential=1e-21", "--param", "mass=1e-25"])
+    assert code == EXIT_CHECK_FAILED
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == ["regime_ok"]

@@ -578,3 +578,21 @@ def test_stacked_sampling_checks_every_member(monkeypatch, name, which, scale, e
         stacked(129, np.random.default_rng(3))
     monkeypatch.setattr(order, "rand_unitary", corrupt_one_draw(129, which, scale))
     stacked(129, np.random.default_rng(3))
+
+
+def test_chsh_value_rejects_a_nan_state():
+    with pytest.raises(RuntimeError, match="Tsirelson"):
+        chsh_value(np.array([np.nan, 0, 0, 0]))
+
+
+def test_temporal_order_state_rejects_a_nan_target():
+    with pytest.raises(ValueError, match="not finite"):
+        temporal_order_state(*TEMPORAL_ORDER_UNITARIES, np.array([np.nan, 0]), KET0, +1)
+
+
+@pytest.mark.parametrize("state", [np.zeros(4), np.array([np.nan, 0, 0, 0])], ids=["zero", "nan"])
+def test_measurements_reject_a_vanishing_or_nan_state(state):
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        control_measurement(state, +1)
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        order.charlie_measurement(state, np.eye(4))

@@ -416,3 +416,15 @@ def test_signaling_diagnostics():
     # the OCB process signals both ways
     assert not no_signaling_a_to_b(ocb_process())
     assert not no_signaling_b_to_a(ocb_process())
+
+
+def test_real_probability_rejects_a_nan_imaginary_part():
+    from switchlab.process import _real_probability
+
+    with pytest.raises(ValueError, match="imaginary part"):
+        _real_probability(complex(0.5, np.nan))
+
+
+def test_hs_decompose_rejects_nan():
+    with pytest.raises(ValueError):
+        hs_decompose(np.full((16, 16), np.nan))

@@ -133,9 +133,9 @@ def is_hermitian(m):
 
 def is_unitary(m):
     """True iff the square matrix, or every matrix of a (..., n, n) stack, is
-    unitary within DEFAULT_TOL."""
+    finite and unitary within DEFAULT_TOL."""
     m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or not np.isfinite(m).all():
         return False
     return close(dagger(m) @ m, np.eye(m.shape[-1]))
 

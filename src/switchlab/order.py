@@ -6,6 +6,7 @@ Bit convention throughout: bit 0 encodes |up> = |0>, bit 1 encodes
 Switch states live on target (x) control, in that factor order.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .linalg import (
     partial_trace,
 )
 from .ops import ChoiOperator, Convention, rand_unitary
-from .process import _BLOCK, _require_rule, _rule_trace
+from .process import _BLOCK, _require_dims, _require_rule, _require_transposed, _rule_operator, _rule_trace
 
 __all__ = [
     "GameStrategy",
@@ -52,11 +53,37 @@ class GameStrategy:
     """Instrument-element Chois played by Alice and Bob in the causal game.
 
     `alice_choi(x, a)` and `bob_choi(y, b, bp)` return TRANSPOSED-convention
-    Choi operators; summed over the guess bit they must be CPTP.
+    Choi operators; summed over the guess bit they must be CPTP. The game
+    operators are built from them once per instance, on first use.
     """
 
     alice_choi: object
     bob_choi: object
+
+    @functools.cached_property
+    def _game(self):
+        """(Alice's (d_in, d_out), Bob's (d_in, d_out), G_A, G_B), from the 12
+        distinct instrument elements, each asked for once:
+        G_A = sum_b (sum_a M(b,a)) (x) (sum_y N(y,b,0))  (Alice guesses b),
+        G_B = sum_a (sum_x M(x,a)) (x) (sum_b N(a,b,1))  (Bob guesses a).
+        Every Choi must be TRANSPOSED, and each party's must share one shape.
+        """
+        m = {k: self.alice_choi(*k) for k in np.ndindex(2, 2)}
+        n = {k: self.bob_choi(*k) for k in np.ndindex(2, 2, 2)}
+        dims = []
+        for party, chois in (("Alice", m.values()), ("Bob", n.values())):
+            for c in chois:
+                _require_transposed(c.convention)
+            shapes = {(c.d_in, c.d_out) for c in chois}
+            if len(shapes) != 1:
+                # No process matches both of a party's shapes.
+                raise ValueError(f"{party} Choi dimensions do not match the process")
+            dims.append(shapes.pop())
+        g_alice = _rule_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)])
+        g_bob = _rule_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)])
+        for g in (g_alice, g_bob):
+            g.setflags(write=False)
+        return (*dims, g_alice, g_bob)
 
 
 def _read_only_choi(m):
@@ -101,16 +128,11 @@ def ocb_strategy(bob_free_state=None):
 
 
 def branch_probabilities(w, strategy):
-    """(P(x=b | b'=0), P(y=a | b'=1)) with uniform random bits, each the
-    probability rule Tr[W G] on one game operator, built from the 12 distinct
-    instrument elements:
-    G_A = 1/4 sum_b (sum_a M(b,a)) (x) (sum_y N(y,b,0))  (Alice guesses b),
-    G_B = 1/4 sum_a (sum_x M(x,a)) (x) (sum_b N(a,b,1))  (Bob guesses a).
-    """
-    m = {k: strategy.alice_choi(*k) for k in np.ndindex(2, 2)}
-    n = {k: strategy.bob_choi(*k) for k in np.ndindex(2, 2, 2)}
-    g_alice = [([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)]
-    g_bob = [([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)]
+    """(P(x=b | b'=0), P(y=a | b'=1)) with uniform random bits: 1/4 Tr[W G_A]
+    and 1/4 Tr[W G_B] on the strategy's game operators (see GameStrategy)."""
+    dims_alice, dims_bob, g_alice, g_bob = strategy._game
+    _require_dims(w, "Alice", dims_alice)
+    _require_dims(w, "Bob", dims_bob)
     return 0.25 * _rule_trace(w, g_alice), 0.25 * _rule_trace(w, g_bob)
 
 
@@ -175,6 +197,11 @@ def switch_supermap_state(ua, ub, spec):
     for u in (ua, ub):
         if not is_unitary(u):
             raise ValueError("switch branches must be unitary")
+    return _switch_supermap(ua, ub, spec)
+
+
+def _switch_supermap(ua, ub, spec):
+    # switch_supermap_state on complex unitaries already proved unitary.
     c0, c1 = spec.control_amplitudes
     psi = spec.target_state[..., None]
     # v (x) |0> and v (x) |1> as kron forms them, on target column vectors.
@@ -241,8 +268,9 @@ def max_contraction_deviation(pairs, rng):
         draws = rand_unitary(2, rng, (min(_BLOCK, pairs - start), 3))
         target, ua, ub = np.moveaxis(draws, 1, 0)
         spec = SwitchSpec(target_state=target[..., 0])
+        # contract_switch_vector proves ua and ub unitary for both.
         contracted = contract_switch_vector(switch_process_vector(spec), ua, ub)
-        supermap = switch_supermap_state(ua, ub, spec)
+        supermap = _switch_supermap(ua, ub, spec)
         for c, s in zip(contracted, supermap):
             worst = max(worst, abs(abs(np.vdot(c, s)) ** 2 - 1.0))
     return worst
@@ -257,8 +285,12 @@ def control_measurement(state, sign):
         raise ValueError("state must end in a qubit control factor")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    t = state.reshape(-1, 2)
-    return _measured(state, (t[:, 0] + sign * t[:, 1]) / np.sqrt(2.0))
+
+    def project(v):
+        t = v.reshape(-1, 2)
+        return (t[:, 0] + sign * t[:, 1]) / np.sqrt(2.0)
+
+    return _measured(state, project)
 
 
 def charlie_measurement(state, projector):
@@ -269,16 +301,31 @@ def charlie_measurement(state, projector):
     projector = np.asarray(projector, dtype=complex)
     if projector.shape != (state.size, state.size):
         raise ValueError("projector dimension does not match the state")
-    if not close(projector @ projector, projector):
+    if not (np.isfinite(projector).all() and close(projector @ projector, projector)):
         raise ValueError("measurement operator is not a projector")
-    return _measured(state, projector @ state)
+    return _measured(state, lambda v: projector @ v)
 
 
-def _measured(state, out):
-    # (normalized `out` or None, probability) for the part `out` of `state`.
-    norm = np.linalg.norm(state)
-    if not ZERO_PROB_TOL < norm < np.inf:
+def _unit_scale(v):
+    """A power of two, or one per vector of a (..., n) stack, that brings a
+    normal largest modulus into [0.5, 1); a zero vector gets 1. Multiplying by
+    it is exact, so results keep their bits, and no product or norm of the
+    scaled vector can overflow."""
+    _, exponent = np.frexp(np.abs(v).max(axis=-1))
+    return np.ldexp(1.0, -np.maximum(exponent, np.finfo(float).minexp))
+
+
+def _measured(state, project):
+    # (normalized project(state) or None, probability), for a linear
+    # `project`, formed on the state scaled by _unit_scale.
+    if not np.isfinite(state).all():
         raise ValueError("state must be nonzero and finite")
+    scale = _unit_scale(state)
+    state = state * scale
+    norm = np.linalg.norm(state)
+    if not norm > ZERO_PROB_TOL * scale:
+        raise ValueError("state must be nonzero and finite")
+    out = project(state)
     prob = float(np.linalg.norm(out) ** 2 / norm ** 2)
     if prob < ZERO_PROB_TOL:
         return None, 0.0
@@ -304,6 +351,11 @@ def chsh_value(state, alice_obs=None, bob_obs=None):
     state = np.asarray(state, dtype=complex)
     if state.shape[-1:] != (4,):
         raise ValueError("CHSH evaluation needs a two-qubit state vector")
+    # hypot sums without squaring, so a finite state's norm cannot overflow.
+    norms = np.hypot.reduce(np.abs(state), axis=-1)
+    off = np.abs(norms - 1.0) > DEFAULT_TOL
+    if off.any():
+        raise ValueError(f"CHSH evaluation needs a normalized state, not one of norm {norms[off].flat[0]:.6g}")
     for obs in tuple(alice_obs) + tuple(bob_obs):
         obs = np.asarray(obs, dtype=complex)
         if not (is_hermitian(obs) and close(obs @ obs, ID2)):
@@ -357,8 +409,8 @@ def temporal_order_state(u_a1, u_b1, u_a2, u_b2, psi1, psi2, sign):
         [ (U_B1 U_A1 psi1) (x) (U_A2 U_B2 psi2)
           +- (U_A1 U_B1 psi1) (x) (U_B2 U_A2 psi2) ] / sqrt(2),
 
-    normalized, on system-1 (x) system-2. A zero vector (identical branches
-    with sign -) or a non-finite one raises ValueError.
+    normalized, on system-1 (x) system-2. A non-finite target, or a zero
+    vector (identical branches with sign -), raises ValueError.
     """
     mats = [np.asarray(u, dtype=complex) for u in (u_a1, u_b1, u_a2, u_b2)]
     for u in mats:
@@ -369,10 +421,18 @@ def temporal_order_state(u_a1, u_b1, u_a2, u_b2, psi1, psi2, sign):
     psi2 = np.asarray(psi2, dtype=complex)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if not (np.isfinite(psi1).all() and np.isfinite(psi2).all()):
+        raise ValueError("target states are not finite")
+    # The output is bilinear in the targets, so scaling each by _unit_scale
+    # leaves the normalized result's bits unchanged.
+    scale1, scale2 = _unit_scale(psi1), _unit_scale(psi2)
+    psi1, psi2 = psi1 * scale1, psi2 * scale2
     branch_k = np.kron(u_b1 @ u_a1 @ psi1, u_a2 @ u_b2 @ psi2)
     branch_kp = np.kron(u_a1 @ u_b1 @ psi1, u_b2 @ u_a2 @ psi2)
     out = (branch_k + sign * branch_kp) / np.sqrt(2.0)
     norm = np.linalg.norm(out)
-    if not DEFAULT_TOL <= norm < np.inf:
-        raise ValueError("degenerate choice: the two order branches cancel or are not finite")
+    # DEFAULT_TOL bounds the unscaled norm. For huge targets its scaled form
+    # underflows to zero, and a zero vector is degenerate at any scale.
+    if not 0 < norm >= DEFAULT_TOL * scale1 * scale2:
+        raise ValueError("degenerate choice: the two order branches cancel")
     return out / norm

@@ -8,6 +8,7 @@ the PLAIN convention is rejected so the two can never be mixed, which would
 silently transpose one tensor factor.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,15 +90,19 @@ def _require_transposed(convention):
         raise ValueError("probability rule requires TRANSPOSED-convention Choi operators")
 
 
+def _require_dims(w, party, dims):
+    # The probability rule's check that a Choi of `party`, "Alice" or "Bob",
+    # with (d_in, d_out) = `dims` fits that party's side of W.
+    if dims != (w.dims[:2] if party == "Alice" else w.dims[2:]):
+        raise ValueError(f"{party} Choi dimensions do not match the process")
+
+
 def _require_rule(w, party, chois):
-    """The probability rule's checks on the Choi operators of `party`, "Alice"
-    or "Bob": TRANSPOSED convention, and the dimensions of that party's side
-    of W."""
-    dims = w.dims[:2] if party == "Alice" else w.dims[2:]
+    """The probability rule's checks on the Choi operators of `party`:
+    TRANSPOSED convention, and the dimensions of that party's side of W."""
     for c in chois:
         _require_transposed(c.convention)
-        if (c.d_in, c.d_out) != dims:
-            raise ValueError(f"{party} Choi dimensions do not match the process")
+        _require_dims(w, party, (c.d_in, c.d_out))
 
 
 def _real_probability(val):
@@ -109,21 +114,26 @@ def _real_probability(val):
     return val.real
 
 
-def _rule_trace(w, terms):
-    """The probability rule Tr[W G] for G = sum over `terms` = [(Alice Chois,
-    Bob Chois), ...] of (sum of Alice's) (x) (sum of Bob's), after the rule's
-    checks on every Choi."""
+def _rule_operator(terms):
+    """G = sum over `terms` = [(Alice Chois, Bob Chois), ...] of
+    (sum of Alice's) (x) (sum of Bob's), the operator the probability rule
+    traces against W."""
     g = 0
     for alice, bob in terms:
-        for party, chois in (("Alice", alice), ("Bob", bob)):
-            _require_rule(w, party, chois)
         g = g + kron(sum(c.matrix for c in alice), sum(c.matrix for c in bob))
+    return g
+
+
+def _rule_trace(w, g):
+    """The probability rule Tr[W G], which must be real."""
     return float(_real_probability(np.trace(w.matrix @ g)))
 
 
 def probability(w, choi_a, choi_b):
     """Joint probability Tr[W (M (x) N)] for one instrument element each."""
-    return _rule_trace(w, [((choi_a,), (choi_b,))])
+    _require_rule(w, "Alice", (choi_a,))
+    _require_rule(w, "Bob", (choi_b,))
+    return _rule_trace(w, _rule_operator([((choi_a,), (choi_b,))]))
 
 
 def state_process(rho, dims):
@@ -212,6 +222,20 @@ _HS_DECOMPOSE = "ijklmnop,ami,bnj,cok,epl->abce"
 _HS_RECONSTRUCT = "abce,aim,bjn,cko,elp->ijklmnop"
 
 
+@functools.lru_cache(maxsize=None)
+def _hs_plan(d):
+    """(read-only hs_basis(d), decompose path, reconstruct path) at local
+    dimension d. The paths are numpy's greedy search for the two contractions,
+    run once: einsum given a path contracts in that order, so its results
+    equal those of ``optimize=True`` bit for bit."""
+    s = hs_basis(d)
+    s.setflags(write=False)
+    n = d * d
+    decompose, _ = np.einsum_path(_HS_DECOMPOSE, np.empty((d,) * 8, dtype=complex), s, s, s, s, optimize=True)
+    reconstruct, _ = np.einsum_path(_HS_RECONSTRUCT, np.empty((n,) * 4), s, s, s, s, optimize=True)
+    return s, decompose, reconstruct
+
+
 def hs_decompose(w):
     """Coefficients w_abcd of W = sum w_abcd s_a (x) s_b (x) s_c (x) s_d,
     that is w_abcd = Tr[W s_a (x) s_b (x) s_c (x) s_d] / d^4.
@@ -230,8 +254,8 @@ def hs_decompose(w):
         d = round(matrix.shape[0] ** 0.25)
         if d ** 4 != matrix.shape[0]:
             raise ValueError("matrix dimension is not a fourth power")
-    s = hs_basis(d)
-    coeffs = np.einsum(_HS_DECOMPOSE, matrix.reshape((d,) * 8), s, s, s, s, optimize=True) / d ** 4
+    s, path, _ = _hs_plan(d)
+    coeffs = np.einsum(_HS_DECOMPOSE, matrix.reshape((d,) * 8), s, s, s, s, optimize=path) / d ** 4
     if not np.abs(coeffs.imag).max() <= DEFAULT_TOL:
         raise ValueError("non-real Hilbert-Schmidt coefficient")
     return coeffs.real.copy()
@@ -239,8 +263,8 @@ def hs_decompose(w):
 
 def hs_reconstruct(coeffs, d):
     """Inverse of :func:`hs_decompose` (returns the bare matrix)."""
-    s = hs_basis(d)
-    return np.einsum(_HS_RECONSTRUCT, coeffs, s, s, s, s, optimize=True).reshape(d ** 4, d ** 4)
+    s, _, path = _hs_plan(d)
+    return np.einsum(_HS_RECONSTRUCT, coeffs, s, s, s, s, optimize=path).reshape(d ** 4, d ** 4)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from switchlab import order
 
-from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron
+from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, is_unitary, kron
 from switchlab.ops import (
     ChoiOperator,
     Convention,
@@ -566,9 +568,10 @@ def corrupt_one_draw(index, which, scale):
     [
         ("switch-contract", 1, 1.01, ValueError, "defined here for unitary operations"),
         ("switch-contract", 0, 1.01, ValueError, "target state must be normalized"),
-        ("chsh-temporal", 0, 10.0, RuntimeError, "Tsirelson bound"),
+        ("chsh-temporal", 0, 10.0, ValueError, "normalized state, not one of norm 10"),
+        ("chsh-temporal", 0, np.nan, RuntimeError, "Tsirelson bound"),
     ],
-    ids=["non-unitary-U_A", "unnormalized-target", "beyond-Tsirelson"],
+    ids=["non-unitary-U_A", "unnormalized-target", "unnormalized-state", "beyond-Tsirelson"],
 )
 def test_stacked_sampling_checks_every_member(monkeypatch, name, which, scale, error, message):
     # Only sample 100 of 129, inside the second block, is corrupted.
@@ -596,3 +599,127 @@ def test_measurements_reject_a_vanishing_or_nan_state(state):
         control_measurement(state, +1)
     with pytest.raises(ValueError, match="nonzero and finite"):
         order.charlie_measurement(state, np.eye(4))
+
+
+def counting_strategy(strategy):
+    """`strategy` with callables that record every (party, bits) asked for."""
+    asked = []
+
+    def alice(x, a):
+        asked.append(("Alice", x, a))
+        return strategy.alice_choi(x, a)
+
+    def bob(y, b, bp):
+        asked.append(("Bob", y, b, bp))
+        return strategy.bob_choi(y, b, bp)
+
+    return GameStrategy(alice, bob), asked
+
+
+def test_game_strategy_asks_for_its_chois_once():
+    counted, asked = counting_strategy(ocb_strategy())
+    w = ocb_process()
+    for _ in range(3):
+        assert abs(success_probability(w, counted) - P_OCB) < 1e-9
+    assert branch_probabilities(w, counted) == branch_probabilities(w, ocb_strategy())
+    assert len(asked) == 12 and len(set(asked)) == 12
+
+
+def test_game_strategy_checks_the_process_on_every_call():
+    # The operators are built once; the dimension check is made per process.
+    good = ocb_strategy()
+    wide = channel_process_reverse(ID2 / 2, choi_of_operation(rand_cptp(3, 2, 2, np.random.default_rng(5))))
+    narrow = channel_process(np.eye(3) / 3, choi_of_operation(rand_cptp(2, 2, 2, np.random.default_rng(6))))
+    assert abs(success_probability(ocb_process(), good) - P_OCB) < 1e-9
+    with pytest.raises(ValueError, match="Alice Choi dimensions do not match the process"):
+        success_probability(wide, good)
+    with pytest.raises(ValueError, match="Bob Choi dimensions do not match the process"):
+        success_probability(narrow, good)
+    assert abs(success_probability(ocb_process(), good) - P_OCB) < 1e-9
+
+
+def test_game_strategy_rejects_mixed_choi_shapes():
+    good = ocb_strategy()
+
+    def mixed_bob(y, b, bp):
+        return ChoiOperator(2, 3, np.eye(6) / 3) if bp else good.bob_choi(y, b, bp)
+
+    with pytest.raises(ValueError, match="Bob Choi dimensions do not match the process"):
+        success_probability(ocb_process(), GameStrategy(good.alice_choi, mixed_bob))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.floats(0.0, 1.0),
+    ranks=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    free_state=st.booleans(),
+)
+def test_causal_mixtures_never_beat_three_quarters(seed, q, ranks, free_state):
+    # Every convex mixture of the two one-way channel processes
+    # stays within the causal bound, scored through the cached game operators.
+    rng = np.random.default_rng(seed)
+    w_ba = channel_process(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, ranks[0], rng)))
+    w_ab = channel_process_reverse(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, ranks[1], rng)))
+    strategy = ocb_strategy(bob_free_state=rand_density(2, rng)) if free_state else ocb_strategy()
+    assert success_probability(causal_mixture(w_ab, w_ba, q), strategy) <= 0.75 + 1e-9
+
+
+def test_contraction_deviation_proves_each_block_unitary_once(monkeypatch):
+    checked = []
+
+    def counting(u):
+        checked.append(np.shape(u))
+        return is_unitary(u)
+
+    monkeypatch.setattr(order, "is_unitary", counting)
+    assert max_contraction_deviation(129, np.random.default_rng(2)) < 1e-9
+    # Three blocks of 64, 64 and 1 pairs, U_A and U_B each.
+    assert checked == [(64, 2, 2)] * 4 + [(1, 2, 2)] * 2
+
+
+@pytest.mark.parametrize("norm", [0.3, 2.0, 1e300, np.inf], ids=["short", "long", "huge", "infinite"])
+def test_chsh_value_rejects_an_unnormalized_state(norm):
+    with pytest.raises(ValueError, match=re.escape(f"norm {norm:.6g}")):
+        chsh_value(np.array([norm, 0, 0, 0]))
+
+
+def test_chsh_value_rejects_an_unnormalized_member_of_a_stack():
+    stack = np.array([np.kron(KET0, KET0)] * 5)
+    assert chsh_value(stack).shape == (5,)
+    stack[3] *= 1.5
+    with pytest.raises(ValueError, match="norm 1.5"):
+        chsh_value(stack)
+
+
+def test_measurements_scale_a_huge_state_without_overflow():
+    # pytest turns an overflow warning into an error. A power-of-two multiple
+    # of a state gives the same bits; any other multiple the same values.
+    state = np.array([0.6, 0.0, 0.0, 0.8j])
+    projector = np.diag([1.0, 0.0, 0.0, 0.0])
+    for measure in (lambda s: control_measurement(s, +1), lambda s: order.charlie_measurement(s, projector)):
+        target, prob = measure(state)
+        for factor in (2.0 ** 1000, 2.0 ** -30):
+            scaled_target, scaled_prob = measure(factor * state)
+            assert scaled_prob == prob and np.array_equal(scaled_target, target)
+        huge_target, huge_prob = measure(1e300 * state)
+        assert abs(huge_prob - prob) < 1e-15 and np.abs(huge_target - target).max() < 1e-15
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        control_measurement(np.array([np.inf, 0, 0, 0]), +1)
+    with pytest.raises(ValueError, match="not a projector"):
+        order.charlie_measurement(state, np.diag([np.inf, 0.0, 0.0, 0.0]))
+
+
+def test_temporal_order_state_scales_its_targets_without_overflow():
+    want = temporal_order_state(*TEMPORAL_ORDER_UNITARIES, KET0, KET0, +1)
+    for factor in (2.0 ** 1000, 2.0 ** -1000):
+        got = temporal_order_state(*TEMPORAL_ORDER_UNITARIES, factor * KET0, KET0 / factor, +1)
+        assert np.array_equal(got, want)
+    huge = temporal_order_state(*TEMPORAL_ORDER_UNITARIES, 1e300 * KET0, 1e300 * KET0, +1)
+    assert np.abs(huge - want).max() < 1e-15
+    with pytest.raises(ValueError, match="not finite"):
+        temporal_order_state(*TEMPORAL_ORDER_UNITARIES, np.array([np.inf, 0]), KET0, +1)
+    with pytest.raises(ValueError, match="must be unitary"):
+        temporal_order_state(np.diag([np.inf, 1.0]), ID2, ID2, ID2, KET0, KET0, +1)
+    with pytest.raises(ValueError, match="cancel"):
+        temporal_order_state(ID2, ID2, ID2, ID2, 1e200 * KET0, 1e200 * KET0, -1)

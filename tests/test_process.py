@@ -428,3 +428,42 @@ def test_real_probability_rejects_a_nan_imaginary_part():
 def test_hs_decompose_rejects_nan():
     with pytest.raises(ValueError):
         hs_decompose(np.full((16, 16), np.nan))
+
+
+# The contraction strings hs_decompose and hs_reconstruct evaluate.
+HS_DECOMPOSE = "ijklmnop,ami,bnj,cok,epl->abce"
+HS_RECONSTRUCT = "abce,aim,bjn,cko,elp->ijklmnop"
+
+
+def hs_references(h, d):
+    """Decomposition and reconstruction by a fresh einsum with numpy's own
+    path search on every call, which the cached plans must equal bit for bit."""
+    s = hs_basis(d)
+    coeffs = np.einsum(HS_DECOMPOSE, h.reshape((d,) * 8), s, s, s, s, optimize=True) / d ** 4
+    coeffs = coeffs.real
+    rebuilt = np.einsum(HS_RECONSTRUCT, coeffs, s, s, s, s, optimize=True).reshape(d ** 4, d ** 4)
+    return coeffs, rebuilt
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
+def test_hs_plans_equal_a_fresh_path_search_bit_for_bit(d, seed, scale):
+    rng = np.random.default_rng(seed)
+    n = d ** 4
+    g = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    h = g + g.conj().T
+    want_coeffs, want_rebuilt = hs_references(h, d)
+    coeffs = hs_decompose(h)
+    assert np.array_equal(coeffs, want_coeffs)
+    assert np.array_equal(hs_reconstruct(coeffs, d), want_rebuilt)
+
+
+def test_hs_basis_returns_a_fresh_array_that_the_plans_do_not_share():
+    h = ocb_process().matrix
+    before = hs_decompose(h)
+    basis = hs_basis(2)
+    assert basis.flags.writeable
+    basis[...] = 7.0
+    hs_basis(2)[1] = 0.0
+    assert np.array_equal(hs_decompose(h), before)
+    assert np.array_equal(hs_reconstruct(before, 2), hs_references(h, 2)[1])

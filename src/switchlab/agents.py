@@ -197,12 +197,11 @@ def _detector_pattern(zeta):
 
 
 def postselect(state, zeta):
-    """Project onto the herald pattern zeta; returns (state, probability),
-    with state None on a zero-probability pattern."""
+    """Project a ModelState onto the herald pattern zeta; returns
+    (state, probability), with state None on a zero-probability pattern."""
     det_a, det_b = _detector_pattern(zeta)
-    t = np.asarray(state.tensor if isinstance(state, ModelState) else state, dtype=complex)
     projected = np.zeros(DIMS, dtype=complex)
-    projected[:, :, :, det_a, det_b] = t[:, :, :, det_a, det_b]
+    projected[:, :, :, det_a, det_b] = state.tensor[:, :, :, det_a, det_b]
     prob = float(np.linalg.norm(projected) ** 2)
     if prob < ZERO_PROB_TOL:
         return None, 0.0
@@ -305,6 +304,10 @@ class TriggerParams:
     amplitude: float = None
 
     def __post_init__(self):
+        given = (self.omega, self.tau_star, self.interaction_width, self.potential, self.mass, self.amplitude)
+        # `x > 0` is false for NaN, so NaN is rejected too.
+        if not all(x > 0 for x in given if x is not None):
+            raise ValueError("trigger parameters must be positive")
         if self.amplitude is None:
             a = 2.0 * self.interaction_width * self.potential / (np.pi * HBAR * self.omega)
             object.__setattr__(self, "amplitude", a)
@@ -338,7 +341,7 @@ class TriggerParams:
 
 def trigger_params(tau_star, interaction_width, potential, mass):
     """Build trigger parameters from the alarm time: omega = pi / (2 tau*)."""
-    if min(tau_star, interaction_width, potential, mass) <= 0:
+    if not tau_star > 0:
         raise ValueError("trigger parameters must be positive")
     omega = np.pi / (2.0 * tau_star)
     return TriggerParams(omega, tau_star, interaction_width, potential, mass)

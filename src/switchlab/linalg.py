@@ -23,7 +23,6 @@ __all__ = [
     "ESTIMATE_REL_TOL",
     "close",
     "dagger",
-    "is_hermitian",
     "is_psd",
     "require_psd",
     "is_unitary",
@@ -31,7 +30,6 @@ __all__ = [
     "hermitian_eigen",
     "partial_trace",
     "permute_subsystems",
-    "sqrtm_psd",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -126,11 +124,6 @@ def partial_trace(m, dims, keep):
     return t.reshape(d_keep, d_keep)
 
 
-def is_hermitian(m):
-    """True iff the matrix, or every matrix of a (..., n, n) stack, is Hermitian."""
-    return close(m, dagger(m))
-
-
 def is_unitary(m):
     """True iff the square matrix, or every matrix of a (..., n, n) stack, is
     finite and unitary within DEFAULT_TOL."""
@@ -191,11 +184,3 @@ def require_psd(m, what):
     low = _low_eigenvalue(m)
     if low is not None and low < -DEFAULT_TOL:
         raise ValueError(f"{what} is not PSD (min eigenvalue {low:.3e})")
-
-
-def sqrtm_psd(m):
-    """Hermitian square root of a positive semidefinite matrix."""
-    w, v = hermitian_eigen(m)
-    if w[0] < -DEFAULT_TOL:
-        raise ValueError("matrix is not positive semidefinite")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

@@ -27,7 +27,6 @@ from .linalg import (
     kron,
     partial_trace,
     require_psd,
-    sqrtm_psd,
 )
 
 __all__ = [
@@ -60,9 +59,8 @@ class Convention(enum.Enum):
 
 
 def _require_trace_nonincreasing(kraus):
-    # sum E^dag E <= 1 for a Kraus family, or for every member of a stack of
-    # families whose operators are (k, d_out, d_in) stacks: its largest
-    # eigenvalue is at most 1 + tol iff 1 - sum E^dag E has none below -tol.
+    # sum E^dag E <= 1: its largest eigenvalue is at most 1 + tol iff
+    # 1 - sum E^dag E has none below -tol.
     gram = sum(dagger(e) @ e for e in kraus)
     if not is_psd(np.eye(gram.shape[-1]) - gram):
         raise ValueError("Kraus family is trace-increasing: sum E^dag E > 1")
@@ -268,7 +266,9 @@ def stinespring_dilation(op):
     defect = np.eye(d_sys, dtype=complex) - sum(dagger(p) @ p for p in padded)
     needs_completion = not close(defect, 0)
     if needs_completion:
-        padded.append(sqrtm_psd(defect))
+        # Operation proved the defect PSD; clipping drops its roundoff below 0.
+        w, v = hermitian_eigen(defect)
+        padded.append((v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v))
     k = len(padded)
     n_phys = k - 1 if needs_completion else k
 
@@ -359,13 +359,12 @@ def rand_cptp(d_in, d_out, kraus_rank, rng):
 
 def _cptp_chois(g, d_out, kraus_rank):
     """TRANSPOSED Choi matrices, stacked, of the maps :func:`rand_cptp` builds
-    from a (k, d_out * kraus_rank, d_in) stack of Ginibre matrices. Every
-    member passes the checks of :class:`Operation` and :class:`ChoiOperator`."""
-    kraus = _isometry_kraus(g, d_out, kraus_rank)
-    _require_trace_nonincreasing(kraus)
-    m = _choi_matrix(kraus, Convention.TRANSPOSED)
-    require_psd(m, "Choi matrix")
-    return m
+    from a (k, d_out * kraus_rank, d_in) stack of Ginibre matrices.
+
+    They are CPTP by construction and so are not checked: the Kraus blocks cut
+    from a QR isometry satisfy sum E^dag E = 1 to roundoff, and a sum of outer
+    products |E>><<E| is exactly Hermitian and positive semidefinite."""
+    return _choi_matrix(_isometry_kraus(g, d_out, kraus_rank), Convention.TRANSPOSED)
 
 
 def rand_operation(d_in, d_out, kraus_rank, rng):

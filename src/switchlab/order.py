@@ -19,7 +19,6 @@ from .linalg import (
     PAULI_Z,
     ZERO_PROB_TOL,
     close,
-    is_hermitian,
     is_unitary,
     kron,
     partial_trace,
@@ -340,14 +339,16 @@ CHSH_SETTINGS = (
 )
 
 
-def chsh_value(state, alice_obs=None, bob_obs=None):
-    """E(0,0) + E(0,1) + E(1,0) - E(1,1) for +-1-valued observables on a
-    two-qubit pure state; the first observables act on the first factor.
+# The four correlation operators A_x (x) B_y of CHSH_SETTINGS, x and y in C order.
+_CHSH_OPERATORS = tuple(kron(a, b) for a in CHSH_SETTINGS[0] for b in CHSH_SETTINGS[1])
+
+
+def chsh_value(state):
+    """E(0,0) + E(0,1) + E(1,0) - E(1,1) for the observables of CHSH_SETTINGS
+    on a two-qubit pure state; Alice's act on the first factor.
 
     A (..., 4) stack of states gives an array of values, one per member.
     """
-    if alice_obs is None or bob_obs is None:
-        alice_obs, bob_obs = CHSH_SETTINGS
     state = np.asarray(state, dtype=complex)
     if state.shape[-1:] != (4,):
         raise ValueError("CHSH evaluation needs a two-qubit state vector")
@@ -356,16 +357,11 @@ def chsh_value(state, alice_obs=None, bob_obs=None):
     off = np.abs(norms - 1.0) > DEFAULT_TOL
     if off.any():
         raise ValueError(f"CHSH evaluation needs a normalized state, not one of norm {norms[off].flat[0]:.6g}")
-    for obs in tuple(alice_obs) + tuple(bob_obs):
-        obs = np.asarray(obs, dtype=complex)
-        if not (is_hermitian(obs) and close(obs @ obs, ID2)):
-            raise ValueError("observables must be Hermitian with spectrum {-1, +1}")
-    operators = [kron(a, b) for a in alice_obs for b in bob_obs]
     values = np.empty(state.shape[:-1])
     # One member at a time: stacked correlations sum in another order.
     for i in np.ndindex(values.shape):
         bra = state[i].conj()
-        e00, e01, e10, e11 = (float(np.real(bra @ k @ state[i])) for k in operators)
+        e00, e01, e10, e11 = (float(np.real(bra @ k @ state[i])) for k in _CHSH_OPERATORS)
         value = e00 + e01 + e10 - e11
         if not abs(value) <= 2 * np.sqrt(2) + DEFAULT_TOL:
             raise RuntimeError(f"CHSH value {value} beyond the Tsirelson bound; broken state or settings")
@@ -425,14 +421,13 @@ def temporal_order_state(u_a1, u_b1, u_a2, u_b2, psi1, psi2, sign):
         raise ValueError("target states are not finite")
     # The output is bilinear in the targets, so scaling each by _unit_scale
     # leaves the normalized result's bits unchanged.
-    scale1, scale2 = _unit_scale(psi1), _unit_scale(psi2)
-    psi1, psi2 = psi1 * scale1, psi2 * scale2
+    psi1, psi2 = psi1 * _unit_scale(psi1), psi2 * _unit_scale(psi2)
     branch_k = np.kron(u_b1 @ u_a1 @ psi1, u_a2 @ u_b2 @ psi2)
     branch_kp = np.kron(u_a1 @ u_b1 @ psi1, u_b2 @ u_a2 @ psi2)
     out = (branch_k + sign * branch_kp) / np.sqrt(2.0)
     norm = np.linalg.norm(out)
-    # DEFAULT_TOL bounds the unscaled norm. For huge targets its scaled form
-    # underflows to zero, and a zero vector is degenerate at any scale.
-    if not 0 < norm >= DEFAULT_TOL * scale1 * scale2:
+    # The branches cancel when the sum is small beside them, whatever the
+    # targets' scale; a zero branch is degenerate too.
+    if not norm > DEFAULT_TOL * np.linalg.norm(branch_k):
         raise ValueError("degenerate choice: the two order branches cancel")
     return out / norm

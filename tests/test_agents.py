@@ -8,6 +8,7 @@ from switchlab.agents import (
     HBAR,
     AgentAmplitudes,
     ModelState,
+    TriggerParams,
     apply_agent_a_then_b,
     apply_agent_b_then_a,
     crossing_rotation_angle,
@@ -229,6 +230,19 @@ def test_run_switch_model_single_surviving_order(sign):
     assert abs(only_ab.probability - 0.16) < 1e-12
 
 
+def test_run_switch_model_without_a_product_branch_has_no_target():
+    # With every modulus 0.6, e1 + e4 under zeta = 2 leaves each order branch
+    # entangled across the agents | target cut (Schmidt values 0.3, 0.24).
+    amps = AgentAmplitudes(*(0.6,) * 6)
+    result = run_switch_model(amps, E[1] + E[4], zeta=2, sign=+1)
+    assert result.target is None
+    assert abs(np.linalg.norm(result.residual) - 1.0) < 1e-12
+    state = ModelState.from_target(E[1] + E[4])
+    for apply in (apply_agent_a_then_b, apply_agent_b_then_a):
+        branch = apply(amps, state).tensor[:, :, :, 0, 1]
+        assert np.linalg.svd(branch.reshape(30, 5), compute_uv=False)[1] > 0.1
+
+
 def test_run_switch_model_zero_probability_paths():
     with pytest.raises(ValueError):
         run_switch_model(AgentAmplitudes(), E[3], zeta=3, sign=+1)
@@ -261,10 +275,26 @@ def test_crossing_rotation_angle_is_quarter_turn():
     assert abs(crossing_rotation_angle(p2) - np.pi / 2) < 1e-12
 
 
+@pytest.mark.parametrize("field", range(5))
+@pytest.mark.parametrize("value", [0.0, -1e-20, np.nan])
+def test_trigger_params_built_directly_must_be_positive(field, value):
+    # omega, tau*, Delta, V0 and m, each in turn, set to a non-positive or NaN value.
+    args = [1.0, 1.0, 1e-6, 1e-30, 1e-20]
+    args[field] = value
+    with pytest.raises(ValueError, match="must be positive"):
+        TriggerParams(*args)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, -1.0, np.nan])
+def test_trigger_params_check_a_given_amplitude(amplitude):
+    args = (np.pi / 2, 1.0, 1e-6, 1e-30, 1e-20)
+    assert TriggerParams(*args, amplitude=1.0).amplitude == 1.0
+    with pytest.raises(ValueError, match="must be positive"):
+        TriggerParams(*args, amplitude=amplitude)
+
+
 def test_crossing_angle_linear_in_potential():
     # doubling V0 at fixed amplitude (bypassing the constructor-derived A)
-    from switchlab.agents import TriggerParams
-
     p = trigger_params(1.0, 1e-6, 1e-30, 1e-20)
     bumped = TriggerParams(
         p.omega, p.tau_star, p.interaction_width, 2 * p.potential, p.mass, amplitude=p.amplitude

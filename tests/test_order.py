@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from switchlab import order
 
-from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, is_unitary, kron
+from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, is_unitary, kron
 from switchlab.ops import (
     ChoiOperator,
     Convention,
@@ -467,9 +468,12 @@ def test_chsh_separable_sweep_stays_classical():
         assert abs(chsh_value(np.kron(a, b))) <= 2.0 + 1e-9
 
 
-def test_chsh_rejects_bad_observables():
-    with pytest.raises(ValueError):
-        chsh_value(np.kron(KET0, KET0), (ID2 * 2, PAULI_Z), (PAULI_Y, PAULI_Z))
+def test_chsh_settings_are_plus_minus_one_observables():
+    # chsh_value scores only these settings, so they are proved here once.
+    assert list(inspect.signature(chsh_value).parameters) == ["state"]
+    for obs in CHSH_SETTINGS[0] + CHSH_SETTINGS[1]:
+        assert np.array_equal(obs, dagger(obs))
+        assert np.abs(obs @ obs - ID2).max() < 1e-15
 
 
 def test_single_and_stacked_calls_agree():
@@ -723,3 +727,14 @@ def test_temporal_order_state_scales_its_targets_without_overflow():
         temporal_order_state(np.diag([np.inf, 1.0]), ID2, ID2, ID2, KET0, KET0, +1)
     with pytest.raises(ValueError, match="cancel"):
         temporal_order_state(ID2, ID2, ID2, ID2, 1e200 * KET0, 1e200 * KET0, -1)
+
+
+def test_temporal_order_state_judges_cancellation_at_the_targets_scale():
+    # A small target scales both branches alike, so they do not cancel.
+    want = temporal_order_state(*TEMPORAL_ORDER_UNITARIES, KET0, KET0, +1)
+    small = temporal_order_state(*TEMPORAL_ORDER_UNITARIES, 1e-10 * KET0, KET0, +1)
+    assert np.abs(small - want).max() < 1e-12
+    with pytest.raises(ValueError, match="cancel"):
+        temporal_order_state(ID2, ID2, ID2, ID2, 1e-10 * KET0, KET0, -1)
+    with pytest.raises(ValueError, match="cancel"):
+        temporal_order_state(*TEMPORAL_ORDER_UNITARIES, np.zeros(2), KET0, +1)

@@ -310,6 +310,9 @@ class TriggerParams:
             raise ValueError("trigger parameters must be positive")
         if self.amplitude is None:
             a = 2.0 * self.interaction_width * self.potential / (np.pi * HBAR * self.omega)
+            # The fields can be in range while the amplitude under- or overflows.
+            if not 0.0 < a < np.inf:
+                raise ValueError(f"trigger amplitude {a} is not positive and finite")
             object.__setattr__(self, "amplitude", a)
 
     @property

@@ -13,6 +13,7 @@ vector |U*>> = sum_k |k> (x) U*|k>.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,17 +69,18 @@ def _require_trace_nonincreasing(kraus):
 
 @dataclass(frozen=True)
 class Operation:
-    """A quantum operation in Kraus form: rho -> sum_i E_i rho E_i^dag."""
+    """A quantum operation in Kraus form, rho -> sum_i E_i rho E_i^dag; the E_i are read-only copies."""
 
     d_in: int
     d_out: int
     kraus: tuple = ()
 
     def __post_init__(self):
-        kraus = tuple(np.asarray(e, dtype=complex) for e in self.kraus)
+        kraus = tuple(np.array(e, dtype=complex) for e in self.kraus)
         if not kraus:
             raise ValueError("operation needs at least one Kraus operator")
         for e in kraus:
+            e.setflags(write=False)
             if e.shape != (self.d_out, self.d_in):
                 raise ValueError(f"Kraus operator shape {e.shape} != ({self.d_out}, {self.d_in})")
         object.__setattr__(self, "kraus", kraus)
@@ -136,7 +138,8 @@ def apply_operation(op, rho):
 
 @dataclass(frozen=True)
 class ChoiOperator:
-    """Choi matrix of an operation on H_in (x) H_out, input factor first."""
+    """Choi matrix of an operation on H_in (x) H_out, input factor first,
+    kept as a read-only copy."""
 
     d_in: int
     d_out: int
@@ -144,7 +147,8 @@ class ChoiOperator:
     convention: Convention = Convention.TRANSPOSED
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
+        m.setflags(write=False)
         d = self.d_in * self.d_out
         if m.shape != (d, d):
             raise ValueError(f"Choi matrix shape {m.shape} != ({d}, {d})")
@@ -357,14 +361,23 @@ def rand_cptp(d_in, d_out, kraus_rank, rng):
     return Operation(d_in, d_out, _isometry_kraus(g, d_out, kraus_rank))
 
 
-def _cptp_chois(g, d_out, kraus_rank):
-    """TRANSPOSED Choi matrices, stacked, of the maps :func:`rand_cptp` builds
-    from a (k, d_out * kraus_rank, d_in) stack of Ginibre matrices.
+def _cptp_choi_pairs(sides, kraus_rank, k, rng):
+    """TRANSPOSED Choi matrices, one (k, n, n) stack per (d_in, d_out) in
+    `sides`, of the maps that k rounds of one ``rand_cptp(d_in, d_out,
+    kraus_rank, rng)`` call per side would build. One draw holds each
+    round's normals in those calls' order: per side, real then imaginary.
 
     They are CPTP by construction and so are not checked: the Kraus blocks cut
     from a QR isometry satisfy sum E^dag E = 1 to roundoff, and a sum of outer
     products |E>><<E| is exactly Hermitian and positive semidefinite."""
-    return _choi_matrix(_isometry_kraus(g, d_out, kraus_rank), Convention.TRANSPOSED)
+    shapes = [_ginibre_shape(d_in, d_out, kraus_rank) for d_in, d_out in sides]
+    sizes = [math.prod(shape) for shape in shapes for _ in range(2)]
+    normals = np.split(rng.standard_normal((k, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    chois = []
+    for (_, d_out), shape, real, imag in zip(sides, shapes, normals[::2], normals[1::2]):
+        g = real.reshape(k, *shape) + 1j * imag.reshape(k, *shape)
+        chois.append(_choi_matrix(_isometry_kraus(g, d_out, kraus_rank), Convention.TRANSPOSED))
+    return chois
 
 
 def rand_operation(d_in, d_out, kraus_rank, rng):

@@ -21,10 +21,9 @@ from .linalg import (
     close,
     is_unitary,
     kron,
-    partial_trace,
 )
-from .ops import ChoiOperator, Convention, rand_unitary
-from .process import _BLOCK, _require_dims, _require_rule, _require_transposed, _rule_operator, _rule_trace
+from .ops import ChoiOperator, rand_unitary
+from .process import _BLOCK, _reduced, _rule_operator, _rule_trace
 
 __all__ = [
     "GameStrategy",
@@ -61,41 +60,24 @@ class GameStrategy:
 
     @functools.cached_property
     def _game(self):
-        """(Alice's (d_in, d_out), Bob's (d_in, d_out), G_A, G_B), from the 12
+        """The :func:`_rule_operator` results for G_A and G_B, from the 12
         distinct instrument elements, each asked for once:
         G_A = sum_b (sum_a M(b,a)) (x) (sum_y N(y,b,0))  (Alice guesses b),
         G_B = sum_a (sum_x M(x,a)) (x) (sum_b N(a,b,1))  (Bob guesses a).
-        Every Choi must be TRANSPOSED, and each party's must share one shape.
         """
         m = {k: self.alice_choi(*k) for k in np.ndindex(2, 2)}
         n = {k: self.bob_choi(*k) for k in np.ndindex(2, 2, 2)}
-        dims = []
-        for party, chois in (("Alice", m.values()), ("Bob", n.values())):
-            for c in chois:
-                _require_transposed(c.convention)
-            shapes = {(c.d_in, c.d_out) for c in chois}
-            if len(shapes) != 1:
-                # No process matches both of a party's shapes.
-                raise ValueError(f"{party} Choi dimensions do not match the process")
-            dims.append(shapes.pop())
-        g_alice = _rule_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)])
-        g_bob = _rule_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)])
-        for g in (g_alice, g_bob):
-            g.setflags(write=False)
-        return (*dims, g_alice, g_bob)
-
-
-def _read_only_choi(m):
-    choi = ChoiOperator(2, 2, m, Convention.TRANSPOSED)
-    choi.matrix.setflags(write=False)
-    return choi
+        return (
+            _rule_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)]),
+            _rule_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)]),
+        )
 
 
 def _ocb_strategy(rho_b2):
     # The 12 instrument elements, each built and validated once, indexed by
     # their bits: Alice's (x, a) and Bob's (y, b, b').
     alice = {
-        (x, a): _read_only_choi(0.25 * kron(ID2 + (-1) ** x * PAULI_Z, ID2 + (-1) ** a * PAULI_Z))
+        (x, a): ChoiOperator(2, 2, 0.25 * kron(ID2 + (-1) ** x * PAULI_Z, ID2 + (-1) ** a * PAULI_Z))
         for x, a in np.ndindex(2, 2)
     }
     bob = {}
@@ -104,7 +86,7 @@ def _ocb_strategy(rho_b2):
             m = 0.5 * kron(ID2 + (-1) ** y * PAULI_Z, rho_b2)
         else:
             m = 0.25 * kron(ID2 + (-1) ** y * PAULI_X, ID2 + (-1) ** (b + y) * PAULI_Z)
-        bob[y, b, bp] = _read_only_choi(m)
+        bob[y, b, bp] = ChoiOperator(2, 2, m)
     return GameStrategy(lambda x, a: alice[x, a], lambda y, b, bp: bob[y, b, bp])
 
 
@@ -129,29 +111,13 @@ def ocb_strategy(bob_free_state=None):
 def branch_probabilities(w, strategy):
     """(P(x=b | b'=0), P(y=a | b'=1)) with uniform random bits: 1/4 Tr[W G_A]
     and 1/4 Tr[W G_B] on the strategy's game operators (see GameStrategy)."""
-    dims_alice, dims_bob, g_alice, g_bob = strategy._game
-    _require_dims(w, "Alice", dims_alice)
-    _require_dims(w, "Bob", dims_bob)
-    return 0.25 * _rule_trace(w, g_alice), 0.25 * _rule_trace(w, g_bob)
+    rule_alice, rule_bob = strategy._game
+    return 0.25 * _rule_trace(w, rule_alice), 0.25 * _rule_trace(w, rule_bob)
 
 
 def success_probability(w, strategy):
     """(1/2)[P(x=b | b'=0) + P(y=a | b'=1)] with uniform random bits."""
     return 0.5 * sum(branch_probabilities(w, strategy))
-
-
-def _reduced(w, party, chois):
-    # W contracted with the sum of one party's Chois, after the probability
-    # rule's checks on them, leaving the other party's factors.
-    _require_rule(w, party, chois)
-    choi_sum = sum(c.matrix for c in chois)
-    if party == "Alice":
-        full = kron(choi_sum, np.eye(w.d_b_in * w.d_b_out))
-        keep = (2, 3)
-    else:
-        full = kron(np.eye(w.d_a_in * w.d_a_out), choi_sum)
-        keep = (0, 1)
-    return partial_trace(w.matrix @ full, w.dims, keep=keep)
 
 
 def bob_reduced_matrix(w, strategy, a):

@@ -9,7 +9,6 @@ silently transpose one tensor factor.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .linalg import (
     permute_subsystems,
     require_psd,
 )
-from .ops import Convention, _cptp_chois, _ginibre_shape
+from .ops import Convention, _cptp_choi_pairs
 
 __all__ = [
     "ProcessMatrix",
@@ -50,9 +49,9 @@ __all__ = [
 class ProcessMatrix:
     """Positive operator on A_in (x) A_out (x) B_in (x) B_out.
 
-    Hermiticity and positivity are enforced on construction; the trace
-    condition Tr W = d_A_out * d_B_out and the normalization over CPTP pairs
-    are certified by :func:`validate_process`.
+    Hermiticity and positivity are enforced on construction, on a read-only
+    copy; the trace condition Tr W = d_A_out * d_B_out and the normalization
+    over CPTP pairs are certified by :func:`validate_process`.
     """
 
     dims: tuple  # (d_a_in, d_a_out, d_b_in, d_b_out)
@@ -61,7 +60,8 @@ class ProcessMatrix:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
+        m.setflags(write=False)
         total = int(np.prod(dims))
         if m.shape != (total, total):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
@@ -97,12 +97,16 @@ def _require_dims(w, party, dims):
         raise ValueError(f"{party} Choi dimensions do not match the process")
 
 
-def _require_rule(w, party, chois):
-    """The probability rule's checks on the Choi operators of `party`:
-    TRANSPOSED convention, and the dimensions of that party's side of W."""
+def _party_dims(party, chois):
+    """The probability rule's checks on the Choi operators of `party`: each
+    is TRANSPOSED, and all share the (d_in, d_out) that is returned."""
     for c in chois:
         _require_transposed(c.convention)
-        _require_dims(w, party, (c.d_in, c.d_out))
+    shapes = {(c.d_in, c.d_out) for c in chois}
+    if len(shapes) != 1:
+        # No process matches both of a party's shapes.
+        raise ValueError(f"{party} Choi dimensions do not match the process")
+    return shapes.pop()
 
 
 def _real_probability(val):
@@ -115,25 +119,49 @@ def _real_probability(val):
 
 
 def _rule_operator(terms):
-    """G = sum over `terms` = [(Alice Chois, Bob Chois), ...] of
-    (sum of Alice's) (x) (sum of Bob's), the operator the probability rule
-    traces against W."""
+    """(Alice's (d_in, d_out), Bob's, G) for `terms` = [(Alice Chois, Bob
+    Chois), ...], where the read-only G = sum over terms of (sum of Alice's)
+    (x) (sum of Bob's) is the operator the probability rule traces against W."""
+    dims_alice = _party_dims("Alice", [c for alice, _ in terms for c in alice])
+    dims_bob = _party_dims("Bob", [c for _, bob in terms for c in bob])
     g = 0
     for alice, bob in terms:
         g = g + kron(sum(c.matrix for c in alice), sum(c.matrix for c in bob))
-    return g
+    g.setflags(write=False)
+    return dims_alice, dims_bob, g
 
 
-def _rule_trace(w, g):
-    """The probability rule Tr[W G], which must be real."""
+def _rule_trace(w, rule):
+    """The probability rule Tr[W G] on a :func:`_rule_operator` result, once
+    both parties' dimensions fit W; it must be real."""
+    dims_alice, dims_bob, g = rule
+    _require_dims(w, "Alice", dims_alice)
+    _require_dims(w, "Bob", dims_bob)
     return float(_real_probability(np.trace(w.matrix @ g)))
 
 
 def probability(w, choi_a, choi_b):
     """Joint probability Tr[W (M (x) N)] for one instrument element each."""
-    _require_rule(w, "Alice", (choi_a,))
-    _require_rule(w, "Bob", (choi_b,))
     return _rule_trace(w, _rule_operator([((choi_a,), (choi_b,))]))
+
+
+def _reduced(w, party, chois):
+    """W contracted with the sum of one party's Chois, after the probability
+    rule's checks on them, leaving the other party's factors."""
+    _require_dims(w, party, _party_dims(party, chois))
+    choi_sum = sum(c.matrix for c in chois)
+    if party == "Alice":
+        full = kron(choi_sum, np.eye(w.d_b_in * w.d_b_out))
+        keep = (2, 3)
+    else:
+        full = kron(np.eye(w.d_a_in * w.d_a_out), choi_sum)
+        keep = (0, 1)
+    return partial_trace(w.matrix @ full, w.dims, keep=keep)
+
+
+def _require_unit_trace(rho):
+    if not close(np.trace(rho).real, 1.0):
+        raise ValueError("state is not a density operator: trace is not 1")
 
 
 def state_process(rho, dims):
@@ -142,44 +170,42 @@ def state_process(rho, dims):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d_a_in * d_b_in,) * 2:
         raise ValueError("state must live on A_in (x) B_in")
-    if not close(np.trace(rho).real, 1.0):
-        raise ValueError("state is not a density operator: trace is not 1")
+    _require_unit_trace(rho)
     full = kron(rho, np.eye(d_a_out * d_b_out))
     # built on (A_in, B_in, A_out, B_out); reorder to (A_in, A_out, B_in, B_out)
     ordered, _ = permute_subsystems(full, (d_a_in, d_b_in, d_a_out, d_b_out), (0, 2, 1, 3))
     return ProcessMatrix(dims, ordered)
 
 
-def _check_cptp_choi(choi):
-    _require_transposed(choi.convention)
-    if not choi.is_cptp():
+def _one_way(rho, channel_choi, d_last):
+    """(dims, matrix) of the one-way process A -> B on (A_in, A_out, B_in,
+    B_out): W = rho^{A_in} (x) (C^{A_out B_in})^T (x) 1^{B_out}, with d_B_out =
+    d_B_in unless `d_last` is given."""
+    _require_transposed(channel_choi.convention)
+    if not channel_choi.is_cptp():
         raise ValueError("channel Choi is not trace-preserving")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"state shape {rho.shape} is not square")
+    _require_unit_trace(rho)
+    d_last = channel_choi.d_out if d_last is None else int(d_last)
+    dims = (len(rho), channel_choi.d_in, channel_choi.d_out, d_last)
+    return dims, kron(rho, channel_choi.matrix.T, np.eye(d_last))
 
 
 def channel_process(rho_b, channel_choi, d_a_out=None):
     """Signaling process B -> A: Bob receives rho_b, and a channel carries his
     output to Alice.  W = 1^{A_out} (x) (C^{B_out A_in})^T (x) rho^{B_in}."""
-    _check_cptp_choi(channel_choi)
-    rho_b = np.asarray(rho_b, dtype=complex)
-    d_b_in = rho_b.shape[0]
-    d_b_out, d_a_in = channel_choi.d_in, channel_choi.d_out
-    d_a_out = d_a_in if d_a_out is None else int(d_a_out)
-    full = kron(np.eye(d_a_out), channel_choi.matrix.T, rho_b)
-    # built on (A_out, B_out, A_in, B_in); reorder to (A_in, A_out, B_in, B_out)
-    ordered, _ = permute_subsystems(full, (d_a_out, d_b_out, d_a_in, d_b_in), (2, 0, 3, 1))
-    return ProcessMatrix((d_a_in, d_a_out, d_b_in, d_b_out), ordered)
+    dims, m = _one_way(rho_b, channel_choi, d_a_out)
+    # built as A -> B with the parties exchanged; exchange them back
+    m, dims = permute_subsystems(m, dims, (2, 3, 0, 1))
+    return ProcessMatrix(dims, m)
 
 
 def channel_process_reverse(rho_a, channel_choi, d_b_out=None):
     """Signaling process A -> B, the mirror image of :func:`channel_process`:
     W = rho^{A_in} (x) (C^{A_out B_in})^T (x) 1^{B_out}."""
-    _check_cptp_choi(channel_choi)
-    rho_a = np.asarray(rho_a, dtype=complex)
-    d_a_in = rho_a.shape[0]
-    d_a_out, d_b_in = channel_choi.d_in, channel_choi.d_out
-    d_b_out = d_b_in if d_b_out is None else int(d_b_out)
-    full = kron(rho_a, channel_choi.matrix.T, np.eye(d_b_out))
-    return ProcessMatrix((d_a_in, d_a_out, d_b_in, d_b_out), full)
+    return ProcessMatrix(*_one_way(rho_a, channel_choi, d_b_out))
 
 
 def causal_mixture(w1, w2, q):
@@ -302,18 +328,8 @@ def validate_process(w, samples, rng):
 
 
 def _block_deviation(w, k, rng):
-    # Largest |Tr[W (M (x) N)] - 1| over k random CPTP pairs, stacked. One
-    # draw holds each sample's normals in rand_cptp's order: Alice real and
-    # imaginary, then Bob real and imaginary.
-    sides = (w.dims[:2], w.dims[2:])
-    shapes = [_ginibre_shape(d_in, d_out, _KRAUS_RANK) for d_in, d_out in sides]
-    sizes = [math.prod(shape) for shape in shapes for _ in range(2)]
-    normals = np.split(rng.standard_normal((k, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
-    chois = []
-    for i, (_, d_out) in enumerate(sides):
-        real, imag = (x.reshape(k, *shapes[i]) for x in normals[2 * i : 2 * i + 2])
-        chois.append(_cptp_chois(real + 1j * imag, d_out, _KRAUS_RANK))
-    ma, nb = chois
+    # Largest |Tr[W (M (x) N)] - 1| over k random CPTP pairs, stacked.
+    ma, nb = _cptp_choi_pairs((w.dims[:2], w.dims[2:]), _KRAUS_RANK, k, rng)
     # M (x) N is formed, as probability() forms it, so that every trace has
     # probability()'s roundoff: the CLI prints the deviation to 12 digits.
     n = len(w.matrix)

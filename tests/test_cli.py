@@ -232,6 +232,14 @@ def test_cli_numeric_failures_are_usage_errors(scenario, params):
         assert scenario in run_cli_usage_error(argv)
 
 
+@pytest.mark.parametrize("value", ["1e-200", "1e200"], ids=["underflow", "overflow"])
+def test_cli_trigger_amplitude_out_of_range_is_a_named_usage_error(value):
+    # Each field is positive and finite; the amplitude 2 Delta V0 / (pi hbar omega) is not.
+    argv = ["run", "--scenario", "trigger", "--param", f"width={value}", "--param", f"potential={value}"]
+    error = run_cli_usage_error(argv)
+    assert "trigger" in error and "amplitude" in error
+
+
 def test_cli_custom_body_is_set_by_mass_and_radius():
     # A mass alone keeps Earth's radius and must be the mass computed with.
     code, out = run_cli(["run", "--scenario", "grav-duration", "--param", "mass=5"])

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlab import linalg
-from switchlab.linalg import ID2, PAULI_X, PAULI_Z, hermitian_eigen, is_psd, kron
+from switchlab.linalg import ID2, NORMALIZATION_TOL, PAULI_X, PAULI_Z, hermitian_eigen, is_psd, kron, permute_subsystems
 from switchlab.ops import (
     ChoiOperator,
     Convention,
+    Operation,
     apply_operation,
     choi_of_operation,
     rand_cptp,
@@ -437,3 +438,102 @@ def test_hs_basis_returns_a_fresh_array_that_the_plans_do_not_share():
     hs_basis(2)[1] = 0.0
     assert np.array_equal(hs_decompose(h), before)
     assert np.array_equal(hs_reconstruct(before, 2), hs_references(h, 2)[1])
+
+
+@pytest.mark.parametrize("build", [channel_process, channel_process_reverse])
+def test_channel_processes_check_their_state(build):
+    choi = choi_of_operation(rand_cptp(2, 2, 2, np.random.default_rng(8)))
+    with pytest.raises(ValueError, match="state is not a density operator: trace is not 1"):
+        build(1.5 * np.eye(2) / 2, choi)
+    with pytest.raises(ValueError, match="not square"):
+        build(np.ones((2, 3)) / 2, choi)
+
+
+@pytest.mark.parametrize("build", [channel_process, channel_process_reverse])
+def test_channel_processes_prove_positivity_once(monkeypatch, build):
+    # The one-way matrix is built once and wrapped in one ProcessMatrix.
+    choi = choi_of_operation(rand_cptp(2, 2, 2, np.random.default_rng(9)))
+    calls = []
+    low_eigenvalue = linalg._low_eigenvalue
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return low_eigenvalue(m)
+
+    monkeypatch.setattr(linalg, "_low_eigenvalue", counted)
+    build(ID2 / 2, choi)
+    assert calls == [(16, 16)]
+
+
+VALIDATED = {
+    "ProcessMatrix": (lambda m: ProcessMatrix((2, 1, 2, 1), m), lambda obj: obj.matrix),
+    "ChoiOperator": (lambda m: ChoiOperator(2, 2, m), lambda obj: obj.matrix),
+    "Operation": (lambda m: Operation(4, 4, (m,)), lambda obj: obj.kraus[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATED))
+def test_validated_objects_keep_read_only_copies(name):
+    build, held = VALIDATED[name]
+    source = np.eye(4, dtype=complex) / 4
+    obj = build(source)
+    source[0, 0] = -5.0
+    assert np.array_equal(held(obj), np.eye(4) / 4)
+    with pytest.raises(ValueError, match="read-only"):
+        held(obj)[0, 0] = 1.0
+
+
+LOCAL_DIM = st.integers(1, 3)
+# validate_process samples Kraus-rank-2 maps on each side, which need 2 d_out >= d_in.
+SIDE = st.tuples(LOCAL_DIM, LOCAL_DIM).filter(lambda side: 2 * side[1] >= side[0])
+
+
+@st.composite
+def process_constructions(draw):
+    """A state, one-way channel or causal-mixture process with local
+    dimensions 1-3, channel Kraus ranks 1-4, and the last dimension given or
+    left to its default."""
+    kind = draw(st.sampled_from(["state", "b-to-a", "a-to-b", "mixture"]))
+    (a_in, a_out), (b_in, b_out) = draw(SIDE), draw(SIDE)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def channel(d_in, d_out):
+        rank = draw(st.integers(-(-d_in // d_out), 4))
+        return choi_of_operation(rand_cptp(d_in, d_out, rank, rng))
+
+    if kind == "state":
+        return state_process(rand_density(a_in * b_in, rng), (a_in, a_out, b_in, b_out))
+    explicit = kind == "mixture" or draw(st.booleans())
+    w_ba = channel_process(rand_density(b_in, rng), channel(b_out, a_in), a_out if explicit else None)
+    w_ab = channel_process_reverse(rand_density(a_in, rng), channel(a_out, b_in), b_out if explicit else None)
+    if kind == "mixture":
+        return causal_mixture(w_ba, w_ab, draw(st.floats(0.0, 1.0)))
+    return w_ba if kind == "b-to-a" else w_ab
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=process_constructions(), seed=st.integers(0, 2**32 - 1))
+def test_process_constructions_are_normalized(w, seed):
+    report = validate_process(w, 64, np.random.default_rng(seed))
+    assert report.trace_ok
+    assert report.max_norm_deviation < NORMALIZATION_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(LOCAL_DIM, LOCAL_DIM, LOCAL_DIM),
+    rank=st.integers(3, 4),  # admits every pair of dimensions 1-3
+    d_a_out=st.one_of(st.none(), LOCAL_DIM),
+)
+def test_channel_process_equals_the_written_out_formula(seed, dims, rank, d_a_out):
+    # W = 1^{A_out} (x) C^T (x) rho^{B_in}, built on (A_out, B_out, A_in, B_in).
+    d_b_in, d_b_out, d_a_in = dims
+    rng = np.random.default_rng(seed)
+    rho = rand_density(d_b_in, rng)
+    choi = choi_of_operation(rand_cptp(d_b_out, d_a_in, rank, rng))
+    d_out = d_a_in if d_a_out is None else d_a_out
+    want, _ = permute_subsystems(
+        kron(np.eye(d_out), choi.matrix.T, rho), (d_out, d_b_out, d_a_in, d_b_in), (2, 0, 3, 1)
+    )
+    assert np.abs(channel_process(rho, choi, d_a_out).matrix - want).max() < 1e-15

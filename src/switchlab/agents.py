@@ -289,31 +289,38 @@ def run_switch_model(amps, target_in, zeta, sign):
 
 @dataclass(frozen=True)
 class TriggerParams:
-    """Oscillator trigger: period 4 tau*, coherent amplitude A = 2 Delta V0 /
-    (pi hbar omega), wavepacket width sigma = sqrt(hbar / m omega).
-
-    `amplitude` defaults to the value fixed by the other parameters; passing
-    it explicitly decouples it (useful to probe the angle's linearity in V0).
+    """Oscillator trigger set by its alarm time tau*, interaction width Delta,
+    potential V0 and mass m. It derives omega = pi / (2 tau*), so the period
+    is 4 tau*, the coherent amplitude A = 2 Delta V0 / (pi hbar omega) and the
+    wavepacket width sigma = sqrt(hbar / m omega).
     """
 
-    omega: float
     tau_star: float
     interaction_width: float  # Delta (m)
     potential: float  # V0 (J)
     mass: float
-    amplitude: float = None
 
     def __post_init__(self):
-        given = (self.omega, self.tau_star, self.interaction_width, self.potential, self.mass, self.amplitude)
         # `x > 0` is false for NaN, so NaN is rejected too.
-        if not all(x > 0 for x in given if x is not None):
+        if not all(x > 0 for x in (self.tau_star, self.interaction_width, self.potential, self.mass)):
             raise ValueError("trigger parameters must be positive")
-        if self.amplitude is None:
-            a = 2.0 * self.interaction_width * self.potential / (np.pi * HBAR * self.omega)
-            # The fields can be in range while the amplitude under- or overflows.
-            if not 0.0 < a < np.inf:
-                raise ValueError(f"trigger amplitude {a} is not positive and finite")
-            object.__setattr__(self, "amplitude", a)
+        # The fields can be in range while a quantity derived from them under-
+        # or overflows, or raises on the way.
+        for name in ("omega", "amplitude", "sigma", "crossing_window", "energy"):
+            try:
+                ok = 0.0 < getattr(self, name) < np.inf
+            except ArithmeticError:
+                ok = False
+            if not ok:
+                raise ValueError(f"trigger {name} is not positive and finite")
+
+    @property
+    def omega(self):
+        return np.pi / (2.0 * self.tau_star)
+
+    @property
+    def amplitude(self):
+        return 2.0 * self.interaction_width * self.potential / (np.pi * HBAR * self.omega)
 
     @property
     def period(self):
@@ -329,12 +336,16 @@ class TriggerParams:
         return self.interaction_width / (self.omega * self.amplitude)
 
     @property
+    def energy(self):
+        # m omega^2 A^2 / 2, the oscillator's energy that the regime compares with V0
+        return 0.5 * self.mass * self.omega ** 2 * self.amplitude ** 2
+
+    @property
     def regime_flags(self):
-        energy = 0.5 * self.mass * self.omega ** 2 * self.amplitude ** 2
         return {
             "amplitude_over_width": self.amplitude / self.interaction_width >= 10.0,
             "width_over_sigma": self.interaction_width / self.sigma >= 10.0,
-            "energy_over_potential": energy / self.potential >= 100.0,
+            "energy_over_potential": self.energy / self.potential >= 100.0,
         }
 
     @property
@@ -343,16 +354,13 @@ class TriggerParams:
 
 
 def trigger_params(tau_star, interaction_width, potential, mass):
-    """Build trigger parameters from the alarm time: omega = pi / (2 tau*)."""
-    if not tau_star > 0:
-        raise ValueError("trigger parameters must be positive")
-    omega = np.pi / (2.0 * tau_star)
-    return TriggerParams(omega, tau_star, interaction_width, potential, mass)
+    """Build trigger parameters from the alarm time, width, potential and mass."""
+    return TriggerParams(tau_star, interaction_width, potential, mass)
 
 
 def crossing_rotation_angle(p):
     """Rotation angle V0 epsilon / hbar picked up while the wavepacket crosses
-    the interaction zone; pi/2 exactly for constructor-built parameters.
+    the interaction zone; pi/2 up to roundoff, because A is derived to give it.
     The model holds only where `p.regime_ok` is true."""
     return p.potential * p.crossing_window / HBAR
 

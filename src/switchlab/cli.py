@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import agents, gravity, linalg, order, process
+from . import agents, gravity, order, process
 from .linalg import APPROX_REL_TOL, DEFAULT_TOL, ESTIMATE_REL_TOL, NORMALIZATION_TOL, ROUNDOFF_TOL
 
 EXIT_OK = 0
@@ -202,8 +202,7 @@ def _scenario_grav_order(params, rng):
 def _scenario_trigger(params, rng):
     p = agents.trigger_params(params["tau_star"], params["width"], params["potential"], params["mass"])
     angle = agents.crossing_rotation_angle(p)
-    u = np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * linalg.PAULI_X
-    fidelity = abs(np.vdot(np.array([0, 1]), u @ np.array([1, 0], dtype=complex)))
+    fidelity = abs(np.sin(angle))  # |<A1| exp(-i angle sigma_x) |A0>|
     outputs = {
         "omega": p.omega,
         "period": p.period,

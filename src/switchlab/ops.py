@@ -76,6 +76,8 @@ class Operation:
     kraus: tuple = ()
 
     def __post_init__(self):
+        if not (self.d_in >= 1 and self.d_out >= 1):
+            raise ValueError(f"Operation dims ({self.d_in}, {self.d_out}) must each be at least 1")
         kraus = tuple(np.array(e, dtype=complex) for e in self.kraus)
         if not kraus:
             raise ValueError("operation needs at least one Kraus operator")
@@ -147,6 +149,8 @@ class ChoiOperator:
     convention: Convention = Convention.TRANSPOSED
 
     def __post_init__(self):
+        if not (self.d_in >= 1 and self.d_out >= 1):
+            raise ValueError(f"ChoiOperator dims ({self.d_in}, {self.d_out}) must each be at least 1")
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
         d = self.d_in * self.d_out

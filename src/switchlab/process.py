@@ -59,6 +59,8 @@ class ProcessMatrix:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
+        if len(dims) != 4 or min(dims) < 1:
+            raise ValueError(f"ProcessMatrix dims {dims} must be four dimensions, each at least 1")
         object.__setattr__(self, "dims", dims)
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)

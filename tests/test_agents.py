@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,30 +277,41 @@ def test_crossing_rotation_angle_is_quarter_turn():
     assert abs(crossing_rotation_angle(p2) - np.pi / 2) < 1e-12
 
 
-@pytest.mark.parametrize("field", range(5))
+@pytest.mark.parametrize("field", range(4))
 @pytest.mark.parametrize("value", [0.0, -1e-20, np.nan])
 def test_trigger_params_built_directly_must_be_positive(field, value):
-    # omega, tau*, Delta, V0 and m, each in turn, set to a non-positive or NaN value.
-    args = [1.0, 1.0, 1e-6, 1e-30, 1e-20]
+    # tau*, Delta, V0 and m, each in turn, set to a non-positive or NaN value.
+    args = [1.0, 1e-6, 1e-30, 1e-20]
     args[field] = value
     with pytest.raises(ValueError, match="must be positive"):
         TriggerParams(*args)
 
 
+@pytest.mark.parametrize("derived", ["omega", "amplitude"])
+def test_trigger_params_derive_omega_and_amplitude(derived):
+    # Neither can be given, so neither can disagree with tau*, Delta and V0.
+    with pytest.raises(TypeError):
+        TriggerParams(1.0, 1e-6, 1e-30, 1e-20, **{derived: 1.0})
+
+
 @pytest.mark.parametrize("amplitude", [0.0, -1.0, np.nan])
 def test_trigger_params_check_a_given_amplitude(amplitude):
-    args = (np.pi / 2, 1.0, 1e-6, 1e-30, 1e-20)
-    assert TriggerParams(*args, amplitude=1.0).amplitude == 1.0
-    with pytest.raises(ValueError, match="must be positive"):
-        TriggerParams(*args, amplitude=amplitude)
+    # The amplitude is derived, so its range check is reached through a
+    # subclass that gives one in place of 2 Delta V0 / (pi hbar omega).
+    def given(a):
+        return type("GivenAmplitude", (TriggerParams,), {"amplitude": property(lambda self: a)})
+
+    args = (1.0, 1e-6, 1e-30, 1e-20)
+    assert given(1.0)(*args).amplitude == 1.0
+    with pytest.raises(ValueError, match="trigger amplitude is not positive and finite"):
+        given(amplitude)(*args)
 
 
 def test_crossing_angle_linear_in_potential():
-    # doubling V0 at fixed amplitude (bypassing the constructor-derived A)
+    # Doubling V0 with the crossing window held fixed doubles the angle; a
+    # stand-in holds the window, since TriggerParams derives it from V0.
     p = trigger_params(1.0, 1e-6, 1e-30, 1e-20)
-    bumped = TriggerParams(
-        p.omega, p.tau_star, p.interaction_width, 2 * p.potential, p.mass, amplitude=p.amplitude
-    )
+    bumped = SimpleNamespace(potential=2 * p.potential, crossing_window=p.crossing_window)
     assert abs(crossing_rotation_angle(bumped) - 2 * crossing_rotation_angle(p)) < 1e-12
 
 

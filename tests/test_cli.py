@@ -240,6 +240,17 @@ def test_cli_trigger_amplitude_out_of_range_is_a_named_usage_error(value):
     assert "trigger" in error and "amplitude" in error
 
 
+@pytest.mark.parametrize(
+    "param, quantity",
+    [("tau_star=1e-300", "energy"), ("tau_star=1e300", "amplitude"), ("mass=1e300", "sigma")],
+    ids=["energy-overflow", "amplitude-division-underflow", "sigma-underflow"],
+)
+def test_cli_trigger_derived_quantity_out_of_range_is_named(param, quantity):
+    # m omega^2 A^2 / 2 overflows, pi hbar omega underflows to 0, hbar / m omega underflows to 0.
+    error = run_cli_usage_error(["run", "--scenario", "trigger", "--param", param])
+    assert error.startswith("trigger: ") and f"{quantity} is not positive and finite" in error
+
+
 def test_cli_custom_body_is_set_by_mass_and_radius():
     # A mass alone keeps Earth's radius and must be the mass computed with.
     code, out = run_cli(["run", "--scenario", "grav-duration", "--param", "mass=5"])

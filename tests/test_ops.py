@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, hermitian_eigen, is_unitary, kron
+from switchlab.linalg import DEFAULT_TOL, ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, hermitian_eigen, is_unitary, kron
 from switchlab.ops import (
     ChoiOperator,
     Convention,
@@ -342,3 +346,42 @@ def test_full_round_trip_sweep():
         dev = np.abs(apply_operation(rebuilt, rho) - apply_operation(op, rho)).max()
         worst = max(worst, dev)
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ChoiOperator(0, 2, np.zeros((0, 0))), "ChoiOperator dims (0, 2)"),
+        (lambda: Operation(0, 2, (np.zeros((2, 0)),)), "Operation dims (0, 2)"),
+        (lambda: Operation(2, 0, (np.zeros((0, 2)),)), "Operation dims (2, 0)"),
+        (lambda: rand_cptp(0, 2, 1, np.random.default_rng(0)), "Operation dims (0, 2)"),
+    ],
+    ids=["choi-zero-input", "operation-zero-input", "operation-zero-output", "rand-cptp-zero-input"],
+)
+def test_operation_dims_are_positive(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d_in=st.integers(1, 3),
+    d_out=st.integers(1, 3),
+    rank=st.integers(1, 4),
+    sampler=st.sampled_from([rand_cptp, rand_operation]),
+    convention=st.sampled_from(list(Convention)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_choi_kraus_round_trip(d_in, d_out, rank, sampler, convention, seed):
+    # Choi -> Kraus acts as the sampled operation, with one Kraus operator per
+    # Choi eigenvalue above DEFAULT_TOL, and the Choi acts the same way.
+    assume(d_out * rank >= d_in)
+    rng = np.random.default_rng(seed)
+    op = sampler(d_in, d_out, rank, rng)
+    choi = choi_of_operation(op, convention)
+    rebuilt = kraus_from_choi(choi)
+    assert len(rebuilt.kraus) == np.sum(np.linalg.eigvalsh(choi.matrix) > DEFAULT_TOL)
+    rho = rand_density(d_in, rng)
+    want = apply_operation(op, rho)
+    assert np.abs(apply_operation(rebuilt, rho) - want).max() < 1e-9
+    assert np.abs(apply_choi(choi, rho) - want).max() < 1e-9

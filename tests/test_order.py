@@ -12,6 +12,7 @@ from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, is_unitary,
 from switchlab.ops import (
     ChoiOperator,
     Convention,
+    Operation,
     choi_of_operation,
     rand_cptp,
     rand_density,
@@ -212,6 +213,43 @@ def test_causal_bound_is_tight_for_identity_channel():
     w = channel_process(proj(plus), choi_of_operation(Operation.from_unitary(ID2)))
     got = success_probability(w, ocb_strategy())
     assert abs(got - 0.75) < 1e-9
+
+
+def trace_and_replace(g, x, dims=(2, 2, 2, 2)):
+    """L_X(G) = 1_X / d_X (x) Tr_X G, with 1_X back in factor x's place."""
+    n = len(dims)
+    reduced = np.trace(g.reshape(dims * 2), axis1=x, axis2=x + n)
+    eye = np.eye(dims[x]).reshape([dims[x] if i in (x, x + n) else 1 for i in range(2 * n)])
+    return (np.expand_dims(reduced, (x, x + n)) * eye / dims[x]).reshape(g.shape)
+
+
+def test_causal_bound_certificate_is_exact():
+    # An A -> B process, memory included, is W' (x) 1_{B_out}, so Tr[W G_A] =
+    # Tr[W L_{B_out}(G_A)] = Tr[W] / 2 = 2 and Alice's branch is 1/4 of that,
+    # 1/2; the same holds for Bob's branch on a B -> A process. By linearity
+    # every causal mixture then succeeds with at most (1/2 + 1) / 2 = 3/4
+    # (Branciard et al., NJP 2016).
+    (_, _, g_a), (_, _, g_b) = ocb_strategy()._game
+    assert np.abs(trace_and_replace(g_a, 3) - np.eye(16) / 2).max() == 0.0
+    assert np.abs(trace_and_replace(g_b, 1) - np.eye(16) / 2).max() == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ranks=st.tuples(st.integers(1, 4), st.integers(1, 4)))
+def test_one_way_processes_leave_the_uninformed_branch_at_half(seed, ranks):
+    rng = np.random.default_rng(seed)
+    w_ab = channel_process_reverse(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, ranks[0], rng)))
+    w_ba = channel_process(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, ranks[1], rng)))
+    assert abs(branch_probabilities(w_ab, ocb_strategy())[0] - 0.5) < 1e-12
+    assert abs(branch_probabilities(w_ba, ocb_strategy())[1] - 0.5) < 1e-12
+
+
+def test_causal_bound_is_attained_by_an_a_to_b_identity_channel():
+    # Alice's z outcome reaches Bob unchanged, so he reads her bit a exactly.
+    w = channel_process_reverse(ID2 / 2, choi_of_operation(Operation.from_unitary(ID2)))
+    alice, bob = branch_probabilities(w, ocb_strategy())
+    assert abs(alice - 0.5) < 1e-12 and abs(bob - 1.0) < 1e-12
+    assert abs(success_probability(w, ocb_strategy()) - 0.75) < 1e-12
 
 
 def test_ocb_strategy_is_one_read_only_instance():

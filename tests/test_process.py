@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -537,3 +539,18 @@ def test_channel_process_equals_the_written_out_formula(seed, dims, rank, d_a_ou
         kron(np.eye(d_out), choi.matrix.T, rho), (d_out, d_b_out, d_a_in, d_b_in), (2, 0, 3, 1)
     )
     assert np.abs(channel_process(rho, choi, d_a_out).matrix - want).max() < 1e-15
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: channel_process(ID2 / 2, choi_of_operation(Operation.from_unitary(ID2)), d_a_out=0),
+         "ProcessMatrix dims (2, 0, 2, 2)"),
+        (lambda: state_process(np.eye(1), (1, 0, 1, 1)), "ProcessMatrix dims (1, 0, 1, 1)"),
+        (lambda: ProcessMatrix((2, 2, 2), np.eye(8) / 4), "ProcessMatrix dims (2, 2, 2)"),
+    ],
+    ids=["channel-zero-output", "state-zero-output", "three-dims"],
+)
+def test_process_dims_are_four_and_positive(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -320,9 +320,12 @@ def _coerce_param(scenario, key, raw, default):
 
 def _scenario_params(config):
     """The scenario's parameters: its defaults, overridden by the config's
-    values, each coerced by :func:`_coerce_param`."""
+    values, each coerced by :func:`_coerce_param`, once the scenario and the
+    seed are known to be valid."""
     if config.scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario '{config.scenario}'")
+    if config.seed < 0:
+        raise ValueError(f"{config.scenario}: seed must be a non-negative integer, got {config.seed}")
     defaults, _ = SCENARIOS[config.scenario]
     unknown = set(config.params) - set(defaults)
     if unknown:
@@ -360,7 +363,7 @@ def run_scenario(config):
 
 def run_suite(configs):
     """Run a sequence of scenario configs and aggregate pass/fail. Every
-    entry's parameters are checked before the first entry runs."""
+    entry's parameters and seed are checked before the first entry runs."""
     configs = list(configs)
     if not configs:
         raise ValueError("suite is empty")

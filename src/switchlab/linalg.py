@@ -6,6 +6,9 @@ operators follow a big-endian tensor convention (the leftmost factor is the
 most significant index), so ``kron(a, b)`` puts ``a`` on the first factor.
 """
 
+import math
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -25,10 +28,12 @@ __all__ = [
     "dagger",
     "is_psd",
     "require_psd",
+    "require_dims",
     "is_unitary",
     "kron",
     "hermitian_eigen",
     "partial_trace",
+    "trace_and_replace",
     "permute_subsystems",
 ]
 
@@ -67,7 +72,8 @@ def dagger(m):
 
 
 def kron(*matrices):
-    """Kronecker product of one or more matrices, leftmost factor first.
+    """Kronecker product of one or more matrices, leftmost factor first; or,
+    for (..., r, c) stacks whose leading axes broadcast, one per member.
 
     Each factor is one broadcast multiply, entry (i, k; j, l) = a[i, j] b[k, l],
     the same single product per entry as ``np.kron`` and so bit-identical to it,
@@ -76,17 +82,30 @@ def kron(*matrices):
     out = np.asarray(matrices[0], dtype=complex)
     for m in matrices[1:]:
         m = np.asarray(m, dtype=complex)
-        (r0, c0), (r1, c1) = out.shape, m.shape
-        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(r0 * r1, c0 * c1)
+        (r0, c0), (r1, c1) = out.shape[-2:], m.shape[-2:]
+        out = out[..., :, None, :, None] * m[..., None, :, None, :]
+        out = out.reshape(*out.shape[:-4], r0 * r1, c0 * c1)
     return out
 
 
 def _check_dims(m, dims):
     m = np.asarray(m, dtype=complex)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if m.shape != (total, total):
         raise ValueError(f"matrix of shape {m.shape} does not match dims {tuple(dims)}")
     return m, total
+
+
+def require_dims(dims, what):
+    """`dims` as a tuple of ints. Raise ValueError, naming `what` and the dims,
+    unless each is an integer (a ``numbers.Integral``, not a bool) of at least 1."""
+    dims = tuple(dims)
+    for d in dims:
+        # type(d) is int first: constructors run this on every call, and the
+        # numbers.Integral check is an order of magnitude slower.
+        if not ((type(d) is int or isinstance(d, numbers.Integral) and not isinstance(d, bool)) and d >= 1):
+            raise ValueError(f"{what} dims {dims} must each be an integer of at least 1")
+    return tuple(map(int, dims))
 
 
 def permute_subsystems(m, dims, perm):
@@ -120,8 +139,20 @@ def partial_trace(m, dims, keep):
     for i in reversed(range(k)):
         if i not in keep:
             t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
+    d_keep = math.prod(dims[i] for i in keep)
     return t.reshape(d_keep, d_keep)
+
+
+def trace_and_replace(m, dims, factor):
+    """L_X(m) = 1_X / d_X (x) Tr_X m, with 1_X back in the place of factor X = `factor`."""
+    m, total = _check_dims(m, dims)
+    k = len(dims)
+    if factor not in range(k):
+        raise ValueError(f"factor {factor} out of range for {k} factors")
+    reduced = np.trace(m.reshape(tuple(dims) * 2), axis1=factor, axis2=factor + k)
+    d = dims[factor]
+    eye = np.eye(d).reshape([d if i in (factor, factor + k) else 1 for i in range(2 * k)])
+    return (np.expand_dims(reduced, (factor, factor + k)) * eye / d).reshape(total, total)
 
 
 def is_unitary(m):

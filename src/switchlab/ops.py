@@ -27,6 +27,7 @@ from .linalg import (
     is_unitary,
     kron,
     partial_trace,
+    require_dims,
     require_psd,
 )
 
@@ -76,8 +77,9 @@ class Operation:
     kraus: tuple = ()
 
     def __post_init__(self):
-        if not (self.d_in >= 1 and self.d_out >= 1):
-            raise ValueError(f"Operation dims ({self.d_in}, {self.d_out}) must each be at least 1")
+        d_in, d_out = require_dims((self.d_in, self.d_out), "Operation")
+        object.__setattr__(self, "d_in", d_in)
+        object.__setattr__(self, "d_out", d_out)
         kraus = tuple(np.array(e, dtype=complex) for e in self.kraus)
         if not kraus:
             raise ValueError("operation needs at least one Kraus operator")
@@ -149,8 +151,9 @@ class ChoiOperator:
     convention: Convention = Convention.TRANSPOSED
 
     def __post_init__(self):
-        if not (self.d_in >= 1 and self.d_out >= 1):
-            raise ValueError(f"ChoiOperator dims ({self.d_in}, {self.d_out}) must each be at least 1")
+        d_in, d_out = require_dims((self.d_in, self.d_out), "ChoiOperator")
+        object.__setattr__(self, "d_in", d_in)
+        object.__setattr__(self, "d_out", d_out)
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
         d = self.d_in * self.d_out

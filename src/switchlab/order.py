@@ -169,10 +169,9 @@ def _switch_supermap(ua, ub, spec):
     # switch_supermap_state on complex unitaries already proved unitary.
     c0, c1 = spec.control_amplitudes
     psi = spec.target_state[..., None]
-    # v (x) |0> and v (x) |1> as kron forms them, on target column vectors.
-    branch_0 = ub @ ua @ psi * [1, 0]
-    branch_1 = ua @ ub @ psi * [0, 1]
-    return (c0 * branch_0 + c1 * branch_1).reshape(*branch_0.shape[:-2], -1)
+    branch_0 = kron(ub @ ua @ psi, ID2[:, :1])
+    branch_1 = kron(ua @ ub @ psi, ID2[:, 1:])
+    return (c0 * branch_0 + c1 * branch_1)[..., 0]
 
 
 def switch_process_vector(spec):
@@ -347,10 +346,8 @@ def max_separable_chsh(samples, rng):
     worst = 0.0
     for start in range(0, samples, _BLOCK):
         draws = rand_unitary(2, rng, (min(_BLOCK, samples - start), 2))
-        a, b = draws[:, 0, :, 0], draws[:, 1, :, 0]
-        # a (x) b for each member, as kron forms it.
-        products = (a[:, :, None] * b[:, None, :]).reshape(len(draws), 4)
-        worst = max(worst, float(np.abs(chsh_value(products)).max()))
+        products = kron(draws[:, 0, :, :1], draws[:, 1, :, :1])
+        worst = max(worst, float(np.abs(chsh_value(products[..., 0])).max()))
     return worst
 
 

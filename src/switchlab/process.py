@@ -9,6 +9,7 @@ silently transpose one tensor factor.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,9 @@ from .linalg import (
     kron,
     partial_trace,
     permute_subsystems,
+    require_dims,
     require_psd,
+    trace_and_replace,
 )
 from .ops import Convention, _cptp_choi_pairs
 
@@ -58,13 +61,13 @@ class ProcessMatrix:
     matrix: np.ndarray = None
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 4 or min(dims) < 1:
-            raise ValueError(f"ProcessMatrix dims {dims} must be four dimensions, each at least 1")
+        dims = require_dims(self.dims, "ProcessMatrix")
+        if len(dims) != 4:
+            raise ValueError(f"ProcessMatrix dims {dims} must be four dimensions")
         object.__setattr__(self, "dims", dims)
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
-        total = int(np.prod(dims))
+        total = math.prod(dims)
         if m.shape != (total, total):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         require_psd(m, "process matrix")
@@ -168,7 +171,7 @@ def _require_unit_trace(rho):
 
 def state_process(rho, dims):
     """Process matrix of a shared state: W = rho^{A_in B_in} (x) 1^{A_out B_out}."""
-    d_a_in, d_a_out, d_b_in, d_b_out = dims
+    d_a_in, d_a_out, d_b_in, d_b_out = require_dims(dims, "ProcessMatrix")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d_a_in * d_b_in,) * 2:
         raise ValueError("state must live on A_in (x) B_in")
@@ -179,10 +182,10 @@ def state_process(rho, dims):
     return ProcessMatrix(dims, ordered)
 
 
-def _one_way(rho, channel_choi, d_last):
-    """(dims, matrix) of the one-way process A -> B on (A_in, A_out, B_in,
-    B_out): W = rho^{A_in} (x) (C^{A_out B_in})^T (x) 1^{B_out}, with d_B_out =
-    d_B_in unless `d_last` is given."""
+def _one_way(rho, channel_choi, d_last, perm):
+    """The one-way process W = rho (x) C^T (x) 1 from the party that receives
+    rho to the other, with d_last (default: the channel's output dimension)
+    on the last factor, reordered by `perm` to (A_in, A_out, B_in, B_out)."""
     _require_transposed(channel_choi.convention)
     if not channel_choi.is_cptp():
         raise ValueError("channel Choi is not trace-preserving")
@@ -190,24 +193,28 @@ def _one_way(rho, channel_choi, d_last):
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"state shape {rho.shape} is not square")
     _require_unit_trace(rho)
-    d_last = channel_choi.d_out if d_last is None else int(d_last)
-    dims = (len(rho), channel_choi.d_in, channel_choi.d_out, d_last)
-    return dims, kron(rho, channel_choi.matrix.T, np.eye(d_last))
+    d_last = channel_choi.d_out if d_last is None else d_last
+    built = (len(rho), channel_choi.d_in, channel_choi.d_out, d_last)
+    # Checked before np.eye(d_last), which raises TypeError on a float and
+    # reads True as 1, and named in W's factor order.
+    dims = require_dims([built[p] for p in perm], "ProcessMatrix")
+    m = kron(rho, channel_choi.matrix.T, np.eye(d_last))
+    if perm != (0, 1, 2, 3):
+        m, _ = permute_subsystems(m, built, perm)
+    return ProcessMatrix(dims, m)
 
 
 def channel_process(rho_b, channel_choi, d_a_out=None):
     """Signaling process B -> A: Bob receives rho_b, and a channel carries his
     output to Alice.  W = 1^{A_out} (x) (C^{B_out A_in})^T (x) rho^{B_in}."""
-    dims, m = _one_way(rho_b, channel_choi, d_a_out)
     # built as A -> B with the parties exchanged; exchange them back
-    m, dims = permute_subsystems(m, dims, (2, 3, 0, 1))
-    return ProcessMatrix(dims, m)
+    return _one_way(rho_b, channel_choi, d_a_out, (2, 3, 0, 1))
 
 
 def channel_process_reverse(rho_a, channel_choi, d_b_out=None):
     """Signaling process A -> B, the mirror image of :func:`channel_process`:
     W = rho^{A_in} (x) (C^{A_out B_in})^T (x) 1^{B_out}."""
-    return ProcessMatrix(*_one_way(rho_a, channel_choi, d_b_out))
+    return _one_way(rho_a, channel_choi, d_b_out, (0, 1, 2, 3))
 
 
 def causal_mixture(w1, w2, q):
@@ -332,10 +339,8 @@ def validate_process(w, samples, rng):
 def _block_deviation(w, k, rng):
     # Largest |Tr[W (M (x) N)] - 1| over k random CPTP pairs, stacked.
     ma, nb = _cptp_choi_pairs((w.dims[:2], w.dims[2:]), _KRAUS_RANK, k, rng)
-    # M (x) N is formed, as probability() forms it, so that every trace has
-    # probability()'s roundoff: the CLI prints the deviation to 12 digits.
-    n = len(w.matrix)
-    g = (ma[:, :, None, :, None] * nb[:, None, :, None, :]).reshape(k, n, n)
+    # probability()'s kron, so the CLI's 12 printed digits share its roundoff.
+    g = kron(ma, nb)
     vals = _real_probability(np.trace(w.matrix @ g, axis1=1, axis2=2))
     return float(np.abs(vals - 1.0).max())
 
@@ -351,24 +356,11 @@ def ocb_process():
     return ProcessMatrix((2, 2, 2, 2), w)
 
 
-def _marginal_invariance(w, factor):
-    # True iff W is invariant under replacing `factor` by the maximally mixed
-    # marginal, i.e. W = 1/d (x) Tr_factor W on that slot.
-    dims = w.dims
-    reduced = partial_trace(w.matrix, dims, keep=[i for i in range(4) if i != factor])
-    d = dims[factor]
-    rebuilt = kron(np.eye(d) / d, reduced)
-    order = [factor] + [i for i in range(4) if i != factor]
-    inverse = [order.index(i) for i in range(4)]
-    rebuilt, _ = permute_subsystems(rebuilt, [dims[i] for i in order], inverse)
-    return close(rebuilt, w.matrix)
-
-
 def no_signaling_a_to_b(w):
-    """Diagnostic: W carries no A -> B signaling (trivial on A_out)."""
-    return _marginal_invariance(w, factor=1)
+    """Diagnostic: W carries no A -> B signaling, L_{A_out}(W) = W."""
+    return close(trace_and_replace(w.matrix, w.dims, 1), w.matrix)
 
 
 def no_signaling_b_to_a(w):
-    """Diagnostic: W carries no B -> A signaling (trivial on B_out)."""
-    return _marginal_invariance(w, factor=3)
+    """Diagnostic: W carries no B -> A signaling, L_{B_out}(W) = W."""
+    return close(trace_and_replace(w.matrix, w.dims, 3), w.matrix)

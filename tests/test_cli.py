@@ -390,3 +390,15 @@ def test_cli_trigger_outside_its_regime_fails_its_check():
     code, out = run_cli(["run", "--scenario", "trigger", "--param", "potential=1e-21", "--param", "mass=1e-25"])
     assert code == EXIT_CHECK_FAILED
     assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == ["regime_ok"]
+
+
+def test_cli_run_rejects_a_negative_seed():
+    error = run_cli_usage_error(["run", "--scenario", "ocb-game", "--seed", "-1"])
+    assert error == "ocb-game: seed must be a non-negative integer, got -1"
+
+
+def test_cli_suite_rejects_a_negative_seed_before_any_entry_runs(tmp_path):
+    config = tmp_path / "suite.json"
+    config.write_text('[{"scenario": "trigger"}, {"scenario": "ocb-game", "seed": -5}]')
+    error = run_cli_usage_error(["suite", "--config", str(config)])
+    assert error == "suite entry 1: ocb-game: seed must be a non-negative integer, got -5"

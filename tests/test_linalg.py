@@ -21,6 +21,7 @@ from switchlab.linalg import (
     partial_trace,
     permute_subsystems,
     require_psd,
+    trace_and_replace,
 )
 from switchlab.ops import (
     Operation,
@@ -82,6 +83,30 @@ def test_kron_equals_numpy_kron_bit_for_bit(data, factors, complex_entries):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
+def test_kron_of_broadcasting_stacks_equals_numpy_kron_per_member():
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((5, 3, 2, 2)) + 1j * rng.standard_normal((5, 3, 2, 2))
+    b = rng.standard_normal((3, 4, 3)) + 1j * rng.standard_normal((3, 4, 3))
+    got = kron(a, b)
+    assert got.shape == (5, 3, 8, 6)
+    for i, j in np.ndindex(5, 3):
+        assert np.array_equal(got[i, j], np.kron(a[i, j], b[j]))
+
+
+def test_trace_and_replace_is_idempotent_and_checks_its_factor():
+    rng = np.random.default_rng(18)
+    dims = (2, 3, 3, 2)
+    m = rand_hermitian(36, rng)
+    for factor in range(4):
+        once = trace_and_replace(m, dims, factor)
+        assert np.abs(trace_and_replace(once, dims, factor) - once).max() < 1e-14
+    for factor in (-1, 4):
+        with pytest.raises(ValueError, match=f"factor {factor} out of range for 4 factors"):
+            trace_and_replace(m, dims, factor)
+    with pytest.raises(ValueError, match="does not match dims"):
+        trace_and_replace(m, (2, 2, 2, 2), 0)
 
 
 def test_kron_associativity_and_trace_product():

@@ -1,0 +1,82 @@
+"""Every named input error of the public API that no other test reaches:
+the call raises ValueError with that message."""
+
+import re
+
+import numpy as np
+import pytest
+
+from switchlab import order
+from switchlab.linalg import ID2, partial_trace, permute_subsystems
+from switchlab.ops import ChoiOperator
+from switchlab.process import (
+    ProcessMatrix,
+    causal_mixture,
+    channel_process,
+    ocb_process,
+    state_process,
+    validate_process,
+)
+
+
+def mixed_shape_strategy():
+    # Bob's Choi is 2 x 3 only at (y, b') = (1, 1), so G_B mixes two shapes.
+    good = order.ocb_strategy()
+
+    def bob(y, b, bp):
+        return ChoiOperator(2, 3, np.eye(6) / 3) if (y, bp) == (1, 1) else good.bob_choi(y, b, bp)
+
+    return order.GameStrategy(good.alice_choi, bob)
+
+
+def rng():
+    return np.random.default_rng(0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: partial_trace(np.eye(3), (2, 2), keep=(0,)), "matrix of shape (3, 3) does not match dims (2, 2)"),
+        (lambda: permute_subsystems(np.eye(4), (2, 2), (0, 0)), "perm (0, 0) is not a permutation of range(2)"),
+        (lambda: partial_trace(np.eye(4), (2, 2), keep=(2,)), "keep indices [2] out of range for 2 factors"),
+        (lambda: ProcessMatrix((2, 2, 2, 2), np.eye(4)), "matrix shape (4, 4) does not match dims (2, 2, 2, 2)"),
+        (lambda: state_process(ID2 / 2, (2, 2, 2, 2)), "state must live on A_in (x) B_in"),
+        (lambda: channel_process(ID2 / 2, ChoiOperator(2, 2, np.eye(4))), "channel Choi is not trace-preserving"),
+        (lambda: causal_mixture(ocb_process(), ProcessMatrix((4, 1, 2, 2), np.eye(16) / 4), 0.5),
+         "process dimensions disagree"),
+        (lambda: validate_process(ocb_process(), 0, rng()), "need at least one sample"),
+        (lambda: order.success_probability(ocb_process(), mixed_shape_strategy()),
+         "Bob Choi dimensions do not match the process"),
+        (lambda: order.switch_supermap_state(2 * ID2, ID2, order.SwitchSpec()), "switch branches must be unitary"),
+        (lambda: order.max_contraction_deviation(0, rng()), "need at least one pair"),
+        (lambda: order.control_measurement(np.ones(3), 1), "state must end in a qubit control factor"),
+        (lambda: order.control_measurement(np.ones(4) / 2, 2), "sign must be +1 or -1"),
+        (lambda: order.charlie_measurement(np.ones(4) / 2, np.eye(2)), "projector dimension does not match the state"),
+        (lambda: order.chsh_value(np.ones(3)), "CHSH evaluation needs a two-qubit state vector"),
+        (lambda: order.max_separable_chsh(0, rng()), "need at least one sample"),
+        (lambda: order.temporal_order_state(*order.TEMPORAL_ORDER_UNITARIES, ID2[0], ID2[0], 0),
+         "sign must be +1 or -1"),
+    ],
+    ids=[
+        "check-dims-shape",
+        "permute-non-permutation",
+        "partial-trace-keep-range",
+        "process-matrix-shape",
+        "state-process-shape",
+        "one-way-non-tp-channel",
+        "causal-mixture-dims",
+        "validate-zero-samples",
+        "party-dims-mixed-shapes",
+        "supermap-non-unitary",
+        "contraction-zero-pairs",
+        "control-odd-size",
+        "control-sign",
+        "charlie-projector-dims",
+        "chsh-state-size",
+        "separable-chsh-zero-samples",
+        "temporal-order-sign",
+    ],
+)
+def test_named_input_errors(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from switchlab import order
+from switchlab import linalg, order
 
-from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, is_unitary, kron
+from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, is_unitary, kron, partial_trace, permute_subsystems
 from switchlab.ops import (
     ChoiOperator,
     Convention,
@@ -38,6 +38,7 @@ from switchlab.order import (
     temporal_order_state,
 )
 from switchlab.process import (
+    ProcessMatrix,
     causal_mixture,
     channel_process,
     channel_process_reverse,
@@ -234,6 +235,41 @@ def test_causal_bound_certificate_is_exact():
     assert np.abs(trace_and_replace(g_b, 1) - np.eye(16) / 2).max() == 0.0
 
 
+def marginal_rebuilt(m, dims, factor):
+    """1/d (x) Tr_factor m formed by kron on the factor moved to the front,
+    then permuted back into place."""
+    reduced = partial_trace(m, dims, keep=[i for i in range(4) if i != factor])
+    rebuilt = kron(np.eye(dims[factor]) / dims[factor], reduced)
+    moved = [factor] + [i for i in range(4) if i != factor]
+    rebuilt, _ = permute_subsystems(rebuilt, [dims[i] for i in moved], [moved.index(i) for i in range(4)])
+    return rebuilt
+
+
+def test_library_trace_and_replace_equals_both_references():
+    rng = np.random.default_rng(21)
+    dims = (2, 3, 3, 2)
+    g = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
+    for factor in range(4):
+        got = linalg.trace_and_replace(g, dims, factor)
+        assert np.array_equal(got, trace_and_replace(g, factor, dims))
+        # kron divides by d before the product, so the last bit may differ.
+        assert np.abs(got - marginal_rebuilt(g, dims, factor)).max() < 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_processes_trivial_on_the_later_output_leave_the_uninformed_branch_at_half(seed):
+    # Every one-way process, a quantum memory included, is L_X(W) = W for X
+    # the later party's output; the certificate then fixes that branch at 1/2.
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    x = g @ g.conj().T
+    for factor, branch in ((3, 0), (1, 1)):
+        m = linalg.trace_and_replace(x, (2, 2, 2, 2), factor)
+        w = ProcessMatrix((2, 2, 2, 2), 4 * m / np.trace(m).real)
+        assert abs(branch_probabilities(w, ocb_strategy())[branch] - 0.5) < 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), ranks=st.tuples(st.integers(1, 4), st.integers(1, 4)))
 def test_one_way_processes_leave_the_uninformed_branch_at_half(seed, ranks):
@@ -360,6 +396,32 @@ def test_switch_contraction_identity_random_unitaries():
         supermap = switch_supermap_state(ua, ub, spec)
         fidelity = abs(np.vdot(contracted, supermap)) ** 2
         assert abs(fidelity - 1.0) < 1e-9
+
+
+def test_switch_contraction_equals_the_supermap_exactly_on_a_basis():
+    # Both sides are bilinear in (U_A, U_B) and linear in the target and the
+    # control, so exact equality on Pauli pairs, basis targets and basis
+    # controls proves the identity for every input.
+    paulis = (ID2, PAULI_X, PAULI_Y, PAULI_Z)
+    for ua, ub in ((a, b) for a in paulis for b in paulis):
+        for target in np.eye(2):
+            for control in ((1, 0), (0, 1)):
+                spec = SwitchSpec(target_state=target, control_amplitudes=control)
+                contracted = contract_switch_vector(switch_process_vector(spec), ua, ub)
+                assert np.abs(contracted - switch_supermap_state(ua, ub, spec)).max() == 0.0
+
+
+def test_separable_chsh_maximum_is_exactly_root_two():
+    # On a product state the CHSH value is the constant term plus local terms
+    # plus a . T b over Bloch vectors a, b; with no constant or local term its
+    # maximum is T's largest singular value.
+    k00, k01, k10, k11 = order._CHSH_OPERATORS
+    chsh = k00 + k01 + k10 - k11
+    paulis = (ID2, PAULI_X, PAULI_Y, PAULI_Z)
+    coeffs = np.array([[np.trace(chsh @ kron(p, q)).real / 4 for q in paulis] for p in paulis])
+    assert np.abs(coeffs[0]).max() == 0.0 and np.abs(coeffs[:, 0]).max() == 0.0
+    assert np.abs(np.linalg.svd(coeffs[1:, 1:], compute_uv=False) - [np.sqrt(2), np.sqrt(2), 0]).max() < 1e-12
+    assert max_separable_chsh(2000, np.random.default_rng(0)) <= np.sqrt(2) + 1e-12
 
 
 def reference_switch_process_vector(spec):

@@ -554,3 +554,31 @@ def test_channel_process_equals_the_written_out_formula(seed, dims, rank, d_a_ou
 def test_process_dims_are_four_and_positive(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ProcessMatrix((2.7, 2, 2, 2), np.eye(16) / 4), "ProcessMatrix dims (2.7, 2, 2, 2)"),
+        (lambda: ProcessMatrix(("2", 2, 2, 2), np.eye(16) / 4), "ProcessMatrix dims ('2', 2, 2, 2)"),
+        (lambda: ChoiOperator(1.5, 2, np.eye(3)), "ChoiOperator dims (1.5, 2)"),
+        (lambda: Operation(2.0, 2, (ID2,)), "Operation dims (2.0, 2)"),
+        (lambda: channel_process(ID2 / 2, choi_of_operation(Operation.from_unitary(ID2)), d_a_out=2.7),
+         "ProcessMatrix dims (2, 2.7, 2, 2)"),
+        (lambda: channel_process_reverse(ID2 / 2, choi_of_operation(Operation.from_unitary(ID2)), d_b_out=True),
+         "ProcessMatrix dims (2, 2, 2, True)"),
+    ],
+    ids=["process-float", "process-string", "choi-float", "operation-float", "channel-float", "reverse-bool"],
+)
+def test_dims_that_are_not_integers_fail_by_name(build, message):
+    with pytest.raises(ValueError, match=re.escape(message) + ".* must each be an integer of at least 1"):
+        build()
+
+
+def test_numpy_integer_dims_are_stored_as_int():
+    two = np.int64(2)
+    w = ProcessMatrix((two,) * 4, np.eye(16) / 4)
+    op = Operation(two, two, (ID2,))
+    choi = ChoiOperator(two, two, np.eye(4) / 2)
+    for d in (*w.dims, op.d_in, op.d_out, choi.d_in, choi.d_out):
+        assert type(d) is int

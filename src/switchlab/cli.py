@@ -179,8 +179,8 @@ def _scenario_grav_order(params, rng):
     threshold = gravity.min_tau_for_order(r_a, r_b, body)
     above = 1.01 * threshold
     below = 0.99 * threshold
-    orders_above = gravity.arrival_proper_time(above, r_a, r_b, body) < above
-    orders_below = gravity.arrival_proper_time(below, r_a, r_b, body) < below
+    orders_above = gravity.order_margin(above, r_a, r_b, body) < 0.0
+    orders_below = gravity.order_margin(below, r_a, r_b, body) < 0.0
     asym = gravity.asymmetric_order_threshold(
         body.radius + params["asym_r_offset"], params["asym_h"], params["asym_l"], body
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace
+from .linalg import ID2, kron, partial_trace
 
 __all__ = [
     "C_LIGHT",
@@ -23,6 +23,7 @@ __all__ = [
     "lapse",
     "light_coordinate_time",
     "arrival_proper_time",
+    "order_margin",
     "min_tau_for_order",
     "asymmetric_order_threshold",
     "switch_ratio_exact",
@@ -90,7 +91,14 @@ def light_coordinate_time(r1, r2, body):
     rs = body.schwarzschild_radius
     if r1 <= rs:
         raise ValueError("emission point inside the Schwarzschild radius")
-    return ((r2 - r1) + rs * np.log((r2 - rs) / (r1 - rs))) / C_LIGHT
+    return ((r2 - r1) + rs * np.log1p((r2 - r1) / (r1 - rs))) / C_LIGHT
+
+
+def _lapse_gap(r, h, body):
+    """lapse(r + h) - lapse(r), rationalized as R_S h / (r (r + h)) /
+    (lapse(r + h) + lapse(r)) so that lapses within 1e-9 of one do not cancel."""
+    rs = body.schwarzschild_radius
+    return rs * h / (r * (r + h)) / (lapse(r + h, body) + lapse(r, body))
 
 
 def _tc_between(r_a, r_b, body):
@@ -109,20 +117,23 @@ def arrival_proper_time(tau_star, r_a, r_b, body):
     return dil_b * (tau_star / dil_a + t_c)
 
 
+def order_margin(tau_star, r_a, r_b, body):
+    """arrival_proper_time(tau*) - tau* without subtracting two clock readings:
+    lapse(r_b) t_c - tau* (lapse(r_a) - lapse(r_b)) / lapse(r_a). Negative when
+    event A = (a's clock reads tau*) lies in the past lightcone of
+    B = (b's clock reads tau*)."""
+    t_c = _tc_between(r_a, r_b, body)
+    return lapse(r_b, body) * t_c - tau_star * _lapse_gap(r_b, r_a - r_b, body) / lapse(r_a, body)
+
+
 def min_tau_for_order(r_a, r_b, body):
     """Threshold proper time tau* above which event A = (a's clock reads tau*)
-    enters the past lightcone of B = (b's clock reads tau*).
-
-    The threshold is the fixed point of :func:`arrival_proper_time`, so it
-    requires b's clock to run slower than a's (r_b < r_a for a single body).
-    """
-    dil_a = lapse(r_a, body)
-    dil_b = lapse(r_b, body)
-    denom = 1.0 - dil_b / dil_a
-    if denom <= 0.0:
+    enters the past lightcone of B = (b's clock reads tau*): the zero of
+    :func:`order_margin`. It needs b's clock to run slower than a's (r_b < r_a)."""
+    if not r_b < r_a:
         raise ValueError("no ordering threshold: b's clock does not run slower than a's")
-    t_c = _tc_between(r_a, r_b, body)
-    return dil_b * t_c / denom
+    t_c = light_coordinate_time(r_b, r_a, body)
+    return lapse(r_a, body) * lapse(r_b, body) * t_c / _lapse_gap(r_b, r_a - r_b, body)
 
 
 def asymmetric_order_threshold(r, h, L, body):
@@ -133,36 +144,25 @@ def asymmetric_order_threshold(r, h, L, body):
     """
     if min(r, h, L) <= 0.0:
         raise ValueError("geometry lengths must be positive")
-    dil_r = lapse(r, body)
-    dil_rh = lapse(r + h, body)
-    dil_rl = lapse(r + L, body)
-    dil_rlh = lapse(r + L + h, body)
-    denom = 1.0 - (dil_rlh * dil_r) / (dil_rh * dil_rl)
-    if denom <= 0.0:
-        raise ValueError("degenerate geometry: configurations cannot order oppositely")
+    rs = body.schwarzschild_radius
+    dil_r, dil_rh = lapse(r, body), lapse(r + h, body)
+    dil_rl, dil_rlh = lapse(r + L, body), lapse(r + L + h, body)
+    p, q = dil_rh * dil_rl, dil_rlh * dil_r
+    # 1 - q/p = (p^2 - q^2) / (p (p + q)), with p^2 - q^2 > 0 in closed form,
+    # R_S h L (2r + L + h - R_S) / (r (r+h) (r+L) (r+L+h)), as ratios that cannot overflow
+    p2_minus_q2 = rs / r * (h / (r + h)) * (L / (r + L)) * ((2.0 * r + L + h - rs) / (r + L + h))
     t_far = light_coordinate_time(r + L, r + L + h, body)
     t_near = light_coordinate_time(r, r + h, body)
-    return dil_r * ((dil_rlh / dil_rh) * t_far + t_near) / denom
+    return dil_r * ((dil_rlh / dil_rh) * t_far + t_near) * p * (p + q) / p2_minus_q2
 
 
 def switch_ratio_exact(body, h):
-    """Exact Delta t_r / Delta t_c of the switch condition:
-    sqrt(1 - R_S/(R+h)) / (sqrt(1 - R_S/(R+h)) - sqrt(1 - R_S/R)).
-
-    Evaluated in the algebraically identical form with the difference of
-    square roots rationalized, which survives R_S/R down to 1e-37.
-    """
+    """Exact Delta t_r / Delta t_c = lapse(R+h) / (lapse(R+h) - lapse(R)) of
+    the switch condition; :func:`_lapse_gap` keeps it to R_S/R down to 1e-37."""
     if h <= 0.0:
         raise ValueError("height must be positive")
-    rs = body.schwarzschild_radius
     r = body.radius
-    x_surface = rs / r
-    x_top = rs / (r + h)
-    s_top = np.sqrt(1.0 - x_top)
-    s_surface = np.sqrt(1.0 - x_surface)
-    # x_surface - x_top without cancellation
-    dx = rs * h / (r * (r + h))
-    return float(s_top * (s_top + s_surface) / dx)
+    return lapse(r + h, body) / _lapse_gap(r, h, body)
 
 
 @dataclass(frozen=True)
@@ -241,30 +241,44 @@ def _proper_time(r, body, t):
     return t * (1.0 + body.potential(r) / C_LIGHT ** 2)
 
 
-def grav_switch_clock_state(clock_a, clock_b, r_a, r_b, body, t, config):
-    """Joint internal state of the two clocks after coordinate time t in one
-    mass configuration. In K_AB clock a sits at r_a and clock b at r_b; K_BA
-    swaps the positions (the mass moved, distances exchange)."""
+def _configuration_times(r_a, r_b, body, t):
+    """Proper times (tau_a, tau_b) the two clocks read after coordinate time
+    t in K_AB, where clock a sits at r_a and clock b at r_b, and in K_BA,
+    which swaps the positions (the mass moved, distances exchange)."""
     body.require_weak_field()
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if config == "K_AB":
-        pos_a, pos_b = r_a, r_b
-    elif config == "K_BA":
-        pos_a, pos_b = r_b, r_a
-    else:
+    tau_a, tau_b = _proper_time(r_a, body, t), _proper_time(r_b, body, t)
+    return (tau_a, tau_b), (tau_b, tau_a)
+
+
+def _clock_ket(clock_a, clock_b, taus):
+    # clock_a (x) clock_b as a column ket, the clocks reading taus = (tau_a, tau_b)
+    return kron(clock_a.state(taus[0])[:, None], clock_b.state(taus[1])[:, None])
+
+
+def grav_switch_clock_state(clock_a, clock_b, r_a, r_b, body, t, config):
+    """Joint internal state of the two clocks after coordinate time t in one
+    mass configuration, K_AB or K_BA."""
+    taus_ab, taus_ba = _configuration_times(r_a, r_b, body, t)
+    if config not in ("K_AB", "K_BA"):
         raise ValueError("config must be 'K_AB' or 'K_BA'")
-    state_a = clock_a.state(_proper_time(pos_a, body, t))
-    state_b = clock_b.state(_proper_time(pos_b, body, t))
-    return np.kron(state_a, state_b)
+    return _clock_ket(clock_a, clock_b, taus_ab if config == "K_AB" else taus_ba)[:, 0]
+
+
+def _joint_state(clock_a, clock_b, taus_ab, taus_ba):
+    """(control (x) clock_a (x) clock_b) state for the mass in the even
+    superposition of K_AB, where the clocks read taus_ab, and K_BA, where they
+    read taus_ba."""
+    branch_ab = kron(ID2[:, :1], _clock_ket(clock_a, clock_b, taus_ab))
+    branch_ba = kron(ID2[:, 1:], _clock_ket(clock_a, clock_b, taus_ba))
+    return (branch_ab + branch_ba)[:, 0] / np.sqrt(2.0)
 
 
 def grav_switch_joint_state(clock_a, clock_b, r_a, r_b, body, t):
     """(control (x) clock_a (x) clock_b) state for the mass prepared in the
     even superposition of the two configurations."""
-    branch_ab = grav_switch_clock_state(clock_a, clock_b, r_a, r_b, body, t, "K_AB")
-    branch_ba = grav_switch_clock_state(clock_a, clock_b, r_a, r_b, body, t, "K_BA")
-    return (np.kron([1, 0], branch_ab) + np.kron([0, 1], branch_ba)) / np.sqrt(2.0)
+    return _joint_state(clock_a, clock_b, *_configuration_times(r_a, r_b, body, t))
 
 
 def _control_purity(joint):
@@ -280,12 +294,10 @@ def grav_switch_resync_purity(clock_a, clock_b, r_a, r_b, body, t):
     The swap makes both branches accumulate the same total phase per clock,
     so the after-value returns to one.
     """
-    before = _control_purity(grav_switch_joint_state(clock_a, clock_b, r_a, r_b, body, t))
-
-    tau_total_a = _proper_time(r_a, body, t) + _proper_time(r_b, body, t)
-    tau_total_b = _proper_time(r_b, body, t) + _proper_time(r_a, body, t)
-    branch_ab = np.kron(clock_a.state(tau_total_a), clock_b.state(tau_total_b))
-    branch_ba = np.kron(clock_a.state(tau_total_b), clock_b.state(tau_total_a))
-    joint_after = (np.kron([1, 0], branch_ab) + np.kron([0, 1], branch_ba)) / np.sqrt(2.0)
-    after = _control_purity(joint_after)
+    taus_ab, taus_ba = _configuration_times(r_a, r_b, body, t)
+    before = _control_purity(_joint_state(clock_a, clock_b, taus_ab, taus_ba))
+    # after the swap each branch has also spent t in the other configuration
+    totals_ab = (taus_ab[0] + taus_ba[0], taus_ab[1] + taus_ba[1])
+    totals_ba = (taus_ba[0] + taus_ab[0], taus_ba[1] + taus_ab[1])
+    after = _control_purity(_joint_state(clock_a, clock_b, totals_ab, totals_ba))
     return before, after

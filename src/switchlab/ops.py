@@ -118,6 +118,9 @@ class Instrument:
     elements: tuple = ()
 
     def __post_init__(self):
+        d_in, d_out = require_dims((self.d_in, self.d_out), "Instrument")
+        object.__setattr__(self, "d_in", d_in)
+        object.__setattr__(self, "d_out", d_out)
         for op in self.elements:
             if (op.d_in, op.d_out) != (self.d_in, self.d_out):
                 raise ValueError("instrument element dimensions disagree")

@@ -383,10 +383,10 @@ def temporal_order_state(u_a1, u_b1, u_a2, u_b2, psi1, psi2, sign):
     if not (np.isfinite(psi1).all() and np.isfinite(psi2).all()):
         raise ValueError("target states are not finite")
     # The output is bilinear in the targets, so scaling each by _unit_scale
-    # leaves the normalized result's bits unchanged.
-    psi1, psi2 = psi1 * _unit_scale(psi1), psi2 * _unit_scale(psi2)
-    branch_k = np.kron(u_b1 @ u_a1 @ psi1, u_a2 @ u_b2 @ psi2)
-    branch_kp = np.kron(u_a1 @ u_b1 @ psi1, u_b2 @ u_a2 @ psi2)
+    # leaves the normalized result's bits unchanged. They are column kets for kron.
+    psi1, psi2 = (psi1 * _unit_scale(psi1))[:, None], (psi2 * _unit_scale(psi2))[:, None]
+    branch_k = kron(u_b1 @ u_a1 @ psi1, u_a2 @ u_b2 @ psi2)[:, 0]
+    branch_kp = kron(u_a1 @ u_b1 @ psi1, u_b2 @ u_a2 @ psi2)[:, 0]
     out = (branch_k + sign * branch_kp) / np.sqrt(2.0)
     norm = np.linalg.norm(out)
     # The branches cancel when the sum is small beside them, whatever the

@@ -48,6 +48,14 @@ __all__ = [
 ]
 
 
+def _process_dims(dims):
+    """`dims` as four checked ints (d_a_in, d_a_out, d_b_in, d_b_out)."""
+    dims = require_dims(dims, "ProcessMatrix")
+    if len(dims) != 4:
+        raise ValueError(f"ProcessMatrix dims {dims} must be four dimensions")
+    return dims
+
+
 @dataclass(frozen=True)
 class ProcessMatrix:
     """Positive operator on A_in (x) A_out (x) B_in (x) B_out.
@@ -61,9 +69,7 @@ class ProcessMatrix:
     matrix: np.ndarray = None
 
     def __post_init__(self):
-        dims = require_dims(self.dims, "ProcessMatrix")
-        if len(dims) != 4:
-            raise ValueError(f"ProcessMatrix dims {dims} must be four dimensions")
+        dims = _process_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
@@ -171,7 +177,7 @@ def _require_unit_trace(rho):
 
 def state_process(rho, dims):
     """Process matrix of a shared state: W = rho^{A_in B_in} (x) 1^{A_out B_out}."""
-    d_a_in, d_a_out, d_b_in, d_b_out = require_dims(dims, "ProcessMatrix")
+    d_a_in, d_a_out, d_b_in, d_b_out = _process_dims(dims)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d_a_in * d_b_in,) * 2:
         raise ValueError("state must live on A_in (x) B_in")
@@ -197,7 +203,7 @@ def _one_way(rho, channel_choi, d_last, perm):
     built = (len(rho), channel_choi.d_in, channel_choi.d_out, d_last)
     # Checked before np.eye(d_last), which raises TypeError on a float and
     # reads True as 1, and named in W's factor order.
-    dims = require_dims([built[p] for p in perm], "ProcessMatrix")
+    dims = _process_dims(built[p] for p in perm)
     m = kron(rho, channel_choi.matrix.T, np.eye(d_last))
     if perm != (0, 1, 2, 3):
         m, _ = permute_subsystems(m, built, perm)

@@ -128,6 +128,24 @@ def test_cli_small_mass_params():
     assert 0.04 <= report["outputs"]["dt_r"] <= 0.06
 
 
+@pytest.mark.parametrize(
+    "params",
+    [["r_a_offset=1"], ["r_a_offset=1e-3"], ["asym_h=1", "asym_l=1"]],
+    ids=["one-metre-offset", "millimetre-offset", "one-metre-switch"],
+)
+def test_cli_grav_order_passes_at_lab_scale(params):
+    # Lapses within 1e-13 of each other: the thresholds and the order checks
+    # must not be lost to cancellation.
+    argv = ["run", "--scenario", "grav-order"]
+    for param in params:
+        argv += ["--param", param]
+    code, out = run_cli(argv)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["pass"]
+    assert report["outputs"]["orders_above_threshold"] and not report["outputs"]["orders_below_threshold"]
+
+
 def test_cli_list():
     code, out = run_cli(["--list"])
     assert code == EXIT_OK

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from switchlab.gravity import (
     lapse,
     light_coordinate_time,
     min_tau_for_order,
+    order_margin,
     protocol_duration,
     switch_ratio_exact,
     switch_ratio_weak_field,
@@ -168,6 +171,98 @@ def test_asymmetric_threshold_scales_with_length():
 def test_asymmetric_threshold_degenerate_geometry():
     with pytest.raises(ValueError):
         asymmetric_order_threshold(2.0e4, 5.0e3, 0.0, COMPACT)
+
+
+# Offsets of clock a above clock b on Earth's surface, and the lengths h, L of
+# the asymmetric switch: lab scale to 100 km, where 1 - lapse ratio is 1e-19
+# to 1e-11 and cancels in double precision.
+ORDER_OFFSETS = [10.0 ** k for k in range(-3, 6)]
+SWITCH_LENGTHS = [10.0 ** k for k in range(0, 6)]
+
+
+def reference(f, *floats):
+    """f evaluated at 50 digits on the exact values of the float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return f(*map(Decimal, floats))
+
+
+def ref_lapse(r, rs):
+    return (1 - rs / r).sqrt()
+
+
+def ref_light_time(r1, r2, rs):
+    return ((r2 - r1) + rs * ((r2 - rs) / (r1 - rs)).ln()) / Decimal(C_LIGHT)
+
+
+def ref_min_tau(r_a, r_b, rs):
+    l_a, l_b = ref_lapse(r_a, rs), ref_lapse(r_b, rs)
+    return l_b * ref_light_time(r_b, r_a, rs) / (1 - l_b / l_a)
+
+
+def ref_order_margin(tau, r_a, r_b, rs):
+    # arrival_proper_time(tau) - tau, written as the clocks compose it
+    return ref_lapse(r_b, rs) * (tau / ref_lapse(r_a, rs) + ref_light_time(r_b, r_a, rs)) - tau
+
+
+def ref_asymmetric(r, h, L, rs):
+    # r + h, r + L and r + L + h are integers below 2^53 on this grid, so the
+    # float code forms the same radii exactly
+    l = lambda x: ref_lapse(x, rs)
+    denom = 1 - l(r + L + h) * l(r) / (l(r + h) * l(r + L))
+    far = ref_light_time(r + L, r + L + h, rs)
+    near = ref_light_time(r, r + h, rs)
+    return l(r) * (l(r + L + h) / l(r + h) * far + near) / denom
+
+
+def relative_error(got, want):
+    return float(abs(Decimal(got) - want) / abs(want))
+
+
+@pytest.mark.parametrize("offset", ORDER_OFFSETS)
+def test_min_tau_for_order_matches_the_decimal_reference(offset):
+    r_a, r_b = EARTH.radius + offset, EARTH.radius
+    got = min_tau_for_order(r_a, r_b, EARTH)
+    want = reference(ref_min_tau, r_a, r_b, EARTH.schwarzschild_radius)
+    assert relative_error(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("L", SWITCH_LENGTHS)
+@pytest.mark.parametrize("h", SWITCH_LENGTHS)
+def test_asymmetric_threshold_matches_the_decimal_reference(h, L):
+    r = EARTH.radius
+    got = asymmetric_order_threshold(r, h, L, EARTH)
+    want = reference(ref_asymmetric, r, h, L, EARTH.schwarzschild_radius)
+    assert relative_error(got, want) <= 1e-12
+
+
+def test_asymmetric_threshold_is_finite_for_huge_lengths():
+    # p^2 - q^2 is formed from ratios of radii, so no product of four radii
+    # overflows to inf / inf
+    th = asymmetric_order_threshold(EARTH.radius, 1e200, 1e200, EARTH)
+    assert np.isfinite(th) and th > 0
+
+
+@pytest.mark.parametrize("offset", [1e-3, 1.0, 100.0, 1e5])
+def test_order_margin_sign_brackets_the_threshold(offset):
+    # At 3e7 s the margin is ~1e-2 of l_b t_c, down to 3e-14 s, far below the
+    # roundoff of a clock reading; its sign must still be right.
+    r_a, r_b = EARTH.radius + offset, EARTH.radius
+    th = min_tau_for_order(r_a, r_b, EARTH)
+    for tau, ordered in ((1.01 * th, True), (0.99 * th, False)):
+        got = order_margin(tau, r_a, r_b, EARTH)
+        assert (got < 0.0) == ordered
+        want = reference(ref_order_margin, tau, r_a, r_b, EARTH.schwarzschild_radius)
+        assert relative_error(got, want) <= 1e-12
+
+
+def test_order_margin_is_the_arrival_time_less_tau():
+    # where nothing cancels, the margin is arrival_proper_time - tau directly
+    r_a, r_b = 3e4, 2e4
+    for tau in (0.0, 1e-5, 0.37):
+        want = arrival_proper_time(tau, r_a, r_b, COMPACT) - tau
+        assert abs(order_margin(tau, r_a, r_b, COMPACT) - want) < 1e-15
+    assert order_margin(0.37, 2e4, 2e4, COMPACT) == 0.0
 
 
 def test_switch_ratio_exact_earth():

@@ -8,7 +8,7 @@ import pytest
 
 from switchlab import order
 from switchlab.linalg import ID2, partial_trace, permute_subsystems
-from switchlab.ops import ChoiOperator
+from switchlab.ops import ChoiOperator, Instrument
 from switchlab.process import (
     ProcessMatrix,
     causal_mixture,
@@ -41,6 +41,8 @@ def rng():
         (lambda: partial_trace(np.eye(4), (2, 2), keep=(2,)), "keep indices [2] out of range for 2 factors"),
         (lambda: ProcessMatrix((2, 2, 2, 2), np.eye(4)), "matrix shape (4, 4) does not match dims (2, 2, 2, 2)"),
         (lambda: state_process(ID2 / 2, (2, 2, 2, 2)), "state must live on A_in (x) B_in"),
+        (lambda: state_process(ID2 / 2, (2, 2, 2)), "ProcessMatrix dims (2, 2, 2) must be four dimensions"),
+        (lambda: Instrument(2.5, 2, ()), "Instrument dims (2.5, 2) must each be an integer of at least 1"),
         (lambda: channel_process(ID2 / 2, ChoiOperator(2, 2, np.eye(4))), "channel Choi is not trace-preserving"),
         (lambda: causal_mixture(ocb_process(), ProcessMatrix((4, 1, 2, 2), np.eye(16) / 4), 0.5),
          "process dimensions disagree"),
@@ -63,6 +65,8 @@ def rng():
         "partial-trace-keep-range",
         "process-matrix-shape",
         "state-process-shape",
+        "state-process-three-dims",
+        "instrument-non-integer-dims",
         "one-way-non-tp-channel",
         "causal-mixture-dims",
         "validate-zero-samples",

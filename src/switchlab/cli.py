@@ -336,6 +336,17 @@ def _scenario_params(config):
     }
 
 
+def _require_finite(outputs, checks):
+    """Raise ValueError naming the first output or check value that is a
+    non-finite float: Python float arithmetic overflows to inf without the
+    error that np.errstate raises for numpy's."""
+    named = [(("output", key), value) for key, value in outputs.items()]
+    named += [(("check", c["name"], key), c[key]) for c in checks for key in ("expected", "actual", "tolerance")]
+    for what, value in named:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(" ".join(what) + " is not finite")
+
+
 def run_scenario(config):
     """Run one scenario and return its report dictionary."""
     params = _scenario_params(config)
@@ -346,6 +357,7 @@ def run_scenario(config):
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             outputs, checks = runner(params, rng)
+        _require_finite(outputs, checks)
     except ArithmeticError as exc:
         raise ValueError(f"{config.scenario}: {type(exc).__name__}: {exc}") from exc
     except ValueError as exc:

@@ -188,9 +188,24 @@ def _choi_matrix(kraus, convention):
     return m
 
 
+def _built(cls, **fields):
+    """A `cls` instance (ChoiOperator or ProcessMatrix) holding `fields`, which
+    the caller built and checked itself: its `matrix` is fresh, so it is made
+    read-only in place, and ``__post_init__`` does not run, so no proof, copy
+    or dims check is repeated."""
+    fields["matrix"].setflags(write=False)
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def choi_of_operation(op, convention=Convention.TRANSPOSED):
-    """Choi operator of an operation in the requested convention."""
-    return ChoiOperator(op.d_in, op.d_out, _choi_matrix(op.kraus, convention), convention)
+    """Choi operator of an operation in the requested convention. The sum of
+    outer products |E>><<E| is Hermitian and positive semidefinite by
+    construction, so it is not proved again."""
+    matrix = _choi_matrix(op.kraus, convention)
+    return _built(ChoiOperator, d_in=op.d_in, d_out=op.d_out, matrix=matrix, convention=convention)
 
 
 def apply_choi(choi, rho):

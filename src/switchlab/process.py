@@ -28,7 +28,7 @@ from .linalg import (
     require_psd,
     trace_and_replace,
 )
-from .ops import Convention, _cptp_choi_pairs
+from .ops import Convention, _built, _cptp_choi_pairs
 
 __all__ = [
     "ProcessMatrix",
@@ -170,6 +170,14 @@ def _reduced(w, party, chois):
     return partial_trace(w.matrix @ full, w.dims, keep=keep)
 
 
+def _proved(dims, m):
+    """The ProcessMatrix of checked `dims` on the fresh matrix `m` built to fit
+    them, after its one positivity proof. The proof is on W itself: from a
+    state at -DEFAULT_TOL, rho (x) C^T (x) 1 can reach -d_in * DEFAULT_TOL."""
+    require_psd(m, "process matrix")
+    return _built(ProcessMatrix, dims=dims, matrix=m)
+
+
 def _require_unit_trace(rho):
     if not close(np.trace(rho).real, 1.0):
         raise ValueError("state is not a density operator: trace is not 1")
@@ -177,7 +185,8 @@ def _require_unit_trace(rho):
 
 def state_process(rho, dims):
     """Process matrix of a shared state: W = rho^{A_in B_in} (x) 1^{A_out B_out}."""
-    d_a_in, d_a_out, d_b_in, d_b_out = _process_dims(dims)
+    dims = _process_dims(dims)
+    d_a_in, d_a_out, d_b_in, d_b_out = dims
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d_a_in * d_b_in,) * 2:
         raise ValueError("state must live on A_in (x) B_in")
@@ -185,7 +194,7 @@ def state_process(rho, dims):
     full = kron(rho, np.eye(d_a_out * d_b_out))
     # built on (A_in, B_in, A_out, B_out); reorder to (A_in, A_out, B_in, B_out)
     ordered, _ = permute_subsystems(full, (d_a_in, d_b_in, d_a_out, d_b_out), (0, 2, 1, 3))
-    return ProcessMatrix(dims, ordered)
+    return _proved(dims, ordered)
 
 
 def _one_way(rho, channel_choi, d_last, perm):
@@ -207,7 +216,7 @@ def _one_way(rho, channel_choi, d_last, perm):
     m = kron(rho, channel_choi.matrix.T, np.eye(d_last))
     if perm != (0, 1, 2, 3):
         m, _ = permute_subsystems(m, built, perm)
-    return ProcessMatrix(dims, m)
+    return _proved(dims, m)
 
 
 def channel_process(rho_b, channel_choi, d_a_out=None):
@@ -224,12 +233,14 @@ def channel_process_reverse(rho_a, channel_choi, d_b_out=None):
 
 
 def causal_mixture(w1, w2, q):
-    """Convex mixture q*w1 + (1-q)*w2 of two process matrices."""
+    """Convex mixture q*w1 + (1-q)*w2 of two process matrices. It is not
+    proved again: by Weyl's inequality its smallest eigenvalue is at least
+    q*min(w1) + (1-q)*min(w2) >= -DEFAULT_TOL."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")
     if w1.dims != w2.dims:
         raise ValueError("process dimensions disagree")
-    return ProcessMatrix(w1.dims, q * w1.matrix + (1.0 - q) * w2.matrix)
+    return _built(ProcessMatrix, dims=w1.dims, matrix=q * w1.matrix + (1.0 - q) * w2.matrix)
 
 
 def hs_basis(d):

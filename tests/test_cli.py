@@ -229,16 +229,18 @@ def test_cli_rejects_reversed_check_windows(low, high):
     assert "window_low must be below window_high" in error
 
 
-@pytest.mark.parametrize(
-    "scenario, params",
-    [
-        ("trigger", ["mass=1e300"]),
-        ("trigger", ["tau_star=1e-300"]),
-        ("grav-duration", ["mass=1e300", "radius=1e300"]),
-        ("grav-duration", ["h=1e308", "d=1e308"]),
-    ],
-    ids=["sigma-underflow", "omega-overflow", "huge-body", "huge-geometry"],
-)
+# (scenario, params) runs that fail numerically on finite input. CI runs
+# each through the installed console script as well.
+NUMERIC_FAILURES = {
+    "sigma-underflow": ("trigger", ["mass=1e300"]),
+    "omega-overflow": ("trigger", ["tau_star=1e-300"]),
+    "huge-body": ("grav-duration", ["mass=1e300", "radius=1e300"]),
+    "huge-geometry": ("grav-duration", ["h=1e308", "d=1e308"]),
+    "huge-distance": ("grav-duration", ["h=1", "d=1e308"]),
+}
+
+
+@pytest.mark.parametrize("scenario, params", list(NUMERIC_FAILURES.values()), ids=list(NUMERIC_FAILURES))
 def test_cli_numeric_failures_are_usage_errors(scenario, params):
     # A numeric warning would print a line to stderr ahead of the JSON
     # error; raised as an exception here, it escapes main and fails the test.
@@ -248,6 +250,23 @@ def test_cli_numeric_failures_are_usage_errors(scenario, params):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert scenario in run_cli_usage_error(argv)
+
+
+@pytest.mark.parametrize(
+    "params, what",
+    [
+        (["h=1", "d=1e308"], "output dt_r"),
+        (["h=1", "d=5e307"], "output dt_r"),
+        (["window_low=-1e308", "window_high=1e308"], "check dt_r_in_window tolerance"),
+    ],
+    ids=["distance", "half-distance", "window"],
+)
+def test_cli_non_finite_report_values_are_named(params, what):
+    # Python floats overflow to inf without raising; the report names the value.
+    argv = ["run", "--scenario", "grav-duration"]
+    for param in params:
+        argv += ["--param", param]
+    assert run_cli_usage_error(argv) == f"grav-duration: {what} is not finite"
 
 
 @pytest.mark.parametrize("value", ["1e-200", "1e200"], ids=["underflow", "overflow"])

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlab import linalg
-from switchlab.linalg import ID2, NORMALIZATION_TOL, PAULI_X, PAULI_Z, hermitian_eigen, is_psd, kron, permute_subsystems
+from switchlab.linalg import (
+    DEFAULT_TOL,
+    ID2,
+    NORMALIZATION_TOL,
+    PAULI_X,
+    PAULI_Z,
+    hermitian_eigen,
+    is_psd,
+    kron,
+    permute_subsystems,
+)
 from switchlab.ops import (
     ChoiOperator,
     Convention,
@@ -16,7 +27,9 @@ from switchlab.ops import (
     rand_cptp,
     rand_density,
     rand_instrument,
+    rand_operation,
 )
+from switchlab.order import ocb_strategy, success_probability
 from switchlab.process import (
     ProcessMatrix,
     ValidationReport,
@@ -41,6 +54,21 @@ BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 def proj(v):
     return np.outer(v, v.conj())
+
+
+@pytest.fixture
+def proof_shapes(monkeypatch):
+    """The shape of each matrix, or stack, given a positivity proof from the
+    start of the test on."""
+    shapes = []
+    low_eigenvalue = linalg._low_eigenvalue
+
+    def counted(m):
+        shapes.append(np.shape(m))
+        return low_eigenvalue(m)
+
+    monkeypatch.setattr(linalg, "_low_eigenvalue", counted)
+    return shapes
 
 
 def effect_choi(p):
@@ -341,20 +369,13 @@ def test_validate_process_rejects_sides_without_a_rank_two_map():
 
 
 @pytest.mark.parametrize("samples", [1, 64, 129, 500])
-def test_validate_process_proves_positivity_once(monkeypatch, samples):
+def test_validate_process_proves_positivity_once(proof_shapes, samples):
     # The sampled Chois are CPTP by construction, so the only positivity
     # proof is the one on W, whatever the sample count.
     w = ocb_process()
-    calls = []
-    low_eigenvalue = linalg._low_eigenvalue
-
-    def counted(m):
-        calls.append(np.shape(m))
-        return low_eigenvalue(m)
-
-    monkeypatch.setattr(linalg, "_low_eigenvalue", counted)
+    proof_shapes.clear()
     assert validate_process(w, samples, np.random.default_rng(7)).ok
-    assert calls == [(16, 16)]
+    assert proof_shapes == [(16, 16)]
 
 
 def test_validate_process_checks_that_every_probability_is_real():
@@ -452,19 +473,49 @@ def test_channel_processes_check_their_state(build):
 
 
 @pytest.mark.parametrize("build", [channel_process, channel_process_reverse])
-def test_channel_processes_prove_positivity_once(monkeypatch, build):
+def test_channel_processes_prove_positivity_once(proof_shapes, build):
     # The one-way matrix is built once and wrapped in one ProcessMatrix.
     choi = choi_of_operation(rand_cptp(2, 2, 2, np.random.default_rng(9)))
-    calls = []
-    low_eigenvalue = linalg._low_eigenvalue
-
-    def counted(m):
-        calls.append(np.shape(m))
-        return low_eigenvalue(m)
-
-    monkeypatch.setattr(linalg, "_low_eigenvalue", counted)
+    proof_shapes.clear()
     build(ID2 / 2, choi)
-    assert calls == [(16, 16)]
+    assert proof_shapes == [(16, 16)]
+
+
+def test_state_process_proves_positivity_once(proof_shapes):
+    # The proof is on W, not on the 4x4 state.
+    state_process(rand_density(4, np.random.default_rng(10)), (2, 2, 2, 2))
+    assert proof_shapes == [(16, 16)]
+
+
+def test_chois_of_operations_and_mixtures_are_not_proved_again(proof_shapes):
+    # A Choi of an Operation is a sum of outer products, and a mixture of two
+    # validated W keeps their bound on the smallest eigenvalue.
+    rng = np.random.default_rng(11)
+    ops = [rand_cptp(2, 3, 2, rng), rand_operation(3, 2, 2, rng)]
+    w_ba = channel_process(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, 2, rng)))
+    w_ab = channel_process_reverse(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, 1, rng)))
+    proof_shapes.clear()
+    for op in ops:
+        for convention in Convention:
+            choi_of_operation(op, convention)
+    for q in (0.0, 0.3, 1.0):
+        causal_mixture(w_ba, w_ab, q)
+    assert proof_shapes == []
+
+
+def test_causal_bound_operation_makes_four_proofs(proof_shapes):
+    # One causal-bound benchmark operation: the two Kraus defects and the two
+    # one-way W. The OCB strategy's Chois were proved when it was made.
+    rng = np.random.default_rng(12)
+    strategy = ocb_strategy()
+    kraus_ba, kraus_ab = (rand_cptp(2, 2, 2, rng).kraus for _ in range(2))
+    rho_b, rho_a = rand_density(2, rng), rand_density(2, rng)
+    proof_shapes.clear()
+    choi_ba = choi_of_operation(Operation(2, 2, kraus_ba))
+    choi_ab = choi_of_operation(Operation(2, 2, kraus_ab))
+    w = causal_mixture(channel_process(rho_b, choi_ba), channel_process_reverse(rho_a, choi_ab), 0.4)
+    assert success_probability(w, strategy) <= 0.75 + DEFAULT_TOL
+    assert proof_shapes == [(2, 2), (2, 2), (16, 16), (16, 16)]
 
 
 VALIDATED = {
@@ -492,33 +543,66 @@ SIDE = st.tuples(LOCAL_DIM, LOCAL_DIM).filter(lambda side: 2 * side[1] >= side[0
 
 @st.composite
 def process_constructions(draw):
-    """A state, one-way channel or causal-mixture process with local
-    dimensions 1-3, channel Kraus ranks 1-4, and the last dimension given or
-    left to its default."""
+    """(W, every ChoiOperator and ProcessMatrix built on the way, W among
+    them) for a state, one-way channel or causal-mixture process W with local
+    dimensions 1-3, channel Kraus ranks 1-4, the last dimension given or left
+    to its default, and a mixing weight that may be 0 or 1. The first Choi
+    built is of a CPTP or trace-decreasing operation in either convention."""
     kind = draw(st.sampled_from(["state", "b-to-a", "a-to-b", "mixture"]))
     (a_in, a_out), (b_in, b_out) = draw(SIDE), draw(SIDE)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    built = []
 
-    def channel(d_in, d_out):
+    def choi(d_in, d_out, sample=rand_cptp, convention=Convention.TRANSPOSED):
         rank = draw(st.integers(-(-d_in // d_out), 4))
-        return choi_of_operation(rand_cptp(d_in, d_out, rank, rng))
+        built.append(choi_of_operation(sample(d_in, d_out, rank, rng), convention))
+        return built[-1]
 
+    choi(a_in, a_out, draw(st.sampled_from([rand_cptp, rand_operation])), draw(st.sampled_from(Convention)))
     if kind == "state":
-        return state_process(rand_density(a_in * b_in, rng), (a_in, a_out, b_in, b_out))
+        built.append(state_process(rand_density(a_in * b_in, rng), (a_in, a_out, b_in, b_out)))
+        return built[-1], built
     explicit = kind == "mixture" or draw(st.booleans())
-    w_ba = channel_process(rand_density(b_in, rng), channel(b_out, a_in), a_out if explicit else None)
-    w_ab = channel_process_reverse(rand_density(a_in, rng), channel(a_out, b_in), b_out if explicit else None)
+    w_ba = channel_process(rand_density(b_in, rng), choi(b_out, a_in), a_out if explicit else None)
+    w_ab = channel_process_reverse(rand_density(a_in, rng), choi(a_out, b_in), b_out if explicit else None)
+    built += [w_ba, w_ab]
     if kind == "mixture":
-        return causal_mixture(w_ba, w_ab, draw(st.floats(0.0, 1.0)))
-    return w_ba if kind == "b-to-a" else w_ab
+        built.append(causal_mixture(w_ba, w_ab, draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))))
+        return built[-1], built
+    return (w_ba if kind == "b-to-a" else w_ab), built
 
 
 @settings(max_examples=60, deadline=None)
-@given(w=process_constructions(), seed=st.integers(0, 2**32 - 1))
-def test_process_constructions_are_normalized(w, seed):
+@given(construction=process_constructions(), seed=st.integers(0, 2**32 - 1))
+def test_process_constructions_are_normalized(construction, seed):
+    w, _ = construction
     report = validate_process(w, 64, np.random.default_rng(seed))
     assert report.trace_ok
     assert report.max_norm_deviation < NORMALIZATION_TOL
+
+
+PUBLIC_CONSTRUCTORS = {
+    ChoiOperator: lambda c: ChoiOperator(c.d_in, c.d_out, c.matrix, c.convention),
+    ProcessMatrix: lambda w: ProcessMatrix(w.dims, w.matrix),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(construction=process_constructions())
+def test_built_objects_equal_their_public_construction(construction):
+    # The builders skip the constructor's checks that hold by construction;
+    # what they return must be what the public constructor accepts and stores.
+    _, built = construction
+    for obj in built:
+        assert not obj.matrix.flags.writeable
+        public = PUBLIC_CONSTRUCTORS[type(obj)](obj)
+        for f in dataclasses.fields(obj):
+            mine, theirs = getattr(obj, f.name), getattr(public, f.name)
+            if f.name == "matrix":
+                assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+                assert mine.tobytes() == theirs.tobytes()
+            else:
+                assert (type(mine), mine) == (type(theirs), theirs)
 
 
 @settings(max_examples=40, deadline=None)

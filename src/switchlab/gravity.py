@@ -96,9 +96,15 @@ def light_coordinate_time(r1, r2, body):
 
 def _lapse_gap(r, h, body):
     """lapse(r + h) - lapse(r), rationalized as R_S h / (r (r + h)) /
-    (lapse(r + h) + lapse(r)) so that lapses within 1e-9 of one do not cancel."""
+    (lapse(r + h) + lapse(r)) so that lapses within 1e-9 of one do not cancel.
+    Raises ValueError when h is nonzero but the gap underflows to 0, as it
+    does when R_S underflows or r (r + h) overflows: ratios and thresholds
+    divide by it."""
     rs = body.schwarzschild_radius
-    return rs * h / (r * (r + h)) / (lapse(r + h, body) + lapse(r, body))
+    gap = rs * h / (r * (r + h)) / (lapse(r + h, body) + lapse(r, body))
+    if gap == 0.0 and h != 0.0:
+        raise ValueError("lapse gap between the two radii underflows to 0")
+    return gap
 
 
 def _tc_between(r_a, r_b, body):

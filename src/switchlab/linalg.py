@@ -6,6 +6,7 @@ operators follow a big-endian tensor convention (the leftmost factor is the
 most significant index), so ``kron(a, b)`` puts ``a`` on the first factor.
 """
 
+import functools
 import math
 import numbers
 
@@ -88,6 +89,13 @@ def kron(*matrices):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(n):
+    """The n x n float identity, built once per n. It reads an immutable
+    bytes buffer, so no caller can make it writable."""
+    return np.frombuffer(np.eye(n).tobytes()).reshape(n, n)
+
+
 def _check_dims(m, dims):
     m = np.asarray(m, dtype=complex)
     total = math.prod(dims)
@@ -161,16 +169,17 @@ def is_unitary(m):
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or not np.isfinite(m).all():
         return False
-    return close(dagger(m) @ m, np.eye(m.shape[-1]))
+    return close(dagger(m) @ m, _identity(m.shape[-1]))
 
 
 def _hermitian_part(m):
     # 0.5 (m + m^dag), for a matrix or every member of a stack, after checking
-    # that m is Hermitian within DEFAULT_TOL. eigh reads only one triangle, so
-    # symmetrizing keeps a roundoff-level asymmetry from biasing it.
+    # that m is Hermitian within DEFAULT_TOL (the test `close` makes, inline).
+    # eigh reads only one triangle, so symmetrizing keeps a roundoff-level
+    # asymmetry from biasing it.
     m = np.asarray(m, dtype=complex)
-    m_dag = dagger(m)
-    if not close(m, m_dag):
+    m_dag = m.conj().swapaxes(-1, -2)
+    if not np.abs(m - m_dag).max() <= DEFAULT_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return 0.5 * (m + m_dag)
 
@@ -194,7 +203,7 @@ def _low_eigenvalue(m):
     # (up to roundoff). Otherwise the smallest eigenvalue, which alone decides.
     sym = _hermitian_part(m)
     try:
-        np.linalg.cholesky(sym + DEFAULT_TOL * np.eye(sym.shape[-1]))
+        np.linalg.cholesky(sym + DEFAULT_TOL * _identity(sym.shape[-1]))
         return None
     except np.linalg.LinAlgError:
         return np.linalg.eigh(sym)[0][..., 0].min()

@@ -20,6 +20,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _identity,
     close,
     dagger,
     hermitian_eigen,
@@ -64,7 +65,7 @@ def _require_trace_nonincreasing(kraus):
     # sum E^dag E <= 1: its largest eigenvalue is at most 1 + tol iff
     # 1 - sum E^dag E has none below -tol.
     gram = sum(dagger(e) @ e for e in kraus)
-    if not is_psd(np.eye(gram.shape[-1]) - gram):
+    if not is_psd(_identity(gram.shape[-1]) - gram):
         raise ValueError("Kraus family is trace-increasing: sum E^dag E > 1")
 
 
@@ -166,8 +167,9 @@ class ChoiOperator:
         object.__setattr__(self, "matrix", m)
 
     def is_cptp(self):
-        marg = partial_trace(self.matrix, (self.d_in, self.d_out), keep=(0,))
-        return close(marg, np.eye(self.d_in))
+        # Tr_out of the matrix: partial_trace's one contraction, without its checks.
+        t = self.matrix.reshape(self.d_in, self.d_out, self.d_in, self.d_out)
+        return close(np.trace(t, axis1=1, axis2=3), _identity(self.d_in))
 
 
 def _choi_vec(e):
@@ -195,8 +197,7 @@ def _built(cls, **fields):
     or dims check is repeated."""
     fields["matrix"].setflags(write=False)
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 

@@ -60,17 +60,28 @@ class GameStrategy:
 
     @functools.cached_property
     def _game(self):
-        """The :func:`_rule_operator` results for G_A and G_B, from the 12
-        distinct instrument elements, each asked for once:
+        """One :func:`_rule_operator`-shaped result whose operator is the
+        read-only stack (G_A, G_B), from the 12 distinct instrument elements,
+        each asked for once:
         G_A = sum_b (sum_a M(b,a)) (x) (sum_y N(y,b,0))  (Alice guesses b),
         G_B = sum_a (sum_x M(x,a)) (x) (sum_b N(a,b,1))  (Bob guesses a).
+        Both hold all four of Alice's Chois, so they share her dimensions.
         """
         m = {k: self.alice_choi(*k) for k in np.ndindex(2, 2)}
         n = {k: self.bob_choi(*k) for k in np.ndindex(2, 2, 2)}
-        return (
-            _rule_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)]),
-            _rule_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)]),
+        dims_alice, dims_bob, g_a = _rule_operator(
+            [([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)]
         )
+        _, dims_bob_b, g_b = _rule_operator(
+            [([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)]
+        )
+        if dims_bob_b != dims_bob:
+            # No process fits both of Bob's shapes: its Bob check fails
+            # before any trace, after its Alice check.
+            return dims_alice, None, None
+        g = np.stack((g_a, g_b))
+        g.setflags(write=False)
+        return dims_alice, dims_bob, g
 
 
 def _ocb_strategy(rho_b2):
@@ -111,8 +122,8 @@ def ocb_strategy(bob_free_state=None):
 def branch_probabilities(w, strategy):
     """(P(x=b | b'=0), P(y=a | b'=1)) with uniform random bits: 1/4 Tr[W G_A]
     and 1/4 Tr[W G_B] on the strategy's game operators (see GameStrategy)."""
-    rule_alice, rule_bob = strategy._game
-    return 0.25 * _rule_trace(w, rule_alice), 0.25 * _rule_trace(w, rule_bob)
+    p_alice, p_bob = 0.25 * _rule_trace(w, strategy._game)
+    return float(p_alice), float(p_bob)
 
 
 def success_probability(w, strategy):

@@ -19,6 +19,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Z,
     TRACE_TOL,
+    _identity,
     close,
     is_psd,
     kron,
@@ -143,17 +144,18 @@ def _rule_operator(terms):
 
 
 def _rule_trace(w, rule):
-    """The probability rule Tr[W G] on a :func:`_rule_operator` result, once
-    both parties' dimensions fit W; it must be real."""
+    """The probability rule Tr[W G] on a :func:`_rule_operator` result, or one
+    per member when G is a (..., n, n) stack, once both parties' dimensions
+    fit W; each must be real."""
     dims_alice, dims_bob, g = rule
     _require_dims(w, "Alice", dims_alice)
     _require_dims(w, "Bob", dims_bob)
-    return float(_real_probability(np.trace(w.matrix @ g)))
+    return _real_probability(np.trace(w.matrix @ g, axis1=-2, axis2=-1))
 
 
 def probability(w, choi_a, choi_b):
     """Joint probability Tr[W (M (x) N)] for one instrument element each."""
-    return _rule_trace(w, _rule_operator([((choi_a,), (choi_b,))]))
+    return float(_rule_trace(w, _rule_operator([((choi_a,), (choi_b,))])))
 
 
 def _reduced(w, party, chois):
@@ -179,7 +181,7 @@ def _proved(dims, m):
 
 
 def _require_unit_trace(rho):
-    if not close(np.trace(rho).real, 1.0):
+    if not abs(rho.trace().real - 1.0) <= DEFAULT_TOL:
         raise ValueError("state is not a density operator: trace is not 1")
 
 
@@ -210,10 +212,10 @@ def _one_way(rho, channel_choi, d_last, perm):
     _require_unit_trace(rho)
     d_last = channel_choi.d_out if d_last is None else d_last
     built = (len(rho), channel_choi.d_in, channel_choi.d_out, d_last)
-    # Checked before np.eye(d_last), which raises TypeError on a float and
-    # reads True as 1, and named in W's factor order.
+    # Checked before _identity(d_last), whose np.eye raises TypeError on a
+    # float and reads True as 1, and named in W's factor order.
     dims = _process_dims(built[p] for p in perm)
-    m = kron(rho, channel_choi.matrix.T, np.eye(d_last))
+    m = kron(rho, channel_choi.matrix.T, _identity(d_last))
     if perm != (0, 1, 2, 3):
         m, _ = permute_subsystems(m, built, perm)
     return _proved(dims, m)
@@ -356,9 +358,9 @@ def validate_process(w, samples, rng):
 def _block_deviation(w, k, rng):
     # Largest |Tr[W (M (x) N)] - 1| over k random CPTP pairs, stacked.
     ma, nb = _cptp_choi_pairs((w.dims[:2], w.dims[2:]), _KRAUS_RANK, k, rng)
-    # probability()'s kron, so the CLI's 12 printed digits share its roundoff.
-    g = kron(ma, nb)
-    vals = _real_probability(np.trace(w.matrix @ g, axis1=1, axis2=2))
+    # probability()'s kron and trace, so the CLI's 12 printed digits share
+    # its roundoff. Both parties' Chois are drawn at W's own dimensions.
+    vals = _rule_trace(w, (w.dims[:2], w.dims[2:], kron(ma, nb)))
     return float(np.abs(vals - 1.0).max())
 
 

@@ -229,19 +229,22 @@ def test_cli_rejects_reversed_check_windows(low, high):
     assert "window_low must be below window_high" in error
 
 
-# (scenario, params) runs that fail numerically on finite input. CI runs
-# each through the installed console script as well.
+# (scenario, params, quantity) runs that fail numerically on finite input;
+# the error names the scenario and the quantity. CI runs each through the
+# installed console script as well.
 NUMERIC_FAILURES = {
-    "sigma-underflow": ("trigger", ["mass=1e300"]),
-    "omega-overflow": ("trigger", ["tau_star=1e-300"]),
-    "huge-body": ("grav-duration", ["mass=1e300", "radius=1e300"]),
-    "huge-geometry": ("grav-duration", ["h=1e308", "d=1e308"]),
-    "huge-distance": ("grav-duration", ["h=1", "d=1e308"]),
+    "sigma-underflow": ("trigger", ["mass=1e300"], "sigma"),
+    "omega-overflow": ("trigger", ["tau_star=1e-300"], "energy"),
+    "huge-body": ("grav-duration", ["mass=1e300", "radius=1e300"], "lapse gap"),
+    "huge-geometry": ("grav-duration", ["h=1e308", "d=1e308"], "lapse gap"),
+    "huge-distance": ("grav-duration", ["h=1", "d=1e308"], "dt_r"),
+    "tiny-mass": ("grav-duration", ["mass=1e-300"], "lapse gap"),
+    "tiny-mass-order": ("grav-order", ["mass=1e-300"], "lapse gap"),
 }
 
 
-@pytest.mark.parametrize("scenario, params", list(NUMERIC_FAILURES.values()), ids=list(NUMERIC_FAILURES))
-def test_cli_numeric_failures_are_usage_errors(scenario, params):
+@pytest.mark.parametrize("scenario, params, quantity", list(NUMERIC_FAILURES.values()), ids=list(NUMERIC_FAILURES))
+def test_cli_numeric_failures_are_usage_errors(scenario, params, quantity):
     # A numeric warning would print a line to stderr ahead of the JSON
     # error; raised as an exception here, it escapes main and fails the test.
     argv = ["run", "--scenario", scenario]
@@ -249,7 +252,23 @@ def test_cli_numeric_failures_are_usage_errors(scenario, params):
         argv += ["--param", param]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert scenario in run_cli_usage_error(argv)
+        error = run_cli_usage_error(argv)
+    assert scenario in error and quantity in error
+
+
+@pytest.mark.parametrize("case", ["huge-body", "huge-geometry", "tiny-mass", "tiny-mass-order"])
+def test_cli_lapse_gap_underflow_is_one_named_json_line(case):
+    # R_S h / (r (r + h)) is 0 once r (r + h) overflows or R_S underflows;
+    # the duration and the threshold divide by it.
+    scenario, params, _ = NUMERIC_FAILURES[case]
+    argv = ["run", "--scenario", scenario]
+    for param in params:
+        argv += ["--param", param]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == EXIT_USAGE and out.getvalue() == ""
+    assert err.getvalue() == f'{{"error": "{scenario}: lapse gap between the two radii underflows to 0"}}\n'
 
 
 @pytest.mark.parametrize(

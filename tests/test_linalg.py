@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from switchlab import cli, order
+from switchlab import cli, linalg, order
 from switchlab.linalg import (
     DEFAULT_TOL,
     ID2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    close,
     dagger,
     hermitian_eigen,
     is_psd,
@@ -361,6 +362,88 @@ def test_psd_decision_reads_the_hermitian_part():
         assert not is_psd(members)
         with pytest.raises(ValueError, match=r"m is not PSD \(min eigenvalue -1\.295e-09\)"):
             require_psd(members, "m")
+
+
+# The certificate as it was written with dagger, close and np.eye: the
+# reference the inline version must decide and word its errors like.
+def reference_hermitian_part(m):
+    m = np.asarray(m, dtype=complex)
+    if not close(m, dagger(m)):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return 0.5 * (m + dagger(m))
+
+
+def reference_low_eigenvalue(m):
+    sym = reference_hermitian_part(m)
+    try:
+        np.linalg.cholesky(sym + DEFAULT_TOL * np.eye(sym.shape[-1]))
+        return None
+    except np.linalg.LinAlgError:
+        return np.linalg.eigh(sym)[0][..., 0].min()
+
+
+def reference_is_psd(m):
+    low = reference_low_eigenvalue(m)
+    return bool(low is None or low >= -DEFAULT_TOL)
+
+
+def reference_require_psd(m, what):
+    low = reference_low_eigenvalue(m)
+    if low is not None and low < -DEFAULT_TOL:
+        raise ValueError(f"{what} is not PSD (min eigenvalue {low:.3e})")
+
+
+def outcome(fn, *args):
+    """("value", result) or (exception type, message) of one call, with
+    numpy's floating-point warnings raised."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return "value", fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 4, 16]),
+    shape=st.sampled_from([(), (1,), (3,)]),
+    seed=st.integers(0, 2**32 - 1),
+    lowest=LOWEST,
+    defect=st.one_of(st.just(0.0), st.floats(0.0, 2.0 * DEFAULT_TOL), st.floats(0.9 * DEFAULT_TOL, 1.1 * DEFAULT_TOL)),
+    bad=st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf)])),
+    data=st.data(),
+)
+def test_certificate_decides_as_the_reference(n, shape, seed, lowest, defect, bad, data):
+    # Every member's lowest eigenvalue is `lowest`; one entry of the last
+    # member is moved off Hermitian by `defect`, and may be set to `bad`.
+    rng = np.random.default_rng(seed)
+    eigenvalues = np.concatenate([np.full((*shape, 1), lowest), rng.uniform(0.0, 1.0, (*shape, n - 1))], axis=-1)
+    m = with_spectrum(eigenvalues, rng)
+    last = m.reshape(-1, n, n)[-1]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    last[i, j] += defect * np.exp(2j * np.pi * rng.uniform())
+    if bad is not None:
+        last[i, j] = bad
+    assert outcome(is_psd, m) == outcome(reference_is_psd, m)
+    assert outcome(require_psd, m, "m") == outcome(reference_require_psd, m, "m")
+    got, want = outcome(hermitian_eigen, m), outcome(lambda x: np.linalg.eigh(reference_hermitian_part(x)), m)
+    assert got[0] == want[0]
+    if got[0] == "value":
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+    else:
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16])
+def test_cached_identities_are_shared_and_read_only(n):
+    eye = linalg._identity(n)
+    assert eye is linalg._identity(n)
+    assert np.array_equal(eye, np.eye(n)) and eye.dtype == np.eye(n).dtype
+    with pytest.raises(ValueError, match="read-only"):
+        eye[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        eye.setflags(write=True)
+    assert not linalg._identity(n).flags.writeable
 
 
 @pytest.mark.parametrize("exact", [True, False])

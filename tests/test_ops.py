@@ -5,7 +5,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from switchlab.linalg import DEFAULT_TOL, ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, hermitian_eigen, is_unitary, kron
+from switchlab.linalg import (
+    DEFAULT_TOL,
+    ID2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    close,
+    dagger,
+    hermitian_eigen,
+    is_unitary,
+    kron,
+    partial_trace,
+)
 from switchlab.ops import (
     ChoiOperator,
     Convention,
@@ -385,3 +397,20 @@ def test_choi_kraus_round_trip(d_in, d_out, rank, sampler, convention, seed):
     want = apply_operation(op, rho)
     assert np.abs(apply_operation(rebuilt, rho) - want).max() < 1e-9
     assert np.abs(apply_choi(choi, rho) - want).max() < 1e-9
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+    sampler=st.sampled_from([rand_cptp, rand_operation]),
+    convention=st.sampled_from(list(Convention)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_is_cptp_decides_as_the_partial_trace(dims, sampler, convention, seed):
+    # rand_operation scales a CPTP map by a weight in [sqrt 0.2, 1): trace-decreasing.
+    d_in, d_out = dims
+    choi = choi_of_operation(sampler(d_in, d_out, 2, np.random.default_rng(seed)), convention)
+    want = close(partial_trace(choi.matrix, dims, keep=(0,)), np.eye(d_in))
+    assert choi.is_cptp() is want
+    if sampler is rand_cptp:
+        assert want

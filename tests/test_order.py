@@ -39,6 +39,7 @@ from switchlab.order import (
 )
 from switchlab.process import (
     ProcessMatrix,
+    _rule_operator,
     causal_mixture,
     channel_process,
     channel_process_reverse,
@@ -115,6 +116,28 @@ def test_branch_probabilities_equal_game_probability_sums():
         want = branch_sums(w, s)
         assert max(abs(g - e) for g, e in zip(got, want)) < 1e-12
         assert abs(success_probability(w, s) - 0.5 * (got[0] + got[1])) < 1e-12
+
+
+def separate_branch_probabilities(w, strategy):
+    """1/4 Tr[W G_A] and 1/4 Tr[W G_B] as two separate traces, each on its
+    own game operator."""
+    m = {k: strategy.alice_choi(*k) for k in np.ndindex(2, 2)}
+    n = {k: strategy.bob_choi(*k) for k in np.ndindex(2, 2, 2)}
+    g_a = _rule_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)])[2]
+    g_b = _rule_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)])[2]
+    return tuple(0.25 * float(np.trace(w.matrix @ g).real) for g in (g_a, g_b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), free_state=st.booleans(), shared_state=st.booleans())
+def test_stacked_game_trace_equals_two_separate_traces_bit_for_bit(seed, free_state, shared_state):
+    rng = np.random.default_rng(seed)
+    if shared_state:
+        w = state_process(rand_density(4, rng), (2, 2, 2, 2))
+    else:
+        w = random_causal_mixture(rng)
+    strategy = ocb_strategy(bob_free_state=rand_density(2, rng)) if free_state else ocb_strategy()
+    assert branch_probabilities(w, strategy) == separate_branch_probabilities(w, strategy)
 
 
 def test_ocb_branch_values():
@@ -230,7 +253,7 @@ def test_causal_bound_certificate_is_exact():
     # 1/2; the same holds for Bob's branch on a B -> A process. By linearity
     # every causal mixture then succeeds with at most (1/2 + 1) / 2 = 3/4
     # (Branciard et al., NJP 2016).
-    (_, _, g_a), (_, _, g_b) = ocb_strategy()._game
+    _, _, (g_a, g_b) = ocb_strategy()._game
     assert np.abs(trace_and_replace(g_a, 3) - np.eye(16) / 2).max() == 0.0
     assert np.abs(trace_and_replace(g_b, 1) - np.eye(16) / 2).max() == 0.0
 

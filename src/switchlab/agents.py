@@ -32,8 +32,6 @@ __all__ = [
     "TriggerParams",
     "trigger_params",
     "crossing_rotation_angle",
-    "trigger_timeline",
-    "TriggerPoint",
 ]
 
 DIMS = (6, 5, 5, 2, 2)
@@ -363,23 +361,3 @@ def crossing_rotation_angle(p):
     the interaction zone; pi/2 up to roundoff, because A is derived to give it.
     The model holds only where `p.regime_ok` is true."""
     return p.potential * p.crossing_window / HBAR
-
-
-@dataclass(frozen=True)
-class TriggerPoint:
-    mean_position: float
-    level: str  # "A0", "rotating" or "A1"
-
-
-def trigger_timeline(p, tau):
-    """Mean oscillator position and agent level along one quarter period."""
-    if not 0.0 <= tau <= p.tau_star:
-        raise ValueError("tau must lie in [0, tau*]")
-    mean = p.amplitude * np.cos(p.omega * tau)
-    if tau >= p.tau_star:
-        level = "A1"
-    elif tau >= p.tau_star - p.crossing_window:
-        level = "rotating"
-    else:
-        level = "A0"
-    return TriggerPoint(mean, level)

@@ -22,7 +22,6 @@ __all__ = [
     "EARTH",
     "lapse",
     "light_coordinate_time",
-    "arrival_proper_time",
     "order_margin",
     "min_tau_for_order",
     "asymmetric_order_threshold",
@@ -33,7 +32,6 @@ __all__ = [
     "protocol_duration",
     "ProtocolDuration",
     "ClockModel",
-    "grav_switch_clock_state",
     "grav_switch_joint_state",
     "grav_switch_resync_purity",
 ]
@@ -107,28 +105,26 @@ def _lapse_gap(r, h, body):
     return gap
 
 
-def _tc_between(r_a, r_b, body):
-    if r_a == r_b:
-        return 0.0
-    lo, hi = min(r_a, r_b), max(r_a, r_b)
-    return light_coordinate_time(lo, hi, body)
-
-
-def arrival_proper_time(tau_star, r_a, r_b, body):
-    """Proper time shown by b's clock when a photon emitted by a at proper
-    time tau_star arrives: tau_bf = lapse(r_b) (tau*/lapse(r_a) + t_c)."""
-    t_c = _tc_between(r_a, r_b, body)
-    dil_a = lapse(r_a, body)
-    dil_b = lapse(r_b, body)
-    return dil_b * (tau_star / dil_a + t_c)
+def _ratio(num, den, what):
+    """num / den as a float. Raises ValueError naming `what` when den has
+    underflowed to 0 or the quotient overflows, where the division would
+    raise ZeroDivisionError or FloatingPointError, or give inf."""
+    num, den = float(num), float(den)
+    if den == 0.0:
+        raise ValueError(f"{what}: its denominator underflows to 0")
+    ratio = num / den
+    if not np.isfinite(ratio):
+        raise ValueError(f"{what} overflows")
+    return ratio
 
 
 def order_margin(tau_star, r_a, r_b, body):
-    """arrival_proper_time(tau*) - tau* without subtracting two clock readings:
-    lapse(r_b) t_c - tau* (lapse(r_a) - lapse(r_b)) / lapse(r_a). Negative when
-    event A = (a's clock reads tau*) lies in the past lightcone of
-    B = (b's clock reads tau*)."""
-    t_c = _tc_between(r_a, r_b, body)
+    """lapse(r_b) (tau*/lapse(r_a) + t_c) - tau*, b's clock reading when a photon
+    sent at a's reading tau* arrives less tau*, formed without subtracting two
+    clock readings: lapse(r_b) t_c - tau* (lapse(r_a) - lapse(r_b)) / lapse(r_a).
+    Negative when event A = (a's clock reads tau*) lies in the past lightcone
+    of B = (b's clock reads tau*)."""
+    t_c = 0.0 if r_a == r_b else light_coordinate_time(min(r_a, r_b), max(r_a, r_b), body)
     return lapse(r_b, body) * t_c - tau_star * _lapse_gap(r_b, r_a - r_b, body) / lapse(r_a, body)
 
 
@@ -139,7 +135,9 @@ def min_tau_for_order(r_a, r_b, body):
     if not r_b < r_a:
         raise ValueError("no ordering threshold: b's clock does not run slower than a's")
     t_c = light_coordinate_time(r_b, r_a, body)
-    return lapse(r_a, body) * lapse(r_b, body) * t_c / _lapse_gap(r_b, r_a - r_b, body)
+    return _ratio(
+        lapse(r_a, body) * lapse(r_b, body) * t_c, _lapse_gap(r_b, r_a - r_b, body), "threshold proper time"
+    )
 
 
 def asymmetric_order_threshold(r, h, L, body):
@@ -159,7 +157,7 @@ def asymmetric_order_threshold(r, h, L, body):
     p2_minus_q2 = rs / r * (h / (r + h)) * (L / (r + L)) * ((2.0 * r + L + h - rs) / (r + L + h))
     t_far = light_coordinate_time(r + L, r + L + h, body)
     t_near = light_coordinate_time(r, r + h, body)
-    return dil_r * ((dil_rlh / dil_rh) * t_far + t_near) * p * (p + q) / p2_minus_q2
+    return _ratio(dil_r * ((dil_rlh / dil_rh) * t_far + t_near) * p * (p + q), p2_minus_q2, "asymmetric threshold")
 
 
 def switch_ratio_exact(body, h):
@@ -185,10 +183,10 @@ def switch_ratio_weak_field(body, h):
     if h <= 0.0:
         raise ValueError("height must be positive")
     r = body.radius
-    g = G_NEWTON * body.mass / r ** 2
-    r0101 = -C_LIGHT ** 2 * body.schwarzschild_radius / r ** 3
+    g = _ratio(G_NEWTON * body.mass, r ** 2, "surface gravity g")
+    r0101 = _ratio(-C_LIGHT ** 2 * body.schwarzschild_radius, r ** 3, "curvature component R_0101")
     gravity_term = C_LIGHT ** 2 / (g * h)
-    curvature_term = -0.5 * C_LIGHT ** 2 * r0101 / g ** 2
+    curvature_term = _ratio(-0.5 * C_LIGHT ** 2 * r0101, g ** 2, "weak-field curvature term")
     return WeakFieldRatio(gravity_term + curvature_term, gravity_term, curvature_term)
 
 
@@ -261,15 +259,6 @@ def _configuration_times(r_a, r_b, body, t):
 def _clock_ket(clock_a, clock_b, taus):
     # clock_a (x) clock_b as a column ket, the clocks reading taus = (tau_a, tau_b)
     return kron(clock_a.state(taus[0])[:, None], clock_b.state(taus[1])[:, None])
-
-
-def grav_switch_clock_state(clock_a, clock_b, r_a, r_b, body, t, config):
-    """Joint internal state of the two clocks after coordinate time t in one
-    mass configuration, K_AB or K_BA."""
-    taus_ab, taus_ba = _configuration_times(r_a, r_b, body, t)
-    if config not in ("K_AB", "K_BA"):
-        raise ValueError("config must be 'K_AB' or 'K_BA'")
-    return _clock_ket(clock_a, clock_b, taus_ab if config == "K_AB" else taus_ba)[:, 0]
 
 
 def _joint_state(clock_a, clock_b, taus_ab, taus_ba):

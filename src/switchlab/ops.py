@@ -41,13 +41,8 @@ __all__ = [
     "choi_of_operation",
     "apply_choi",
     "kraus_from_choi",
-    "choi_vector_of_unitary",
     "stinespring_dilation",
     "StinespringDilation",
-    "tomographic_apply",
-    "TOMO_STATES",
-    "TOMO_DUALS",
-    "validate_instrument",
     "rand_unitary",
     "rand_density",
     "rand_cptp",
@@ -108,10 +103,10 @@ class Operation:
 
 @dataclass(frozen=True)
 class Instrument:
-    """Outcome-indexed family of operations whose total map is CPTP.
+    """Outcome-indexed family of operations on common dimensions.
 
-    The constructor is deliberately lenient; use :func:`validate_instrument`
-    to check completeness.
+    The constructor checks only the dimensions, not that the total map is
+    CPTP; :func:`rand_instrument` builds a complete one.
     """
 
     d_in: int
@@ -125,12 +120,6 @@ class Instrument:
         for op in self.elements:
             if (op.d_in, op.d_out) != (self.d_in, self.d_out):
                 raise ValueError("instrument element dimensions disagree")
-
-
-def validate_instrument(instr):
-    """True iff every element is trace-nonincreasing and the sum is CPTP."""
-    total = sum(op.kraus_gram for op in instr.elements)
-    return close(total, np.eye(instr.d_in))
 
 
 def apply_operation(op, rho):
@@ -242,14 +231,6 @@ def kraus_from_choi(choi):
     return Operation(choi.d_in, choi.d_out, tuple(kraus))
 
 
-def choi_vector_of_unitary(u):
-    """Choi vector |U*>> = sum_k |k> (x) U*|k> of a unitary."""
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u):
-        raise ValueError("matrix is not unitary within tolerance")
-    return _choi_vec(u.conj())
-
-
 @dataclass(frozen=True)
 class StinespringDilation:
     """Unitary system+environment model of an operation.
@@ -320,33 +301,6 @@ def stinespring_dilation(op):
         env_proj[:n_phys, :n_phys] = np.eye(n_phys)
         projector = kron(sys_proj, env_proj)
     return StinespringDilation(op.d_in, op.d_out, u, k, projector)
-
-
-# Fixed state basis and dual matrices of the two-level tomographic
-# representation E(A) = sum_i Tr(D_i^dag A) E(rho_i).
-TOMO_STATES = (
-    0.5 * np.array([[1, 1], [1, 1]], dtype=complex),
-    0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex),
-    np.array([[1, 0], [0, 0]], dtype=complex),
-    0.5 * np.array([[1, -1], [-1, 1]], dtype=complex),
-)
-TOMO_DUALS = (
-    0.5 * np.array([[0, 1 + 1j], [1 - 1j, 2]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-    0.5 * np.array([[0, -1 + 1j], [-1 - 1j, 2]], dtype=complex),
-)
-
-
-def tomographic_apply(op_images, a):
-    """Reconstruct E(a) from the four images E(rho_i) of the fixed basis."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError("tomographic representation is fixed at d=2")
-    out = np.zeros_like(np.asarray(op_images[0], dtype=complex))
-    for dual, image in zip(TOMO_DUALS, op_images):
-        out = out + np.trace(dagger(dual) @ a) * np.asarray(image, dtype=complex)
-    return out
 
 
 def rand_unitary(d, rng, shape=()):

@@ -17,7 +17,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    ZERO_PROB_TOL,
     close,
     is_unitary,
     kron,
@@ -37,7 +36,6 @@ __all__ = [
     "switch_process_vector",
     "contract_switch_vector",
     "max_contraction_deviation",
-    "control_measurement",
     "chsh_value",
     "max_separable_chsh",
     "CHSH_SETTINGS",
@@ -251,36 +249,6 @@ def max_contraction_deviation(pairs, rng):
     return worst
 
 
-def control_measurement(state, sign):
-    """Project the control (last qubit) of a target (x) control state onto
-    |+> or |->. Returns (normalized target, probability); the target is None
-    for an orthogonal (zero-probability) outcome."""
-    state = np.asarray(state, dtype=complex)
-    if state.size % 2 != 0:
-        raise ValueError("state must end in a qubit control factor")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-
-    def project(v):
-        t = v.reshape(-1, 2)
-        return (t[:, 0] + sign * t[:, 1]) / np.sqrt(2.0)
-
-    return _measured(state, project)
-
-
-def charlie_measurement(state, projector):
-    """Generic measurement at the final lab: project the joint
-    target (x) control state onto an arbitrary projector.
-    Returns (normalized post-measurement state or None, probability)."""
-    state = np.asarray(state, dtype=complex)
-    projector = np.asarray(projector, dtype=complex)
-    if projector.shape != (state.size, state.size):
-        raise ValueError("projector dimension does not match the state")
-    if not (np.isfinite(projector).all() and close(projector @ projector, projector)):
-        raise ValueError("measurement operator is not a projector")
-    return _measured(state, lambda v: projector @ v)
-
-
 def _unit_scale(v):
     """A power of two, or one per vector of a (..., n) stack, that brings a
     normal largest modulus into [0.5, 1); a zero vector gets 1. Multiplying by
@@ -288,23 +256,6 @@ def _unit_scale(v):
     scaled vector can overflow."""
     _, exponent = np.frexp(np.abs(v).max(axis=-1))
     return np.ldexp(1.0, -np.maximum(exponent, np.finfo(float).minexp))
-
-
-def _measured(state, project):
-    # (normalized project(state) or None, probability), for a linear
-    # `project`, formed on the state scaled by _unit_scale.
-    if not np.isfinite(state).all():
-        raise ValueError("state must be nonzero and finite")
-    scale = _unit_scale(state)
-    state = state * scale
-    norm = np.linalg.norm(state)
-    if not norm > ZERO_PROB_TOL * scale:
-        raise ValueError("state must be nonzero and finite")
-    out = project(state)
-    prob = float(np.linalg.norm(out) ** 2 / norm ** 2)
-    if prob < ZERO_PROB_TOL:
-        return None, 0.0
-    return out / np.linalg.norm(out), prob
 
 
 # Measurement settings violating CHSH maximally on the temporal-order states:

@@ -17,7 +17,6 @@ from switchlab.agents import (
     postselect,
     run_switch_model,
     trigger_params,
-    trigger_timeline,
 )
 
 # Level indices as in switchlab.agents: A_j at index j, B_j at index j-1.
@@ -264,6 +263,8 @@ def test_trigger_params_basic():
 def test_trigger_regime_flags():
     good = trigger_params(1.0, 1e-6, 1e-30, 1e-20)
     assert good.regime_ok
+    # the crossing window is narrow on the scale of the quarter period
+    assert good.crossing_window < 0.01 * good.tau_star
     # width comparable to sigma breaks the localization condition
     bad = trigger_params(1.0, 1e-6, 1e-21, 1e-25)
     assert not bad.regime_flags["width_over_sigma"]
@@ -324,20 +325,6 @@ def test_rotation_takes_a0_to_a1():
     rotated = u @ np.array([1, 0], dtype=complex)
     fidelity = abs(np.vdot(np.array([0, 1]), rotated))
     assert abs(fidelity - 1.0) < 1e-12
-
-
-def test_trigger_timeline():
-    p = trigger_params(1.0, 1e-6, 1e-30, 1e-20)
-    start = trigger_timeline(p, 0.0)
-    assert start.level == "A0"
-    assert abs(start.mean_position - p.amplitude) < 1e-12
-    end = trigger_timeline(p, p.tau_star)
-    assert end.level == "A1"
-    assert abs(end.mean_position) < 1e-6 * p.amplitude
-    window = trigger_timeline(p, p.tau_star - 0.5 * p.crossing_window)
-    assert window.level == "rotating"
-    # the window is narrow on the scale of the quarter period
-    assert p.crossing_window < 0.01 * p.tau_star
 
 
 # Reference: the two orders written out as explicit branch tables, target

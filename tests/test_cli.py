@@ -234,13 +234,20 @@ def test_cli_rejects_reversed_check_windows(low, high):
 # installed console script as well.
 NUMERIC_FAILURES = {
     "sigma-underflow": ("trigger", ["mass=1e300"], "sigma"),
-    "omega-overflow": ("trigger", ["tau_star=1e-300"], "energy"),
+    "energy-overflow": ("trigger", ["tau_star=1e-300"], "energy"),
     "huge-body": ("grav-duration", ["mass=1e300", "radius=1e300"], "lapse gap"),
     "huge-geometry": ("grav-duration", ["h=1e308", "d=1e308"], "lapse gap"),
     "huge-distance": ("grav-duration", ["h=1", "d=1e308"], "dt_r"),
     "tiny-mass": ("grav-duration", ["mass=1e-300"], "lapse gap"),
     "tiny-mass-order": ("grav-order", ["mass=1e-300"], "lapse gap"),
+    "curvature-underflow": ("grav-duration", ["radius=1e100"], "weak-field curvature term"),
+    "tiny-radius": ("grav-duration", ["radius=1e-124", "mass=1e-162"], "curvature component R_0101"),
+    "tinier-radius": ("grav-duration", ["radius=1e-176", "mass=1e-237"], "surface gravity g"),
+    "threshold-overflow": ("grav-order", ["mass=1e-200", "r_a_offset=1.5e200"], "threshold proper time"),
+    "asymmetric-underflow": ("grav-order", ["asym_l=1e-308", "asym_r_offset=1e-200"], "asymmetric threshold"),
 }
+# A numeric failure names its quantity, never only the exception class.
+EXCEPTION_CLASSES = ("ZeroDivisionError", "FloatingPointError", "OverflowError")
 
 
 @pytest.mark.parametrize("scenario, params, quantity", list(NUMERIC_FAILURES.values()), ids=list(NUMERIC_FAILURES))
@@ -254,6 +261,7 @@ def test_cli_numeric_failures_are_usage_errors(scenario, params, quantity):
         warnings.simplefilter("error")
         error = run_cli_usage_error(argv)
     assert scenario in error and quantity in error
+    assert not any(name in error for name in EXCEPTION_CLASSES)
 
 
 @pytest.mark.parametrize("case", ["huge-body", "huge-geometry", "tiny-mass", "tiny-mass-order"])

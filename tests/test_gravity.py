@@ -11,9 +11,7 @@ from switchlab.gravity import (
     BodyConfig,
     ClockModel,
     SwitchGeometry,
-    arrival_proper_time,
     asymmetric_order_threshold,
-    grav_switch_clock_state,
     grav_switch_joint_state,
     grav_switch_resync_purity,
     lapse,
@@ -84,49 +82,22 @@ def test_light_time_additive_over_segments():
     assert abs(whole - split) < 1e-12 * whole
 
 
-def test_arrival_proper_time_equal_radii_and_flat():
-    body = COMPACT
-    r = 2.5e4
-    t_c = 0.0
-    got = arrival_proper_time(1.0, r, r, body)
-    # r_a = r_b: tau* plus nothing to travel (t_c = 0 handled by degenerate span)
-    assert abs(got - 1.0) < 1e-12
-    tiny = BodyConfig(mass=1e-3, radius=1.0)
-    got = arrival_proper_time(1.0, 1.0, 2.0, tiny)
-    assert abs(got - (1.0 + 1.0 / C_LIGHT)) < 1e-15
-
-
-def test_arrival_proper_time_composition_oracle():
-    body = COMPACT
-    r_a, r_b = 3e4, 2e4
-    tau_star = 0.37
-    # step-by-step: tau* -> coordinate time, add t_c, convert to b's clock
-    t_emit = tau_star / lapse(r_a, body)
-    t_arrive = t_emit + light_coordinate_time(r_b, r_a, body)
-    want = lapse(r_b, body) * t_arrive
-    got = arrival_proper_time(tau_star, r_a, r_b, body)
-    assert abs(got - want) < 1e-12
-
-
 def test_min_tau_for_order_threshold():
     body = COMPACT
     r_a, r_b = 3e4, 2e4
     th = min_tau_for_order(r_a, r_b, body)
     assert th > 0
-    above = 1.01 * th
-    below = 0.99 * th
-    assert arrival_proper_time(above, r_a, r_b, body) < above  # A precedes B
-    assert arrival_proper_time(below, r_a, r_b, body) > below  # not ordered yet
-    # fixed point: equality at the threshold
-    assert abs(arrival_proper_time(th, r_a, r_b, body) - th) < 1e-9 * th
+    assert order_margin(1.01 * th, r_a, r_b, body) < 0.0  # A precedes B
+    assert order_margin(0.99 * th, r_a, r_b, body) > 0.0  # not ordered yet
+    # fixed point: the margin vanishes at the threshold
+    assert abs(order_margin(th, r_a, r_b, body)) <= 1e-9 * th
 
 
 def test_min_tau_for_order_earth_scale():
     # static agents near Earth's surface need of order a year
     th = min_tau_for_order(EARTH.radius + 1e5, EARTH.radius, EARTH)
     assert 1e7 < th < 1e8
-    above = 1.01 * th
-    assert arrival_proper_time(above, EARTH.radius + 1e5, EARTH.radius, EARTH) < above
+    assert order_margin(1.01 * th, EARTH.radius + 1e5, EARTH.radius, EARTH) < 0.0
 
 
 def test_min_tau_flat_limit_raises():
@@ -201,7 +172,7 @@ def ref_min_tau(r_a, r_b, rs):
 
 
 def ref_order_margin(tau, r_a, r_b, rs):
-    # arrival_proper_time(tau) - tau, written as the clocks compose it
+    # b's reading at the photon's arrival less tau, written as the clocks compose it
     return ref_lapse(r_b, rs) * (tau / ref_lapse(r_a, rs) + ref_light_time(r_b, r_a, rs)) - tau
 
 
@@ -257,11 +228,17 @@ def test_order_margin_sign_brackets_the_threshold(offset):
 
 
 def test_order_margin_is_the_arrival_time_less_tau():
-    # where nothing cancels, the margin is arrival_proper_time - tau directly
-    r_a, r_b = 3e4, 2e4
-    for tau in (0.0, 1e-5, 0.37):
-        want = arrival_proper_time(tau, r_a, r_b, COMPACT) - tau
-        assert abs(order_margin(tau, r_a, r_b, COMPACT) - want) < 1e-15
+    # where nothing cancels, the margin is b's reading at the photon's arrival
+    # less tau, composed step by step: tau* -> coordinate time, add t_c,
+    # convert to b's clock
+    tiny = BodyConfig(mass=1e-3, radius=1.0)
+    cases = [(tau, 3e4, 2e4, COMPACT) for tau in (0.0, 1e-5, 0.37)] + [(1.0, 1.0, 2.0, tiny)]
+    for tau, r_a, r_b, body in cases:
+        t_arrive = tau / lapse(r_a, body) + light_coordinate_time(min(r_a, r_b), max(r_a, r_b), body)
+        want = lapse(r_b, body) * t_arrive - tau
+        assert abs(order_margin(tau, r_a, r_b, body) - want) < 1e-15
+    # flat space: the margin is the light travel time 1/c
+    assert abs(order_margin(1.0, 1.0, 2.0, tiny) * C_LIGHT - 1.0) < 1e-12
     assert order_margin(0.37, 2e4, 2e4, COMPACT) == 0.0
 
 
@@ -342,11 +319,12 @@ def clock_pair(theta_a, theta_b, t, r_a, r_b, body):
 
 def test_clock_state_t_zero_and_equal_radii():
     a, b = clock_pair(1.0, 2.0, 1.0, 1.2e4, 1.0e4, LAB_BODY)
-    s0 = grav_switch_clock_state(a, b, 1.2e4, 1.0e4, LAB_BODY, 0.0, "K_AB")
+    s0 = grav_switch_joint_state(a, b, 1.2e4, 1.0e4, LAB_BODY, 0.0)
     plus = np.array([1, 1]) / np.sqrt(2)
-    assert np.abs(s0 - np.kron(plus, plus)).max() < 1e-12
-    s_ab = grav_switch_clock_state(a, b, 1.1e4, 1.1e4, LAB_BODY, 2.0, "K_AB")
-    s_ba = grav_switch_clock_state(a, b, 1.1e4, 1.1e4, LAB_BODY, 2.0, "K_BA")
+    # control (|0> + |1>)/sqrt 2, both clocks in |+>
+    assert np.abs(s0 - np.kron(plus, np.kron(plus, plus))).max() < 1e-12
+    # equal radii: the clocks read alike in K_AB and K_BA
+    s_ab, s_ba = grav_switch_joint_state(a, b, 1.1e4, 1.1e4, LAB_BODY, 2.0).reshape(2, 4)
     assert np.abs(s_ab - s_ba).max() < 1e-12
 
 

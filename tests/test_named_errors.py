@@ -51,9 +51,6 @@ def rng():
          "Bob Choi dimensions do not match the process"),
         (lambda: order.switch_supermap_state(2 * ID2, ID2, order.SwitchSpec()), "switch branches must be unitary"),
         (lambda: order.max_contraction_deviation(0, rng()), "need at least one pair"),
-        (lambda: order.control_measurement(np.ones(3), 1), "state must end in a qubit control factor"),
-        (lambda: order.control_measurement(np.ones(4) / 2, 2), "sign must be +1 or -1"),
-        (lambda: order.charlie_measurement(np.ones(4) / 2, np.eye(2)), "projector dimension does not match the state"),
         (lambda: order.chsh_value(np.ones(3)), "CHSH evaluation needs a two-qubit state vector"),
         (lambda: order.max_separable_chsh(0, rng()), "need at least one sample"),
         (lambda: order.temporal_order_state(*order.TEMPORAL_ORDER_UNITARIES, ID2[0], ID2[0], 0),
@@ -73,9 +70,6 @@ def rng():
         "party-dims-mixed-shapes",
         "supermap-non-unitary",
         "contraction-zero-pairs",
-        "control-odd-size",
-        "control-sign",
-        "charlie-projector-dims",
         "chsh-state-size",
         "separable-chsh-zero-samples",
         "temporal-order-sign",

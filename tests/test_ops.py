@@ -21,14 +21,10 @@ from switchlab.linalg import (
 from switchlab.ops import (
     ChoiOperator,
     Convention,
-    Instrument,
     Operation,
-    TOMO_DUALS,
-    TOMO_STATES,
     apply_choi,
     apply_operation,
     choi_of_operation,
-    choi_vector_of_unitary,
     kraus_from_choi,
     rand_cptp,
     rand_density,
@@ -36,8 +32,6 @@ from switchlab.ops import (
     rand_operation,
     rand_unitary,
     stinespring_dilation,
-    tomographic_apply,
-    validate_instrument,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -228,17 +222,6 @@ def test_choi_rejects_non_cp():
         ChoiOperator(2, 2, kron(PAULI_Z, ID2), Convention.TRANSPOSED)
 
 
-def test_choi_vector_of_unitary():
-    assert np.abs(choi_vector_of_unitary(ID2) - np.array([1, 0, 0, 1])).max() < 1e-12
-    assert np.abs(choi_vector_of_unitary(PAULI_X) - np.array([0, 1, 1, 0])).max() < 1e-12
-    # entrywise conjugation oracle: sigma_y* = -sigma_y, so
-    # |sigma_y*>> = -sum_k |k> sigma_y|k> = (0, -i, +i, 0)
-    expected = np.array([0, -1j, 1j, 0])
-    assert np.abs(choi_vector_of_unitary(PAULI_Y) - expected).max() < 1e-12
-    with pytest.raises(ValueError):
-        choi_vector_of_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
-
-
 def test_stinespring_unitary_channel():
     rng = np.random.default_rng(8)
     u = rand_unitary(2, rng)
@@ -298,46 +281,10 @@ def test_stinespring_unitarity_and_dims():
                 assert np.abs(dil.apply(basis) - apply_operation(op, basis)).max() < 1e-9
 
 
-def test_tomographic_duality_relations():
-    for i, dual in enumerate(TOMO_DUALS):
-        for j, state in enumerate(TOMO_STATES):
-            want = 1.0 if i == j else 0.0
-            assert abs(np.trace(dagger(dual) @ state) - want) < 1e-12
-
-
-def test_tomographic_identity_reconstruction():
-    rng = np.random.default_rng(11)
-    rho = rand_density(2, rng)
-    assert np.abs(tomographic_apply(TOMO_STATES, rho) - rho).max() < 1e-9
-
-
-def test_tomographic_sigma_z_conjugation():
-    images = tuple(PAULI_Z @ r @ PAULI_Z for r in TOMO_STATES)
-    got = tomographic_apply(images, PAULI_X)
-    assert np.abs(got - (-PAULI_X)).max() < 1e-9
-
-
-def test_tomographic_matches_random_operation():
-    rng = np.random.default_rng(12)
-    op = rand_operation(2, 2, 3, rng)
-    images = tuple(apply_operation(op, r) for r in TOMO_STATES)
-    a = rand_density(2, rng)
-    assert np.abs(tomographic_apply(images, a) - apply_operation(op, a)).max() < 1e-9
-
-
-def test_validate_instrument():
-    projective = Instrument(2, 2, (Operation(2, 2, (proj(KET0),)), Operation(2, 2, (proj(KET1),))))
-    assert validate_instrument(projective)
-    unitary = Instrument(2, 2, (Operation.from_unitary(PAULI_X),))
-    assert validate_instrument(unitary)
-    incomplete = Instrument(2, 2, (Operation(2, 2, (proj(KET0),)),))
-    assert not validate_instrument(incomplete)
-
-
 def test_rand_instrument_is_complete():
     rng = np.random.default_rng(13)
     instr = rand_instrument(2, 2, 3, rng)
-    assert validate_instrument(instr)
+    assert close(sum(op.kraus_gram for op in instr.elements), np.eye(2))
 
 
 def test_full_round_trip_sweep():

@@ -28,7 +28,6 @@ from switchlab.order import (
     branch_probabilities,
     chsh_value,
     contract_switch_vector,
-    control_measurement,
     max_contraction_deviation,
     max_separable_chsh,
     ocb_strategy,
@@ -495,62 +494,6 @@ def test_switch_process_vector_equals_the_two_loops_bit_for_bit(shape, data, con
     assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
-def test_control_measurement_identity_case():
-    spec = SwitchSpec()
-    state = switch_supermap_state(ID2, ID2, spec)
-    target, prob = control_measurement(state, +1)
-    assert abs(prob - 1.0) < 1e-12
-    assert abs(abs(np.vdot(target, spec.target_state)) - 1.0) < 1e-12
-    none_target, p_minus = control_measurement(state, -1)
-    assert none_target is None and p_minus == 0.0
-
-
-def test_control_measurement_noncommuting_pair():
-    rng = np.random.default_rng(5)
-    ua, ub = rand_unitary(2, rng), rand_unitary(2, rng)
-    spec = SwitchSpec()
-    state = switch_supermap_state(ua, ub, spec)
-    psi = spec.target_state
-    for sign in (+1, -1):
-        target, prob = control_measurement(state, sign)
-        raw = (ub @ ua + sign * ua @ ub) @ psi / 2.0
-        assert abs(prob - np.linalg.norm(raw) ** 2) < 1e-9
-        if target is not None:
-            assert abs(abs(np.vdot(target, raw / np.linalg.norm(raw))) - 1.0) < 1e-9
-
-
-def test_control_measurement_anticommuting():
-    # (s_z s_x + s_x s_z)|0> = 0, so the + outcome never fires and the -
-    # outcome collects everything.
-    spec = SwitchSpec()
-    state = switch_supermap_state(PAULI_X, PAULI_Z, spec)
-    target_plus, prob_plus = control_measurement(state, +1)
-    assert target_plus is None and prob_plus == 0.0
-    target_minus, prob_minus = control_measurement(state, -1)
-    assert abs(prob_minus - 1.0) < 1e-12
-    expected = PAULI_Z @ PAULI_X @ spec.target_state
-    assert abs(abs(np.vdot(target_minus, expected)) - 1.0) < 1e-12
-
-
-def test_charlie_measurement_matches_control_basis():
-    from switchlab.order import charlie_measurement
-
-    rng = np.random.default_rng(8)
-    ua, ub = rand_unitary(2, rng), rand_unitary(2, rng)
-    state = switch_supermap_state(ua, ub, SwitchSpec())
-    for sign in (+1, -1):
-        plusminus = np.array([1, sign]) / np.sqrt(2)
-        projector = kron(ID2, np.outer(plusminus, plusminus.conj()))
-        joint, prob = charlie_measurement(state, projector)
-        target, prob_ref = control_measurement(state, sign)
-        assert abs(prob - prob_ref) < 1e-12
-        if target is not None:
-            overlap = abs(np.vdot(joint, np.kron(target, plusminus)))
-            assert abs(overlap - 1.0) < 1e-9
-    with pytest.raises(ValueError):
-        charlie_measurement(state, np.eye(4) * 2.0)
-
-
 def test_temporal_order_state_paper_choice():
     up = KET0
     for sign in (+1, -1):
@@ -720,14 +663,6 @@ def test_temporal_order_state_rejects_a_nan_target():
         temporal_order_state(*TEMPORAL_ORDER_UNITARIES, np.array([np.nan, 0]), KET0, +1)
 
 
-@pytest.mark.parametrize("state", [np.zeros(4), np.array([np.nan, 0, 0, 0])], ids=["zero", "nan"])
-def test_measurements_reject_a_vanishing_or_nan_state(state):
-    with pytest.raises(ValueError, match="nonzero and finite"):
-        control_measurement(state, +1)
-    with pytest.raises(ValueError, match="nonzero and finite"):
-        order.charlie_measurement(state, np.eye(4))
-
-
 def counting_strategy(strategy):
     """`strategy` with callables that record every (party, bits) asked for."""
     asked = []
@@ -817,24 +752,6 @@ def test_chsh_value_rejects_an_unnormalized_member_of_a_stack():
     stack[3] *= 1.5
     with pytest.raises(ValueError, match="norm 1.5"):
         chsh_value(stack)
-
-
-def test_measurements_scale_a_huge_state_without_overflow():
-    # pytest turns an overflow warning into an error. A power-of-two multiple
-    # of a state gives the same bits; any other multiple the same values.
-    state = np.array([0.6, 0.0, 0.0, 0.8j])
-    projector = np.diag([1.0, 0.0, 0.0, 0.0])
-    for measure in (lambda s: control_measurement(s, +1), lambda s: order.charlie_measurement(s, projector)):
-        target, prob = measure(state)
-        for factor in (2.0 ** 1000, 2.0 ** -30):
-            scaled_target, scaled_prob = measure(factor * state)
-            assert scaled_prob == prob and np.array_equal(scaled_target, target)
-        huge_target, huge_prob = measure(1e300 * state)
-        assert abs(huge_prob - prob) < 1e-15 and np.abs(huge_target - target).max() < 1e-15
-    with pytest.raises(ValueError, match="nonzero and finite"):
-        control_measurement(np.array([np.inf, 0, 0, 0]), +1)
-    with pytest.raises(ValueError, match="not a projector"):
-        order.charlie_measurement(state, np.diag([np.inf, 0.0, 0.0, 0.0]))
 
 
 def test_temporal_order_state_scales_its_targets_without_overflow():

@@ -1,5 +1,6 @@
 """Tolerances are the named constants of ``switchlab.linalg``: no public
-function or method takes one as an argument."""
+function or method takes one as an argument. The public routines are read
+from each module's ``__all__``, which lists exactly its public names."""
 
 import inspect
 
@@ -38,3 +39,18 @@ def test_no_public_routine_takes_a_tolerance():
         for name, fn in routines.items()
     }
     assert not {name: params for name, params in offenders.items() if params}
+
+
+def test_all_lists_exactly_the_public_names():
+    # A public function or class missing from __all__ escapes the walk above.
+    for module in MODULES:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+        defined = {
+            name
+            for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+        }
+        assert not defined - set(module.__all__), (module.__name__, defined - set(module.__all__))

@@ -340,9 +340,12 @@ class TriggerParams:
 
     @property
     def regime_flags(self):
+        # Quotients of Python floats: one that overflows is inf, which passes
+        # its threshold as the exact quotient does, where numpy's sigma would
+        # raise FloatingPointError under the CLI's errstate.
         return {
             "amplitude_over_width": self.amplitude / self.interaction_width >= 10.0,
-            "width_over_sigma": self.interaction_width / self.sigma >= 10.0,
+            "width_over_sigma": self.interaction_width / float(self.sigma) >= 10.0,
             "energy_over_potential": self.energy / self.potential >= 100.0,
         }
 

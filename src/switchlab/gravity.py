@@ -118,6 +118,15 @@ def _ratio(num, den, what):
     return ratio
 
 
+def _power(x, n, what):
+    """x ** n as a float, the denominator of `what`. Raises ValueError naming
+    `what` where Python's power would raise OverflowError."""
+    try:
+        return float(x) ** n
+    except OverflowError:
+        raise ValueError(f"{what}: its denominator overflows") from None
+
+
 def order_margin(tau_star, r_a, r_b, body):
     """lapse(r_b) (tau*/lapse(r_a) + t_c) - tau*, b's clock reading when a photon
     sent at a's reading tau* arrives less tau*, formed without subtracting two
@@ -183,8 +192,10 @@ def switch_ratio_weak_field(body, h):
     if h <= 0.0:
         raise ValueError("height must be positive")
     r = body.radius
-    g = _ratio(G_NEWTON * body.mass, r ** 2, "surface gravity g")
-    r0101 = _ratio(-C_LIGHT ** 2 * body.schwarzschild_radius, r ** 3, "curvature component R_0101")
+    what = "surface gravity g"
+    g = _ratio(G_NEWTON * body.mass, _power(r, 2, what), what)
+    what = "curvature component R_0101"
+    r0101 = _ratio(-C_LIGHT ** 2 * body.schwarzschild_radius, _power(r, 3, what), what)
     gravity_term = C_LIGHT ** 2 / (g * h)
     curvature_term = _ratio(-0.5 * C_LIGHT ** 2 * r0101, g ** 2, "weak-field curvature term")
     return WeakFieldRatio(gravity_term + curvature_term, gravity_term, curvature_term)

@@ -32,6 +32,7 @@ __all__ = [
     "require_dims",
     "is_unitary",
     "kron",
+    "kron_permuted",
     "hermitian_eigen",
     "partial_trace",
     "trace_and_replace",
@@ -89,11 +90,69 @@ def kron(*matrices):
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _kron_layout(shapes, dims, perm):
+    """For :func:`kron_permuted` on matrices of `shapes`: the shape that puts
+    each matrix's factors in place among the product's row and then column
+    factor axes, the axes that reorder those factors by `perm`, and the side
+    of the result."""
+    k = len(dims)
+    if sorted(perm) != list(range(k)):
+        raise ValueError(f"perm {perm} is not a permutation of range({k})")
+    placed, first = [], 0
+    for shape in shapes:
+        # Each matrix covers the next run of factors whose sizes multiply to its side.
+        last, side = first, 1
+        while len(shape) == 2 and side < shape[0] and last < k:
+            side *= dims[last]
+            last += 1
+        if shape != (side, side):
+            raise ValueError(f"matrix of shape {shape} does not match dims {dims}")
+        run = (1,) * first + dims[first:last] + (1,) * (k - last)
+        placed.append(run * 2)
+        first = last
+    if math.prod(dims[first:]) != 1:
+        raise ValueError(f"matrices of shapes {shapes} do not match dims {dims}")
+    return placed, (*perm, *(k + p for p in perm)), math.prod(dims)
+
+
+def kron_permuted(matrices, dims, perm):
+    """``permute_subsystems(kron(*matrices), dims, perm)[0]``, where `dims`
+    are the tensor factors of the Kronecker product, each square matrix
+    covering the next run of them, without kron's or permute_subsystems'
+    per-call shape handling.
+
+    Each matrix is one broadcast factor of the product, so every entry is the
+    product kron forms, in kron's order, and keeps its bits; one
+    transpose-copy then puts the factors in `perm`'s order.
+    """
+    placed, axes, side = _kron_layout(tuple(map(np.shape, matrices)), tuple(dims), tuple(perm))
+    out = None
+    for m, shape in zip(matrices, placed):
+        t = np.asarray(m, dtype=complex).reshape(shape)
+        out = t if out is None else out * t
+    return out.transpose(axes).reshape(side, side)
+
+
+def _frozen(a):
+    # A copy of `a` that reads an immutable bytes buffer, so no caller can
+    # make it writable.
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
 @functools.lru_cache(maxsize=None)
 def _identity(n):
-    """The n x n float identity, built once per n. It reads an immutable
-    bytes buffer, so no caller can make it writable."""
-    return np.frombuffer(np.eye(n).tobytes()).reshape(n, n)
+    """The n x n identity, built once per n and read-only for good. It is
+    complex, as numpy would cast a float one to meet the complex matrices it
+    is used with, so results keep their bits without a cast on every call."""
+    return _frozen(np.eye(n, dtype=complex))
+
+
+@functools.lru_cache(maxsize=None)
+def _psd_shift(n):
+    """DEFAULT_TOL * 1 at size n, the positivity certificate's shift, built
+    once per n, complex and read-only for good like :func:`_identity`."""
+    return _frozen(DEFAULT_TOL * _identity(n))
 
 
 def _check_dims(m, dims):
@@ -203,7 +262,7 @@ def _low_eigenvalue(m):
     # (up to roundoff). Otherwise the smallest eigenvalue, which alone decides.
     sym = _hermitian_part(m)
     try:
-        np.linalg.cholesky(sym + DEFAULT_TOL * _identity(sym.shape[-1]))
+        np.linalg.cholesky(sym + _psd_shift(sym.shape[-1]))
         return None
     except np.linalg.LinAlgError:
         return np.linalg.eigh(sym)[0][..., 0].min()

@@ -56,17 +56,40 @@ class Convention(enum.Enum):
     TRANSPOSED = "transposed"
 
 
+def _kraus_gram(kraus):
+    # sum_i E_i^dag E_i of a (r, d_out, d_in) Kraus stack, as the one product
+    # V^dag V of its r * d_out stacked rows V.
+    v = np.asarray(kraus)
+    v = v.reshape(-1, v.shape[-1])
+    return v.conj().T @ v
+
+
 def _require_trace_nonincreasing(kraus):
     # sum E^dag E <= 1: its largest eigenvalue is at most 1 + tol iff
     # 1 - sum E^dag E has none below -tol.
-    gram = sum(dagger(e) @ e for e in kraus)
+    gram = _kraus_gram(kraus)
     if not is_psd(_identity(gram.shape[-1]) - gram):
         raise ValueError("Kraus family is trace-increasing: sum E^dag E > 1")
 
 
+def _kraus_stack(kraus, d_in, d_out):
+    # The Kraus family copied into one read-only (r, d_out, d_in) complex stack,
+    # after naming an empty family or its first member of another shape.
+    kraus = [np.asarray(e, dtype=complex) for e in kraus]
+    if not kraus:
+        raise ValueError("operation needs at least one Kraus operator")
+    for e in kraus:
+        if e.shape != (d_out, d_in):
+            raise ValueError(f"Kraus operator shape {e.shape} != ({d_out}, {d_in})")
+    stack = np.array(kraus)
+    stack.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True)
 class Operation:
-    """A quantum operation in Kraus form, rho -> sum_i E_i rho E_i^dag; the E_i are read-only copies."""
+    """A quantum operation in Kraus form, rho -> sum_i E_i rho E_i^dag; the E_i
+    are read-only views of one stacked copy of the family given."""
 
     d_in: int
     d_out: int
@@ -76,15 +99,10 @@ class Operation:
         d_in, d_out = require_dims((self.d_in, self.d_out), "Operation")
         object.__setattr__(self, "d_in", d_in)
         object.__setattr__(self, "d_out", d_out)
-        kraus = tuple(np.array(e, dtype=complex) for e in self.kraus)
-        if not kraus:
-            raise ValueError("operation needs at least one Kraus operator")
-        for e in kraus:
-            e.setflags(write=False)
-            if e.shape != (self.d_out, self.d_in):
-                raise ValueError(f"Kraus operator shape {e.shape} != ({self.d_out}, {self.d_in})")
-        object.__setattr__(self, "kraus", kraus)
-        _require_trace_nonincreasing(kraus)
+        stack = _kraus_stack(self.kraus, d_in, d_out)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
+        _require_trace_nonincreasing(stack)
 
     @classmethod
     def from_unitary(cls, u):
@@ -95,7 +113,7 @@ class Operation:
 
     @property
     def kraus_gram(self):
-        return sum(dagger(e) @ e for e in self.kraus)
+        return _kraus_gram(self._stack)
 
     def is_trace_preserving(self):
         return close(self.kraus_gram, np.eye(self.d_in))
@@ -168,12 +186,15 @@ def _choi_vec(e):
 
 
 def _choi_matrix(kraus, convention):
-    # sum_i |E_i>><<E_i|, transposed for TRANSPOSED, added one Kraus operator
-    # at a time; a stack of matrices when the operators are stacks.
-    m = 0
-    for e in kraus:
-        v = _choi_vec(e)
-        m = m + v[..., :, None] * v[..., None, :].conj()
+    # sum_i |E_i>><<E_i| of a (..., r, d_out, d_in) Kraus stack, transposed for
+    # TRANSPOSED: the r outer products in one stacked product, then added in
+    # the family's order. (A sum over the Kraus axis reorders the additions
+    # when the matrices are 1 x 1.)
+    v = _choi_vec(kraus)
+    terms = v[..., :, None] * v[..., None, :].conj()
+    m = terms[..., 0, :, :]
+    for i in range(1, terms.shape[-3]):
+        m = m + terms[..., i, :, :]
     if convention is Convention.TRANSPOSED:
         m = m.swapaxes(-1, -2)
     return m
@@ -194,7 +215,7 @@ def choi_of_operation(op, convention=Convention.TRANSPOSED):
     """Choi operator of an operation in the requested convention. The sum of
     outer products |E>><<E| is Hermitian and positive semidefinite by
     construction, so it is not proved again."""
-    matrix = _choi_matrix(op.kraus, convention)
+    matrix = _choi_matrix(op._stack, convention)
     return _built(ChoiOperator, d_in=op.d_in, d_out=op.d_out, matrix=matrix, convention=convention)
 
 
@@ -329,9 +350,10 @@ def _ginibre_shape(d_in, d_out, kraus_rank):
 
 def _isometry_kraus(g, d_out, kraus_rank):
     # Orthonormalize the columns of a Ginibre matrix, or of each matrix in a
-    # stack, and cut the isometry into kraus_rank blocks of d_out rows.
+    # stack, and cut the isometry into a (..., kraus_rank, d_out, d_in) stack
+    # of blocks of d_out rows.
     v, _ = np.linalg.qr(g)
-    return tuple(v[..., i * d_out : (i + 1) * d_out, :] for i in range(kraus_rank))
+    return v.reshape(*v.shape[:-2], kraus_rank, d_out, v.shape[-1])
 
 
 def rand_cptp(d_in, d_out, kraus_rank, rng):

@@ -219,11 +219,7 @@ def contract_switch_vector(w_vec, ua, ub):
     w = w_vec.reshape(*lead, 2, 2, 2, 2, 2, 2)
     # <<U*| reshaped to 2 x 2 is U^T.
     bra_a, bra_b = ua.swapaxes(-1, -2), ub.swapaxes(-1, -2)
-    out = np.empty((*lead, 4), dtype=complex)
-    # One contraction per member: a stacked einsum sums in another order.
-    for i in np.ndindex(lead):
-        out[i] = np.einsum("ij,kl,ijkltc->tc", bra_a[i], bra_b[i], w[i]).reshape(-1)
-    return out
+    return np.einsum("...ij,...kl,...ijkltc->...tc", bra_a, bra_b, w).reshape(*lead, 4)
 
 
 def max_contraction_deviation(pairs, rng):
@@ -244,8 +240,8 @@ def max_contraction_deviation(pairs, rng):
         # contract_switch_vector proves ua and ub unitary for both.
         contracted = contract_switch_vector(switch_process_vector(spec), ua, ub)
         supermap = _switch_supermap(ua, ub, spec)
-        for c, s in zip(contracted, supermap):
-            worst = max(worst, abs(abs(np.vdot(c, s)) ** 2 - 1.0))
+        overlaps = (contracted.conj()[:, None, :] @ supermap[:, :, None])[:, 0, 0]
+        worst = max(worst, float(np.abs(np.abs(overlaps) ** 2 - 1.0).max()))
     return worst
 
 
@@ -284,15 +280,13 @@ def chsh_value(state):
     off = np.abs(norms - 1.0) > DEFAULT_TOL
     if off.any():
         raise ValueError(f"CHSH evaluation needs a normalized state, not one of norm {norms[off].flat[0]:.6g}")
-    values = np.empty(state.shape[:-1])
-    # One member at a time: stacked correlations sum in another order.
-    for i in np.ndindex(values.shape):
-        bra = state[i].conj()
-        e00, e01, e10, e11 = (float(np.real(bra @ k @ state[i])) for k in _CHSH_OPERATORS)
-        value = e00 + e01 + e10 - e11
-        if not abs(value) <= 2 * np.sqrt(2) + DEFAULT_TOL:
-            raise RuntimeError(f"CHSH value {value} beyond the Tsirelson bound; broken state or settings")
-        values[i] = value
+    bra, ket = state.conj()[..., None, :], state[..., :, None]
+    e00, e01, e10, e11 = (np.real(bra @ k @ ket)[..., 0, 0] for k in _CHSH_OPERATORS)
+    values = e00 + e01 + e10 - e11
+    beyond = ~(np.abs(values) <= 2 * np.sqrt(2) + DEFAULT_TOL)
+    if beyond.any():
+        value = float(values[beyond].flat[0])
+        raise RuntimeError(f"CHSH value {value} beyond the Tsirelson bound; broken state or settings")
     return values if state.ndim > 1 else float(values)
 
 

@@ -23,8 +23,8 @@ from .linalg import (
     close,
     is_psd,
     kron,
+    kron_permuted,
     partial_trace,
-    permute_subsystems,
     require_dims,
     require_psd,
     trace_and_replace,
@@ -193,10 +193,9 @@ def state_process(rho, dims):
     if rho.shape != (d_a_in * d_b_in,) * 2:
         raise ValueError("state must live on A_in (x) B_in")
     _require_unit_trace(rho)
-    full = kron(rho, np.eye(d_a_out * d_b_out))
-    # built on (A_in, B_in, A_out, B_out); reorder to (A_in, A_out, B_in, B_out)
-    ordered, _ = permute_subsystems(full, (d_a_in, d_b_in, d_a_out, d_b_out), (0, 2, 1, 3))
-    return _proved(dims, ordered)
+    # rho (x) 1 is on (A_in, B_in, A_out, B_out); reorder to (A_in, A_out, B_in, B_out)
+    w = kron_permuted((rho, _identity(d_a_out * d_b_out)), (d_a_in, d_b_in, d_a_out, d_b_out), (0, 2, 1, 3))
+    return _proved(dims, w)
 
 
 def _one_way(rho, channel_choi, d_last, perm):
@@ -215,10 +214,7 @@ def _one_way(rho, channel_choi, d_last, perm):
     # Checked before _identity(d_last), whose np.eye raises TypeError on a
     # float and reads True as 1, and named in W's factor order.
     dims = _process_dims(built[p] for p in perm)
-    m = kron(rho, channel_choi.matrix.T, _identity(d_last))
-    if perm != (0, 1, 2, 3):
-        m, _ = permute_subsystems(m, built, perm)
-    return _proved(dims, m)
+    return _proved(dims, kron_permuted((rho, channel_choi.matrix.T, _identity(d_last)), built, perm))
 
 
 def channel_process(rho_b, channel_choi, d_a_out=None):

@@ -271,6 +271,14 @@ def test_trigger_regime_flags():
     assert not bad.regime_ok
 
 
+def test_trigger_regime_quotients_past_the_float_range_pass_their_thresholds():
+    # width / sigma is past 1e308 and energy / potential overflows: both flags
+    # hold, as the exact quotients' would, with numpy raising on overflow.
+    with np.errstate(over="raise"):
+        flags = trigger_params(1.0, 5.4e267, 1.9e-277, 4.4e210).regime_flags
+    assert flags == {"amplitude_over_width": False, "width_over_sigma": True, "energy_over_potential": True}
+
+
 def test_crossing_rotation_angle_is_quarter_turn():
     p = trigger_params(1.0, 1e-6, 1e-30, 1e-20)
     assert abs(crossing_rotation_angle(p) - np.pi / 2) < 1e-12

@@ -241,6 +241,7 @@ NUMERIC_FAILURES = {
     "tiny-mass": ("grav-duration", ["mass=1e-300"], "lapse gap"),
     "tiny-mass-order": ("grav-order", ["mass=1e-300"], "lapse gap"),
     "curvature-underflow": ("grav-duration", ["radius=1e100"], "weak-field curvature term"),
+    "curvature-overflow": ("grav-duration", ["radius=1e150"], "curvature component R_0101"),
     "tiny-radius": ("grav-duration", ["radius=1e-124", "mass=1e-162"], "curvature component R_0101"),
     "tinier-radius": ("grav-duration", ["radius=1e-176", "mass=1e-237"], "surface gravity g"),
     "threshold-overflow": ("grav-order", ["mass=1e-200", "r_a_offset=1.5e200"], "threshold proper time"),
@@ -313,6 +314,14 @@ def test_cli_trigger_derived_quantity_out_of_range_is_named(param, quantity):
     # m omega^2 A^2 / 2 overflows, pi hbar omega underflows to 0, hbar / m omega underflows to 0.
     error = run_cli_usage_error(["run", "--scenario", "trigger", "--param", param])
     assert error.startswith("trigger: ") and f"{quantity} is not positive and finite" in error
+
+
+def test_cli_trigger_regime_quotient_past_the_float_range_gives_a_finite_report():
+    # width / sigma is past 1e308: its flag holds, as the exact quotient's would.
+    argv = ["run", "--scenario", "trigger", "--param", "width=5.4e267", "--param", "potential=1.9e-277"]
+    code, out = run_cli(argv + ["--param", "mass=4.4e210"])
+    report = json.loads(out, parse_constant=_refuse_constant)
+    assert code == EXIT_CHECK_FAILED and report["outputs"]["regime_ok"] is False
 
 
 def test_cli_custom_body_is_set_by_mass_and_radius():

@@ -265,6 +265,15 @@ def test_switch_ratio_weak_field_terms():
     assert abs(wf.ratio - direct) / direct < 1e-12
 
 
+@pytest.mark.parametrize(
+    "radius, quantity", [(1e150, "curvature component R_0101"), (1e160, "surface gravity g")], ids=["R^3", "R^2"]
+)
+def test_weak_field_radius_powers_past_the_float_range_are_named(radius, quantity):
+    # A Python float power raises OverflowError where a quotient gives inf.
+    with pytest.raises(ValueError, match=f"^{quantity}: its denominator overflows$"):
+        switch_ratio_weak_field(BodyConfig(mass=EARTH.mass, radius=radius), 1.0)
+
+
 def test_switch_ratio_exact_vs_weak_field_sweep():
     # relative deviation bounded by 10 R_S/R across a wide sweep of h
     for body in (EARTH, BodyConfig(mass=1e-10, radius=1e-15)):

@@ -19,6 +19,7 @@ from switchlab.linalg import (
     is_psd,
     is_unitary,
     kron,
+    kron_permuted,
     partial_trace,
     permute_subsystems,
     require_psd,
@@ -94,6 +95,35 @@ def test_kron_of_broadcasting_stacks_equals_numpy_kron_per_member():
     assert got.shape == (5, 3, 8, 6)
     for i, j in np.ndindex(5, 3):
         assert np.array_equal(got[i, j], np.kron(a[i, j], b[j]))
+
+
+@st.composite
+def kron_factors(draw):
+    """(matrices, dims, perm): one to three square matrices, real or complex
+    with signed zeros, whose sides are the products of consecutive runs of
+    one to four factor dims of 1-3 (a run may be empty, for a 1 x 1 matrix)."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(dims)), max_size=2)))
+    runs = [dims[a:b] for a, b in zip([0, *cuts], [*cuts, len(dims)])]
+    entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+    matrices = []
+    for run in runs:
+        side = math.prod(run)
+        values = np.array(draw(st.lists(entries, min_size=2 * side * side, max_size=2 * side * side)))
+        m = values.reshape(2, side, side)
+        matrices.append(m[0] + 1j * m[1] if draw(st.booleans()) else m[0])
+    perm = tuple(draw(st.permutations(range(len(dims)))))
+    return matrices, dims, perm
+
+
+@settings(max_examples=120, deadline=None)
+@given(factors=kron_factors())
+def test_kron_permuted_equals_kron_then_permute_bit_for_bit(factors):
+    matrices, dims, perm = factors
+    want, _ = permute_subsystems(kron(*matrices), dims, perm)
+    got = kron_permuted(matrices, dims, perm)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_trace_and_replace_is_idempotent_and_checks_its_factor():
@@ -438,12 +468,16 @@ def test_certificate_decides_as_the_reference(n, shape, seed, lowest, defect, ba
 def test_cached_identities_are_shared_and_read_only(n):
     eye = linalg._identity(n)
     assert eye is linalg._identity(n)
-    assert np.array_equal(eye, np.eye(n)) and eye.dtype == np.eye(n).dtype
+    assert np.array_equal(eye, np.eye(n)) and eye.dtype == complex
     with pytest.raises(ValueError, match="read-only"):
         eye[0, 0] = 2.0
     with pytest.raises(ValueError):
         eye.setflags(write=True)
     assert not linalg._identity(n).flags.writeable
+    # The certificate's shift: the same bits as DEFAULT_TOL * np.eye(n), cast as a sum casts it.
+    shift = linalg._psd_shift(n)
+    assert shift is linalg._psd_shift(n) and not shift.flags.writeable
+    assert shift.tobytes() == (DEFAULT_TOL * np.eye(n)).astype(complex).tobytes()
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -14,6 +14,7 @@ from switchlab.linalg import (
     close,
     dagger,
     hermitian_eigen,
+    is_psd,
     is_unitary,
     kron,
     partial_trace,
@@ -361,3 +362,86 @@ def test_is_cptp_decides_as_the_partial_trace(dims, sampler, convention, seed):
     assert choi.is_cptp() is want
     if sampler is rand_cptp:
         assert want
+
+
+def test_operation_kraus_are_read_only_views_of_one_stack():
+    source = list(rand_cptp(2, 3, 2, np.random.default_rng(40)).kraus)
+    op = Operation(2, 3, source)
+    stack = op._stack
+    assert stack.shape == (2, 3, 2) and not stack.flags.writeable
+    assert isinstance(op.kraus, tuple) and len(op.kraus) == 2
+    for e, given_e in zip(op.kraus, source):
+        assert e.base is stack and np.array_equal(e, given_e)
+        assert not np.shares_memory(e, given_e)
+    with pytest.raises(ValueError, match="read-only"):
+        op.kraus[1][0, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "kraus, message",
+    [
+        ((), "operation needs at least one Kraus operator"),
+        ((np.eye(2) / 2, np.eye(3) / 2), "Kraus operator shape (3, 3) != (2, 2)"),
+        ((np.ones((2, 3)) / 3, np.ones((2, 3)) / 3), "Kraus operator shape (2, 3) != (2, 2)"),
+        ((np.full((2, 2), np.nan),), "matrix is not Hermitian within tolerance"),
+    ],
+    ids=["empty", "ragged", "wrong-shape", "nan"],
+)
+def test_operation_names_a_malformed_family(kraus, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Operation(2, 2, kraus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d_in=st.integers(1, 3),
+    d_out=st.integers(1, 3),
+    rank=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    # the largest eigenvalue of sum E^dag E is 1 + excess * DEFAULT_TOL
+    excess=st.sampled_from([-1.0, 1.0]).flatmap(lambda s: st.floats(1e-3, 1.0).map(lambda f: 1.0 + s * f)),
+)
+def test_trace_nonincreasing_decision_matches_the_per_operator_gram(d_in, d_out, rank, seed, excess):
+    # The stacked gram V^dag V and the per-operator sum differ by roundoff
+    # only, well inside the margin of 1e-12 from the boundary kept here.
+    assume(d_out * rank >= d_in)
+    rng = np.random.default_rng(seed)
+    scale = np.concatenate([[np.sqrt(1.0 + excess * DEFAULT_TOL)], rng.uniform(0.2, 1.0, d_in - 1)])
+    kraus = [e * scale for e in rand_cptp(d_in, d_out, rank, rng).kraus]
+    want = is_psd(np.eye(d_in) - sum(dagger(e) @ e for e in kraus))
+    assert want is (excess < 1.0)
+    try:
+        Operation(d_in, d_out, kraus)
+        got = True
+    except ValueError as exc:
+        assert str(exc) == "Kraus family is trace-increasing: sum E^dag E > 1"
+        got = False
+    assert got is want
+
+
+def reference_choi_matrix(kraus, convention):
+    """The per-operator sum that choi_of_operation stacks: 0 + |E_0>><<E_0| + ..."""
+    m = 0
+    for e in kraus:
+        v = e.T.reshape(-1)
+        m = m + np.outer(v, v.conj())
+    return m.T if convention is Convention.TRANSPOSED else m
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d_in=st.integers(1, 3),
+    d_out=st.integers(1, 3),
+    rank=st.integers(1, 4),
+    sampler=st.sampled_from([rand_cptp, rand_operation]),
+    convention=st.sampled_from(list(Convention)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_choi_of_operation_equals_the_per_operator_sum_bit_for_bit(d_in, d_out, rank, sampler, convention, seed):
+    # The stacked outer products are added in the family's order; only the
+    # sign of an exact zero may differ (the loop's 0 + x), which array_equal
+    # does not see. A sum over the Kraus axis fails here: at d_in = d_out = 1
+    # it reorders the additions.
+    assume(d_out * rank >= d_in)
+    op = sampler(d_in, d_out, rank, np.random.default_rng(seed))
+    assert np.array_equal(choi_of_operation(op, convention).matrix, reference_choi_matrix(op.kraus, convention))

@@ -542,6 +542,56 @@ def test_chsh_settings_are_plus_minus_one_observables():
         assert np.abs(obs @ obs - ID2).max() < 1e-15
 
 
+def reference_chsh_values(state):
+    """The per-member loop that chsh_value stacks: four Python-float
+    correlations per state, summed as e00 + e01 + e10 - e11."""
+    values = np.empty(state.shape[:-1])
+    for i in np.ndindex(values.shape):
+        bra = state[i].conj()
+        e00, e01, e10, e11 = (float(np.real(bra @ k @ state[i])) for k in order._CHSH_OPERATORS)
+        values[i] = e00 + e01 + e10 - e11
+    return values
+
+
+@pytest.mark.parametrize("shape", [(), (50,), (3, 4)])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), product=st.booleans())
+def test_chsh_value_equals_the_per_member_loop_bit_for_bit(shape, seed, product):
+    # Product states, as max_separable_chsh scores, or general two-qubit states.
+    rng = np.random.default_rng(seed)
+    if product:
+        a, b = rand_unitary(2, rng, (2, *shape))[..., 0]
+        states = kron(a[..., None], b[..., None])[..., 0]
+    else:
+        states = rand_unitary(4, rng, shape)[..., 0]
+    got = chsh_value(states)
+    want = reference_chsh_values(states)
+    if shape == ():
+        assert type(got) is float and got == float(want)
+    else:
+        assert got.shape == shape and got.tobytes() == want.tobytes()
+
+
+def reference_contraction(w_vec, ua, ub):
+    """The per-member einsum that contract_switch_vector stacks."""
+    lead = w_vec.shape[:-1]
+    w = w_vec.reshape(*lead, 2, 2, 2, 2, 2, 2)
+    out = np.empty((*lead, 4), dtype=complex)
+    for i in np.ndindex(lead):
+        out[i] = np.einsum("ij,kl,ijkltc->tc", ua[i].T, ub[i].T, w[i]).reshape(-1)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(), (50,), (3, 4)])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_contraction_equals_the_per_member_einsum_bit_for_bit(shape, seed):
+    rng = np.random.default_rng(seed)
+    targets, ua, ub = rand_unitary(2, rng, (3, *shape))
+    w_vec = switch_process_vector(SwitchSpec(target_state=targets[..., 0]))
+    assert contract_switch_vector(w_vec, ua, ub).tobytes() == reference_contraction(w_vec, ua, ub).tobytes()
+
+
 def test_single_and_stacked_calls_agree():
     rng = np.random.default_rng(12)
     targets = rand_unitary(2, rng, (5,))[..., 0]

@@ -626,6 +626,39 @@ def test_channel_process_equals_the_written_out_formula(seed, dims, rank, d_a_ou
 
 
 @pytest.mark.parametrize(
+    "side, d_last",
+    [((2, 2), None), ((2, 3), 4), ((2, 3), 2)],
+    ids=["qubits", "unequal-dims", "unequal-dims-override-2"],
+)
+@pytest.mark.parametrize(
+    "build, perm",
+    [(channel_process, (2, 3, 0, 1)), (channel_process_reverse, (0, 1, 2, 3))],
+    ids=["b-to-a", "a-to-b"],
+)
+def test_one_way_processes_equal_kron_then_permute_bit_for_bit(build, perm, side, d_last):
+    # W = rho (x) C^T (x) 1, built on (rho's, C's input, C's output, the last
+    # factor) and reordered to (A_in, A_out, B_in, B_out); signed zeros included.
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        rho = rand_density(2, rng)
+        choi = choi_of_operation(rand_cptp(*side, 2, rng))
+        d = side[1] if d_last is None else d_last
+        want, _ = permute_subsystems(kron(rho, choi.matrix.T, np.eye(d)), (2, *side, d), perm)
+        assert build(rho, choi, d_last).matrix.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 3, 2), (3, 1, 2, 2)])
+def test_state_process_equals_kron_then_permute_bit_for_bit(dims):
+    # rho (x) 1 on (A_in, B_in, A_out, B_out), reordered to (A_in, A_out, B_in, B_out).
+    d_a_in, d_a_out, d_b_in, d_b_out = dims
+    rho = rand_density(d_a_in * d_b_in, np.random.default_rng(22))
+    want, _ = permute_subsystems(
+        kron(rho, np.eye(d_a_out * d_b_out)), (d_a_in, d_b_in, d_a_out, d_b_out), (0, 2, 1, 3)
+    )
+    assert state_process(rho, dims).matrix.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
     "build, message",
     [
         (lambda: channel_process(ID2 / 2, choi_of_operation(Operation.from_unitary(ID2)), d_a_out=0),

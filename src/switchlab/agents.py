@@ -30,7 +30,6 @@ __all__ = [
     "run_switch_model",
     "SwitchModelResult",
     "TriggerParams",
-    "trigger_params",
     "crossing_rotation_angle",
 ]
 
@@ -352,11 +351,6 @@ class TriggerParams:
     @property
     def regime_ok(self):
         return all(self.regime_flags.values())
-
-
-def trigger_params(tau_star, interaction_width, potential, mass):
-    """Build trigger parameters from the alarm time, width, potential and mass."""
-    return TriggerParams(tau_star, interaction_width, potential, mass)
 
 
 def crossing_rotation_angle(p):

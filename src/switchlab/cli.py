@@ -117,16 +117,15 @@ def _scenario_validate_process(params, rng):
     samples = params["samples"]
     w = process.ocb_process()
     report = process.validate_process(w, samples, rng)
-    trace = float(np.trace(w.matrix).real)
     outputs = {
         "samples": samples,
         "psd": report.psd,
-        "trace": trace,
+        "trace": report.trace,
         "max_norm_deviation": report.max_norm_deviation,
     }
     checks = [
         _bool_check("psd", True, report.psd),
-        _check("trace_equals_4", 4.0, trace, DEFAULT_TOL),
+        _check("trace_equals_4", 4.0, report.trace, DEFAULT_TOL),
         _check("normalization_deviation", 0.0, report.max_norm_deviation, NORMALIZATION_TOL),
     ]
     return outputs, checks
@@ -200,7 +199,7 @@ def _scenario_grav_order(params, rng):
 
 
 def _scenario_trigger(params, rng):
-    p = agents.trigger_params(params["tau_star"], params["width"], params["potential"], params["mass"])
+    p = agents.TriggerParams(params["tau_star"], params["width"], params["potential"], params["mass"])
     angle = agents.crossing_rotation_angle(p)
     fidelity = abs(np.sin(angle))  # |<A1| exp(-i angle sigma_x) |A0>|
     outputs = {
@@ -423,10 +422,12 @@ def _configs_from_file(path):
 
 
 def _emit(text, out_path):
-    sys.stdout.write(text)
+    # The file first: if it cannot be written, the run is a usage error and
+    # stdout stays empty.
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _list_text():
@@ -437,8 +438,15 @@ def _list_text():
     return json.dumps({"scenarios": listing}, indent=2) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    # A malformed command line raises, so main reports it as one JSON error
+    # line, not argparse's usage text. Subcommand parsers share the class.
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="switchlab", description=__doc__)
+    parser = _Parser(prog="switchlab", description=__doc__)
     parser.add_argument("--list", action="store_true", help="enumerate scenarios and parameters")
     sub = parser.add_subparsers(dest="command")
     run_p = sub.add_parser("run", help="run a single scenario")
@@ -450,15 +458,13 @@ def main(argv=None):
     suite_p.add_argument("--config", required=True)
     suite_p.add_argument("--out", default=None)
 
-    args = parser.parse_args(argv)
-    if args.list:
-        sys.stdout.write(_list_text())
-        return EXIT_OK
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-
     try:
+        args = parser.parse_args(argv)
+        if args.list:
+            sys.stdout.write(_list_text())
+            return EXIT_OK
+        if args.command is None:
+            raise ValueError("a command is required: run or suite")
         if args.command == "run":
             params = dict(_parse_param(p) for p in args.param)
             report = run_scenario(ScenarioConfig(args.scenario, params, args.seed))

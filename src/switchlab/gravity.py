@@ -32,7 +32,6 @@ __all__ = [
     "protocol_duration",
     "ProtocolDuration",
     "ClockModel",
-    "grav_switch_joint_state",
     "grav_switch_resync_purity",
 ]
 
@@ -279,12 +278,6 @@ def _joint_state(clock_a, clock_b, taus_ab, taus_ba):
     branch_ab = kron(ID2[:, :1], _clock_ket(clock_a, clock_b, taus_ab))
     branch_ba = kron(ID2[:, 1:], _clock_ket(clock_a, clock_b, taus_ba))
     return (branch_ab + branch_ba)[:, 0] / np.sqrt(2.0)
-
-
-def grav_switch_joint_state(clock_a, clock_b, r_a, r_b, body, t):
-    """(control (x) clock_a (x) clock_b) state for the mass prepared in the
-    even superposition of the two configurations."""
-    return _joint_state(clock_a, clock_b, *_configuration_times(r_a, r_b, body, t))
 
 
 def _control_purity(joint):

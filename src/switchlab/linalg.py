@@ -20,7 +20,6 @@ __all__ = [
     "DEFAULT_TOL",
     "ZERO_PROB_TOL",
     "MODULUS_TOL",
-    "TRACE_TOL",
     "ROUNDOFF_TOL",
     "NORMALIZATION_TOL",
     "APPROX_REL_TOL",
@@ -45,8 +44,6 @@ DEFAULT_TOL = 1e-9
 ZERO_PROB_TOL = 1e-12
 # Roundoff allowed on an amplitude's modulus above one.
 MODULUS_TOL = 1e-12
-# Allowed deviation of a process matrix's trace from d_A_out * d_B_out.
-TRACE_TOL = 1e-6
 # Roundoff allowed on an order-one value that has a closed form.
 ROUNDOFF_TOL = 1e-12
 # Allowed deviation from one of a total probability sampled over random

@@ -35,7 +35,6 @@ from .linalg import (
 __all__ = [
     "Convention",
     "Operation",
-    "Instrument",
     "ChoiOperator",
     "apply_operation",
     "choi_of_operation",
@@ -56,19 +55,13 @@ class Convention(enum.Enum):
     TRANSPOSED = "transposed"
 
 
-def _kraus_gram(kraus):
-    # sum_i E_i^dag E_i of a (r, d_out, d_in) Kraus stack, as the one product
-    # V^dag V of its r * d_out stacked rows V.
-    v = np.asarray(kraus)
-    v = v.reshape(-1, v.shape[-1])
-    return v.conj().T @ v
-
-
 def _require_trace_nonincreasing(kraus):
     # sum E^dag E <= 1: its largest eigenvalue is at most 1 + tol iff
-    # 1 - sum E^dag E has none below -tol.
-    gram = _kraus_gram(kraus)
-    if not is_psd(_identity(gram.shape[-1]) - gram):
+    # 1 - sum E^dag E has none below -tol. The sum over a (r, d_out, d_in)
+    # Kraus stack is the one product V^dag V of its r * d_out stacked rows V.
+    v = np.asarray(kraus)
+    v = v.reshape(-1, v.shape[-1])
+    if not is_psd(_identity(v.shape[-1]) - v.conj().T @ v):
         raise ValueError("Kraus family is trace-increasing: sum E^dag E > 1")
 
 
@@ -110,34 +103,6 @@ class Operation:
         if not is_unitary(u):
             raise ValueError("matrix is not unitary within tolerance")
         return cls(u.shape[0], u.shape[0], (u,))
-
-    @property
-    def kraus_gram(self):
-        return _kraus_gram(self._stack)
-
-    def is_trace_preserving(self):
-        return close(self.kraus_gram, np.eye(self.d_in))
-
-
-@dataclass(frozen=True)
-class Instrument:
-    """Outcome-indexed family of operations on common dimensions.
-
-    The constructor checks only the dimensions, not that the total map is
-    CPTP; :func:`rand_instrument` builds a complete one.
-    """
-
-    d_in: int
-    d_out: int
-    elements: tuple = ()
-
-    def __post_init__(self):
-        d_in, d_out = require_dims((self.d_in, self.d_out), "Instrument")
-        object.__setattr__(self, "d_in", d_in)
-        object.__setattr__(self, "d_out", d_out)
-        for op in self.elements:
-            if (op.d_in, op.d_out) != (self.d_in, self.d_out):
-                raise ValueError("instrument element dimensions disagree")
 
 
 def apply_operation(op, rho):
@@ -390,7 +355,7 @@ def rand_operation(d_in, d_out, kraus_rank, rng):
 
 
 def rand_instrument(d_in, d_out, n_outcomes, rng):
-    """Random instrument: a CPTP Kraus family partitioned over outcomes."""
+    """Random instrument: a CPTP Kraus family partitioned over outcomes, as a
+    tuple of one single-Kraus Operation per outcome."""
     total = rand_cptp(d_in, d_out, n_outcomes, rng)
-    elements = tuple(Operation(d_in, d_out, (e,)) for e in total.kraus)
-    return Instrument(d_in, d_out, elements)
+    return tuple(Operation(d_in, d_out, (e,)) for e in total.kraus)

@@ -82,7 +82,7 @@ class GameStrategy:
         return dims_alice, dims_bob, g
 
 
-def _ocb_strategy(rho_b2):
+def _ocb_strategy():
     # The 12 instrument elements, each built and validated once, indexed by
     # their bits: Alice's (x, a) and Bob's (y, b, b').
     alice = {
@@ -92,29 +92,27 @@ def _ocb_strategy(rho_b2):
     bob = {}
     for y, b, bp in np.ndindex(2, 2, 2):
         if bp == 1:
-            m = 0.5 * kron(ID2 + (-1) ** y * PAULI_Z, rho_b2)
+            m = 0.5 * kron(ID2 + (-1) ** y * PAULI_Z, ID2 / 2)
         else:
             m = 0.25 * kron(ID2 + (-1) ** y * PAULI_X, ID2 + (-1) ** (b + y) * PAULI_Z)
         bob[y, b, bp] = ChoiOperator(2, 2, m)
     return GameStrategy(lambda x, a: alice[x, a], lambda y, b, bp: bob[y, b, bp])
 
 
-_OCB_STRATEGY = _ocb_strategy(ID2 / 2)
+_OCB_STRATEGY = _ocb_strategy()
 
 
-def ocb_strategy(bob_free_state=None):
+def ocb_strategy():
     """The strategies achieving P_succ = (2 + sqrt 2)/4 on the OCB process.
 
     Alice measures and reprepares in z. For b' = 1 Bob reads z and reprepares
-    an arbitrary state; for b' = 0 he measures x and encodes b in z with the
-    sign fixed by his outcome.
+    the maximally mixed state 1/2 (any state scores the same); for b' = 0 he
+    measures x and encodes b in z with the sign fixed by his outcome.
 
-    The 12 Chois are built and validated when the strategy is made, and their
-    matrices are read-only; the default strategy is one shared instance.
+    The 12 Chois are built and validated once, at import, and their matrices
+    are read-only; every call returns that one shared instance.
     """
-    if bob_free_state is None:
-        return _OCB_STRATEGY
-    return _ocb_strategy(np.asarray(bob_free_state, dtype=complex))
+    return _OCB_STRATEGY
 
 
 def branch_probabilities(w, strategy):
@@ -134,18 +132,23 @@ def bob_reduced_matrix(w, strategy, a):
     return _reduced(w, "Alice", [strategy.alice_choi(x, a) for x in range(2)])
 
 
-def alice_reduced_matrix(w, strategy, b, bp=0):
-    """Tr_B[W (1 (x) sum_y N(y,b,b'))]: the process Alice faces."""
-    return _reduced(w, "Bob", [strategy.bob_choi(y, b, bp) for y in range(2)])
+def alice_reduced_matrix(w, strategy, b):
+    """Tr_B[W (1 (x) sum_y N(y,b,0))]: the process Alice faces when Bob
+    guesses (b' = 0)."""
+    return _reduced(w, "Bob", [strategy.bob_choi(y, b, 0) for y in range(2)])
+
+
+# The amplitude of each control basis state: the switch's control starts in
+# (|0> + |1>)/sqrt 2.
+_CONTROL_AMPLITUDE = complex(1 / np.sqrt(2))
 
 
 @dataclass(frozen=True)
 class SwitchSpec:
-    """Target state, or a (..., 2) stack of target states, and the control
-    amplitudes feeding the quantum switch."""
+    """Target state, or a (..., 2) stack of target states, feeding the
+    quantum switch."""
 
     target_state: np.ndarray = None
-    control_amplitudes: tuple = (1 / np.sqrt(2), 1 / np.sqrt(2))
 
     def __post_init__(self):
         psi = (
@@ -153,18 +156,16 @@ class SwitchSpec:
             if self.target_state is None
             else np.asarray(self.target_state, dtype=complex)
         )
+        if psi.shape[-1:] != (2,):
+            raise ValueError(f"switch target state needs a last axis of length 2 (a qubit), not shape {psi.shape}")
         if not close(np.linalg.norm(psi, axis=-1), 1.0):
             raise ValueError("target state must be normalized")
-        c = tuple(complex(x) for x in self.control_amplitudes)
-        if not close(abs(c[0]) ** 2 + abs(c[1]) ** 2, 1.0):
-            raise ValueError("control amplitudes must be normalized")
         object.__setattr__(self, "target_state", psi)
-        object.__setattr__(self, "control_amplitudes", c)
 
 
 def switch_supermap_state(ua, ub, spec):
     """Output of the switch supermap on unitaries: the target (x) control state
-    c0 U_B U_A |psi>|0> + c1 U_A U_B |psi>|1>, or one per member when the
+    (U_B U_A |psi>|0> + U_A U_B |psi>|1>)/sqrt 2, or one per member when the
     unitaries and the target are stacks."""
     ua = np.asarray(ua, dtype=complex)
     ub = np.asarray(ub, dtype=complex)
@@ -176,11 +177,10 @@ def switch_supermap_state(ua, ub, spec):
 
 def _switch_supermap(ua, ub, spec):
     # switch_supermap_state on complex unitaries already proved unitary.
-    c0, c1 = spec.control_amplitudes
     psi = spec.target_state[..., None]
     branch_0 = kron(ub @ ua @ psi, ID2[:, :1])
     branch_1 = kron(ua @ ub @ psi, ID2[:, 1:])
-    return (c0 * branch_0 + c1 * branch_1)[..., 0]
+    return (_CONTROL_AMPLITUDE * branch_0 + _CONTROL_AMPLITUDE * branch_1)[..., 0]
 
 
 def switch_process_vector(spec):
@@ -191,15 +191,15 @@ def switch_process_vector(spec):
     d = 2 for a normalized qubit target, not 1. A stack of targets gives one
     vector per member.
     """
-    c0, c1 = spec.control_amplitudes
+    c = _CONTROL_AMPLITUDE
     psi = spec.target_state
     lead = psi.shape[:-1]
     w = np.zeros((*lead, 2, 2, 2, 2, 2, 2), dtype=complex)
     for j, l in np.ndindex(2, 2):
         # control |0>: psi enters A, identity links A_out->B_in and B_out->C_t
-        w[..., :, j, j, l, l, 0] += c0 * psi
+        w[..., :, j, j, l, l, 0] += c * psi
         # control |1>: the same with the parties exchanged
-        w[..., j, l, :, j, l, 1] += c1 * psi
+        w[..., j, l, :, j, l, 1] += c * psi
     return w.reshape(*lead, -1)
 
 
@@ -336,6 +336,9 @@ def temporal_order_state(u_a1, u_b1, u_a2, u_b2, psi1, psi2, sign):
     psi2 = np.asarray(psi2, dtype=complex)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    for psi in (psi1, psi2):
+        if psi.shape != (2,):
+            raise ValueError(f"temporal-order target states must be qubits of shape (2,), not {psi.shape}")
     if not (np.isfinite(psi1).all() and np.isfinite(psi2).all()):
         raise ValueError("target states are not finite")
     # The output is bilinear in the targets, so scaling each by _unit_scale

@@ -18,7 +18,6 @@ from .linalg import (
     DEFAULT_TOL,
     PAULI_X,
     PAULI_Z,
-    TRACE_TOL,
     _identity,
     close,
     is_psd,
@@ -63,7 +62,7 @@ class ProcessMatrix:
 
     Hermiticity and positivity are enforced on construction, on a read-only
     copy; the trace condition Tr W = d_A_out * d_B_out and the normalization
-    over CPTP pairs are certified by :func:`validate_process`.
+    over CPTP pairs are reported by :func:`validate_process`.
     """
 
     dims: tuple  # (d_a_in, d_a_out, d_b_in, d_b_out)
@@ -198,10 +197,10 @@ def state_process(rho, dims):
     return _proved(dims, w)
 
 
-def _one_way(rho, channel_choi, d_last, perm):
+def _one_way(rho, channel_choi, perm):
     """The one-way process W = rho (x) C^T (x) 1 from the party that receives
-    rho to the other, with d_last (default: the channel's output dimension)
-    on the last factor, reordered by `perm` to (A_in, A_out, B_in, B_out)."""
+    rho to the other, with the channel's output dimension on the last factor,
+    reordered by `perm` to (A_in, A_out, B_in, B_out)."""
     _require_transposed(channel_choi.convention)
     if not channel_choi.is_cptp():
         raise ValueError("channel Choi is not trace-preserving")
@@ -209,25 +208,23 @@ def _one_way(rho, channel_choi, d_last, perm):
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"state shape {rho.shape} is not square")
     _require_unit_trace(rho)
-    d_last = channel_choi.d_out if d_last is None else d_last
-    built = (len(rho), channel_choi.d_in, channel_choi.d_out, d_last)
-    # Checked before _identity(d_last), whose np.eye raises TypeError on a
-    # float and reads True as 1, and named in W's factor order.
-    dims = _process_dims(built[p] for p in perm)
-    return _proved(dims, kron_permuted((rho, channel_choi.matrix.T, _identity(d_last)), built, perm))
+    d_in, d_out = channel_choi.d_in, channel_choi.d_out
+    built = (len(rho), d_in, d_out, d_out)
+    dims = tuple(built[p] for p in perm)
+    return _proved(dims, kron_permuted((rho, channel_choi.matrix.T, _identity(d_out)), built, perm))
 
 
-def channel_process(rho_b, channel_choi, d_a_out=None):
+def channel_process(rho_b, channel_choi):
     """Signaling process B -> A: Bob receives rho_b, and a channel carries his
     output to Alice.  W = 1^{A_out} (x) (C^{B_out A_in})^T (x) rho^{B_in}."""
     # built as A -> B with the parties exchanged; exchange them back
-    return _one_way(rho_b, channel_choi, d_a_out, (2, 3, 0, 1))
+    return _one_way(rho_b, channel_choi, (2, 3, 0, 1))
 
 
-def channel_process_reverse(rho_a, channel_choi, d_b_out=None):
+def channel_process_reverse(rho_a, channel_choi):
     """Signaling process A -> B, the mirror image of :func:`channel_process`:
     W = rho^{A_in} (x) (C^{A_out B_in})^T (x) 1^{B_out}."""
-    return _one_way(rho_a, channel_choi, d_b_out, (0, 1, 2, 3))
+    return _one_way(rho_a, channel_choi, (0, 1, 2, 3))
 
 
 def causal_mixture(w1, w2, q):
@@ -320,12 +317,8 @@ def hs_reconstruct(coeffs, d):
 @dataclass(frozen=True)
 class ValidationReport:
     psd: bool
-    trace_ok: bool
+    trace: float  # Tr W; a valid W has d_A_out * d_B_out
     max_norm_deviation: float
-
-    @property
-    def ok(self):
-        return self.psd and self.trace_ok
 
 
 # validate_process checks its random pairs in stacks of at most this many,
@@ -335,7 +328,7 @@ _KRAUS_RANK = 2
 
 
 def validate_process(w, samples, rng):
-    """Certify the two process conditions plus randomized normalization.
+    """Report W's positivity, its trace and its randomized normalization.
 
     Draws `samples` independent CPTP Choi pairs, consuming `rng` exactly as
     ``rand_cptp(d_in, d_out, 2, rng)`` for Alice and then for Bob would, once
@@ -344,11 +337,11 @@ def validate_process(w, samples, rng):
     if samples < 1:
         raise ValueError("need at least one sample")
     psd = is_psd(w.matrix)
-    trace_ok = abs(np.trace(w.matrix).real - w.d_a_out * w.d_b_out) < TRACE_TOL
+    trace = float(np.trace(w.matrix).real)
     worst = 0.0
     for start in range(0, samples, _BLOCK):
         worst = max(worst, _block_deviation(w, min(_BLOCK, samples - start), rng))
-    return ValidationReport(psd, trace_ok, worst)
+    return ValidationReport(psd, trace, worst)
 
 
 def _block_deviation(w, k, rng):

@@ -67,7 +67,7 @@ def test_criterion_03_reduced_matrices():
         dev = max(dev, np.abs(order.bob_reduced_matrix(w, s, a) - want).max())
     for b in range(2):
         want = kron(0.5 * (ID2 + (-1) ** b / SQRT2 * PAULI_Z), ID2)
-        dev = max(dev, np.abs(order.alice_reduced_matrix(w, s, b, bp=0) - want).max())
+        dev = max(dev, np.abs(order.alice_reduced_matrix(w, s, b) - want).max())
     ok = dev <= 1e-9
     _report(3, f"reduced matrices match their closed forms (max dev {dev:.2e})", ok)
 
@@ -118,8 +118,8 @@ def test_criterion_06_channel_process_equivalence():
         w = process.channel_process(rho_b, choi_of_operation(channel))
         alice = rand_instrument(2, 2, 2, rng)
         bob = rand_instrument(2, 2, 2, rng)
-        for m_op in alice.elements:
-            for n_op in bob.elements:
+        for m_op in alice:
+            for n_op in bob:
                 got = process.probability(
                     w, choi_of_operation(m_op), choi_of_operation(n_op)
                 )
@@ -230,7 +230,7 @@ def test_criterion_12_clock_resynchronization():
 
 
 def test_criterion_13_trigger():
-    p = agents.trigger_params(1.0, 1e-6, 1e-30, 1e-20)
+    p = agents.TriggerParams(1.0, 1e-6, 1e-30, 1e-20)
     angle = agents.crossing_rotation_angle(p)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     u = np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * sx

@@ -16,7 +16,6 @@ from switchlab.agents import (
     crossing_rotation_angle,
     postselect,
     run_switch_model,
-    trigger_params,
 )
 
 # Level indices as in switchlab.agents: A_j at index j, B_j at index j-1.
@@ -253,7 +252,7 @@ def test_run_switch_model_zero_probability_paths():
 
 
 def test_trigger_params_basic():
-    p = trigger_params(1.0, 1e-6, 1e-21, 1e-25)
+    p = TriggerParams(1.0, 1e-6, 1e-21, 1e-25)
     assert abs(p.omega - np.pi / 2) < 1e-15
     assert abs(p.period - 4.0) < 1e-12
     want_amp = 2 * 1e-6 * 1e-21 / (np.pi * HBAR * p.omega)
@@ -261,12 +260,12 @@ def test_trigger_params_basic():
 
 
 def test_trigger_regime_flags():
-    good = trigger_params(1.0, 1e-6, 1e-30, 1e-20)
+    good = TriggerParams(1.0, 1e-6, 1e-30, 1e-20)
     assert good.regime_ok
     # the crossing window is narrow on the scale of the quarter period
     assert good.crossing_window < 0.01 * good.tau_star
     # width comparable to sigma breaks the localization condition
-    bad = trigger_params(1.0, 1e-6, 1e-21, 1e-25)
+    bad = TriggerParams(1.0, 1e-6, 1e-21, 1e-25)
     assert not bad.regime_flags["width_over_sigma"]
     assert not bad.regime_ok
 
@@ -275,14 +274,14 @@ def test_trigger_regime_quotients_past_the_float_range_pass_their_thresholds():
     # width / sigma is past 1e308 and energy / potential overflows: both flags
     # hold, as the exact quotients' would, with numpy raising on overflow.
     with np.errstate(over="raise"):
-        flags = trigger_params(1.0, 5.4e267, 1.9e-277, 4.4e210).regime_flags
+        flags = TriggerParams(1.0, 5.4e267, 1.9e-277, 4.4e210).regime_flags
     assert flags == {"amplitude_over_width": False, "width_over_sigma": True, "energy_over_potential": True}
 
 
 def test_crossing_rotation_angle_is_quarter_turn():
-    p = trigger_params(1.0, 1e-6, 1e-30, 1e-20)
+    p = TriggerParams(1.0, 1e-6, 1e-30, 1e-20)
     assert abs(crossing_rotation_angle(p) - np.pi / 2) < 1e-12
-    p2 = trigger_params(0.35, 2e-6, 5e-29, 3e-19)
+    p2 = TriggerParams(0.35, 2e-6, 5e-29, 3e-19)
     assert abs(crossing_rotation_angle(p2) - np.pi / 2) < 1e-12
 
 
@@ -319,13 +318,13 @@ def test_trigger_params_check_a_given_amplitude(amplitude):
 def test_crossing_angle_linear_in_potential():
     # Doubling V0 with the crossing window held fixed doubles the angle; a
     # stand-in holds the window, since TriggerParams derives it from V0.
-    p = trigger_params(1.0, 1e-6, 1e-30, 1e-20)
+    p = TriggerParams(1.0, 1e-6, 1e-30, 1e-20)
     bumped = SimpleNamespace(potential=2 * p.potential, crossing_window=p.crossing_window)
     assert abs(crossing_rotation_angle(bumped) - 2 * crossing_rotation_angle(p)) < 1e-12
 
 
 def test_rotation_takes_a0_to_a1():
-    p = trigger_params(1.0, 1e-6, 1e-30, 1e-20)
+    p = TriggerParams(1.0, 1e-6, 1e-30, 1e-20)
     theta = crossing_rotation_angle(p)
     # 2x2 matrix exponential oracle: exp(-i theta s_x) = cos t - i sin t s_x
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -430,6 +429,6 @@ def test_both_orders_equal_the_branch_tables_bit_for_bit(c, deltas, gammas, alph
 def test_crossing_rotation_angle_leaves_the_regime_to_its_caller():
     # Out of regime, the angle is still V0 epsilon / hbar, with no warning;
     # the CLI reports the regime as a check.
-    bad = trigger_params(1.0, 1e-6, 1e-21, 1e-25)
+    bad = TriggerParams(1.0, 1e-6, 1e-21, 1e-25)
     assert not bad.regime_ok
     assert abs(crossing_rotation_angle(bad) - np.pi / 2) < 1e-12

@@ -34,12 +34,13 @@ def run_cli(argv):
 
 
 def run_cli_usage_error(argv):
-    """Run the CLI expecting exit 2: nothing on stdout, one JSON error on stderr."""
+    """Run the CLI expecting exit 2: nothing on stdout, one JSON error line on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code == EXIT_USAGE
     assert out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     return json.loads(err.getvalue())["error"]
 
 
@@ -90,6 +91,28 @@ def test_cli_usage_errors():
     assert code == EXIT_USAGE
     code, _ = run_cli(["suite", "--config", "/does/not/exist.json"])
     assert code == EXIT_USAGE
+
+
+# name -> (argv, a fragment of its error) for command lines that exit 2 with
+# nothing on stdout: an --out that cannot be written (the report is not
+# printed either), and command lines that argparse refuses. CI runs each
+# through the installed console script as well.
+MISSING_OUT = str(GOLDEN.parent / "no-such-dir" / "report.json")
+USAGE_ERRORS = {
+    "run-out-missing-dir": (["run", "--scenario", "ocb-game", "--out", MISSING_OUT], MISSING_OUT),
+    "run-out-is-a-directory": (["run", "--scenario", "ocb-game", "--out", str(GOLDEN.parent)], str(GOLDEN.parent)),
+    "suite-out-missing-dir": (["suite", "--config", str(GOLDEN), "--out", MISSING_OUT], MISSING_OUT),
+    "suite-out-is-a-directory": (["suite", "--config", str(GOLDEN), "--out", str(GOLDEN.parent)], str(GOLDEN.parent)),
+    "seed-not-an-int": (["run", "--scenario", "ocb-game", "--seed", "abc"], "--seed"),
+    "run-without-scenario": (["run"], "--scenario"),
+    "unknown-option": (["--bogus"], "--bogus"),
+    "no-command": ([], "a command is required"),
+}
+
+
+@pytest.mark.parametrize("argv, fragment", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_cli_usage_errors_are_one_json_line(argv, fragment):
+    assert fragment in run_cli_usage_error(argv)
 
 
 def test_cli_suite_golden_and_out_file(tmp_path):

@@ -12,7 +12,6 @@ from switchlab.gravity import (
     ClockModel,
     SwitchGeometry,
     asymmetric_order_threshold,
-    grav_switch_joint_state,
     grav_switch_resync_purity,
     lapse,
     light_coordinate_time,
@@ -327,25 +326,21 @@ def clock_pair(theta_a, theta_b, t, r_a, r_b, body):
 
 
 def test_clock_state_t_zero_and_equal_radii():
+    # At t = 0, and at equal radii, the clocks read alike in K_AB and K_BA,
+    # so the control stays pure before the swap.
     a, b = clock_pair(1.0, 2.0, 1.0, 1.2e4, 1.0e4, LAB_BODY)
-    s0 = grav_switch_joint_state(a, b, 1.2e4, 1.0e4, LAB_BODY, 0.0)
-    plus = np.array([1, 1]) / np.sqrt(2)
-    # control (|0> + |1>)/sqrt 2, both clocks in |+>
-    assert np.abs(s0 - np.kron(plus, np.kron(plus, plus))).max() < 1e-12
-    # equal radii: the clocks read alike in K_AB and K_BA
-    s_ab, s_ba = grav_switch_joint_state(a, b, 1.1e4, 1.1e4, LAB_BODY, 2.0).reshape(2, 4)
-    assert np.abs(s_ab - s_ba).max() < 1e-12
+    before, after = grav_switch_resync_purity(a, b, 1.2e4, 1.0e4, LAB_BODY, 0.0)
+    assert abs(before - 1.0) < 1e-12 and abs(after - 1.0) < 1e-12
+    before, after = grav_switch_resync_purity(a, b, 1.1e4, 1.1e4, LAB_BODY, 2.0)
+    assert abs(before - 1.0) < 1e-12 and abs(after - 1.0) < 1e-12
 
 
 def test_joint_state_entangles_control():
-    from switchlab.linalg import partial_trace
-
+    # Unequal radii: the clocks record the configuration, so the control is
+    # mixed before the swap.
     a, b = clock_pair(2.0, 2.5, 1.0, 1.2e4, 1.0e4, LAB_BODY)
-    joint = grav_switch_joint_state(a, b, 1.2e4, 1.0e4, LAB_BODY, 1.0)
-    rho = np.outer(joint, joint.conj())
-    rho_c = partial_trace(rho, (2, 4), keep=(0,))
-    purity = np.trace(rho_c @ rho_c).real
-    assert purity < 1.0 - 1e-3
+    before, _ = grav_switch_resync_purity(a, b, 1.2e4, 1.0e4, LAB_BODY, 1.0)
+    assert before < 1.0 - 1e-3
 
 
 def test_resync_purity_returns_to_one():

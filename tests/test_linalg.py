@@ -109,8 +109,11 @@ def kron_factors(draw):
     matrices = []
     for run in runs:
         side = math.prod(run)
-        values = np.array(draw(st.lists(entries, min_size=2 * side * side, max_size=2 * side * side)))
-        m = values.reshape(2, side, side)
+        # Hypothesis refuses a list of more than 8192 values, so an 81 x 81
+        # matrix (four factors of 3) repeats the values of a 27 x 27 one.
+        size = 2 * side * side
+        drawn = draw(st.lists(entries, min_size=min(size, 2 * 27 * 27), max_size=min(size, 2 * 27 * 27)))
+        m = np.resize(np.array(drawn), size).reshape(2, side, side)
         matrices.append(m[0] + 1j * m[1] if draw(st.booleans()) else m[0])
     perm = tuple(draw(st.permutations(range(len(dims)))))
     return matrices, dims, perm

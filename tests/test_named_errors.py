@@ -8,7 +8,7 @@ import pytest
 
 from switchlab import order
 from switchlab.linalg import ID2, kron_permuted, partial_trace, permute_subsystems
-from switchlab.ops import ChoiOperator, Instrument
+from switchlab.ops import ChoiOperator
 from switchlab.process import (
     ProcessMatrix,
     causal_mixture,
@@ -45,7 +45,6 @@ def rng():
         (lambda: ProcessMatrix((2, 2, 2, 2), np.eye(4)), "matrix shape (4, 4) does not match dims (2, 2, 2, 2)"),
         (lambda: state_process(ID2 / 2, (2, 2, 2, 2)), "state must live on A_in (x) B_in"),
         (lambda: state_process(ID2 / 2, (2, 2, 2)), "ProcessMatrix dims (2, 2, 2) must be four dimensions"),
-        (lambda: Instrument(2.5, 2, ()), "Instrument dims (2.5, 2) must each be an integer of at least 1"),
         (lambda: channel_process(ID2 / 2, ChoiOperator(2, 2, np.eye(4))), "channel Choi is not trace-preserving"),
         (lambda: causal_mixture(ocb_process(), ProcessMatrix((4, 1, 2, 2), np.eye(16) / 4), 0.5),
          "process dimensions disagree"),
@@ -58,6 +57,10 @@ def rng():
         (lambda: order.max_separable_chsh(0, rng()), "need at least one sample"),
         (lambda: order.temporal_order_state(*order.TEMPORAL_ORDER_UNITARIES, ID2[0], ID2[0], 0),
          "sign must be +1 or -1"),
+        (lambda: order.SwitchSpec(target_state=[1, 0, 0]),
+         "switch target state needs a last axis of length 2 (a qubit), not shape (3,)"),
+        (lambda: order.temporal_order_state(*order.TEMPORAL_ORDER_UNITARIES, np.array([1, 0, 0]), ID2[0], 1),
+         "temporal-order target states must be qubits of shape (2,), not (3,)"),
     ],
     ids=[
         "check-dims-shape",
@@ -69,7 +72,6 @@ def rng():
         "process-matrix-shape",
         "state-process-shape",
         "state-process-three-dims",
-        "instrument-non-integer-dims",
         "one-way-non-tp-channel",
         "causal-mixture-dims",
         "validate-zero-samples",
@@ -79,6 +81,8 @@ def rng():
         "chsh-state-size",
         "separable-chsh-zero-samples",
         "temporal-order-sign",
+        "switch-target-not-a-qubit",
+        "temporal-order-target-not-a-qubit",
     ],
 )
 def test_named_input_errors(call, message):

@@ -83,11 +83,19 @@ def test_ocb_success_probability():
     assert abs(success_probability(ocb_process(), ocb_strategy()) - P_OCB) < 1e-9
 
 
+def free_state_strategy(rho):
+    """The OCB strategy, except that for b' = 1 Bob reprepares `rho`, not 1/2:
+    a strategy other than the library's, built directly."""
+    ocb = ocb_strategy()
+    free = {y: ChoiOperator(2, 2, 0.5 * kron(ID2 + (-1) ** y * PAULI_Z, rho)) for y in range(2)}
+    return GameStrategy(ocb.alice_choi, lambda y, b, bp: free[y] if bp else ocb.bob_choi(y, b, bp))
+
+
 def test_success_invariant_under_bob_free_state():
     w = ocb_process()
     rng = np.random.default_rng(0)
     for _ in range(5):
-        s = ocb_strategy(bob_free_state=rand_density(2, rng))
+        s = free_state_strategy(rand_density(2, rng))
         assert abs(success_probability(w, s) - P_OCB) < 1e-9
 
 
@@ -108,8 +116,8 @@ def test_branch_probabilities_equal_game_probability_sums():
     rng = np.random.default_rng(21)
     cases = [(ocb_process(), ocb_strategy())]
     cases += [(random_causal_mixture(rng), ocb_strategy()) for _ in range(10)]
-    cases += [(ocb_process(), ocb_strategy(bob_free_state=rand_density(2, rng))) for _ in range(3)]
-    cases += [(random_causal_mixture(rng), ocb_strategy(bob_free_state=rand_density(2, rng)))]
+    cases += [(ocb_process(), free_state_strategy(rand_density(2, rng))) for _ in range(3)]
+    cases += [(random_causal_mixture(rng), free_state_strategy(rand_density(2, rng)))]
     for w, s in cases:
         got = branch_probabilities(w, s)
         want = branch_sums(w, s)
@@ -135,7 +143,7 @@ def test_stacked_game_trace_equals_two_separate_traces_bit_for_bit(seed, free_st
         w = state_process(rand_density(4, rng), (2, 2, 2, 2))
     else:
         w = random_causal_mixture(rng)
-    strategy = ocb_strategy(bob_free_state=rand_density(2, rng)) if free_state else ocb_strategy()
+    strategy = free_state_strategy(rand_density(2, rng)) if free_state else ocb_strategy()
     assert branch_probabilities(w, strategy) == separate_branch_probabilities(w, strategy)
 
 
@@ -176,7 +184,7 @@ def test_reduced_matrices_match_closed_forms():
         want = kron(0.5 * (ID2 + (-1) ** a / np.sqrt(2) * PAULI_Z), ID2)
         assert np.abs(got - want).max() < 1e-9
     for b in range(2):
-        got = alice_reduced_matrix(w, s, b, bp=0)
+        got = alice_reduced_matrix(w, s, b)
         want = kron(0.5 * (ID2 + (-1) ** b / np.sqrt(2) * PAULI_Z), ID2)
         assert np.abs(got - want).max() < 1e-9
 
@@ -206,7 +214,7 @@ def test_reduced_matrices_enforce_the_probability_rule():
     with pytest.raises(ValueError, match="Alice Choi dimensions"):
         bob_reduced_matrix(w, GameStrategy(wide_alice, good.bob_choi), 1)
     with pytest.raises(ValueError, match="Bob Choi dimensions"):
-        alice_reduced_matrix(w, GameStrategy(good.alice_choi, wide_bob), 1, bp=1)
+        alice_reduced_matrix(w, GameStrategy(good.alice_choi, wide_bob), 1)
     # Each function checks only the Chois it contracts with W.
     assert bob_reduced_matrix(w, GameStrategy(good.alice_choi, plain_bob), 0).shape == (4, 4)
     assert alice_reduced_matrix(w, GameStrategy(plain_alice, good.bob_choi), 0).shape == (4, 4)
@@ -315,7 +323,6 @@ def test_ocb_strategy_is_one_read_only_instance():
     assert s is ocb_strategy()
     chois = [s.alice_choi(*k) for k in np.ndindex(2, 2)]
     chois += [s.bob_choi(*k) for k in np.ndindex(2, 2, 2)]
-    chois += [ocb_strategy(bob_free_state=np.diag([1.0, 0.0])).bob_choi(0, 0, 1)]
     for c in chois:
         with pytest.raises(ValueError, match="read-only"):
             c.matrix[0, 0] = 1.0
@@ -337,7 +344,7 @@ def test_success_probability_builds_no_choi_operator(monkeypatch):
     assert abs(success_probability(w, ocb_strategy()) - P_OCB) < 1e-9
     assert calls == []
     # The counter sees constructions: a new strategy validates its 12 Chois.
-    ocb_strategy(bob_free_state=ID2 / 2)
+    order._ocb_strategy()
     assert len(calls) == 12
 
 
@@ -345,18 +352,12 @@ def proj(v):
     return np.outer(v, v.conj())
 
 
-@pytest.mark.parametrize("control", [(np.nan, 0), (1, 1)])
-def test_switch_spec_rejects_unnormalized_control(control):
-    with pytest.raises(ValueError, match="control amplitudes"):
-        SwitchSpec(control_amplitudes=control)
-
-
 def test_switch_supermap_commuting_case():
     rng = np.random.default_rng(2)
     u = rand_unitary(2, rng)
     spec = SwitchSpec()
     state = switch_supermap_state(u, u, spec)
-    # control disentangles: (c0|0> + c1|1>) (x) U^2|psi>
+    # control disentangles: (|0> + |1>)/sqrt 2 (x) U^2|psi>
     expected = np.kron(u @ u @ spec.target_state, np.array([1, 1]) / np.sqrt(2))
     overlap = abs(np.vdot(expected, state))
     assert abs(overlap - 1.0) < 1e-9
@@ -421,16 +422,15 @@ def test_switch_contraction_identity_random_unitaries():
 
 
 def test_switch_contraction_equals_the_supermap_exactly_on_a_basis():
-    # Both sides are bilinear in (U_A, U_B) and linear in the target and the
-    # control, so exact equality on Pauli pairs, basis targets and basis
-    # controls proves the identity for every input.
+    # Both sides are bilinear in (U_A, U_B) and linear in the target, so
+    # exact equality on Pauli pairs and basis targets proves the identity for
+    # every input.
     paulis = (ID2, PAULI_X, PAULI_Y, PAULI_Z)
     for ua, ub in ((a, b) for a in paulis for b in paulis):
         for target in np.eye(2):
-            for control in ((1, 0), (0, 1)):
-                spec = SwitchSpec(target_state=target, control_amplitudes=control)
-                contracted = contract_switch_vector(switch_process_vector(spec), ua, ub)
-                assert np.abs(contracted - switch_supermap_state(ua, ub, spec)).max() == 0.0
+            spec = SwitchSpec(target_state=target)
+            contracted = contract_switch_vector(switch_process_vector(spec), ua, ub)
+            assert np.abs(contracted - switch_supermap_state(ua, ub, spec)).max() == 0.0
 
 
 def test_separable_chsh_maximum_is_exactly_root_two():
@@ -448,7 +448,7 @@ def test_separable_chsh_maximum_is_exactly_root_two():
 
 def reference_switch_process_vector(spec):
     # The two branches written out as separate triple loops.
-    c0, c1 = spec.control_amplitudes
+    c0 = c1 = complex(1 / np.sqrt(2))
     psi = spec.target_state
     lead = psi.shape[:-1]
     w = np.zeros((*lead, 2, 2, 2, 2, 2, 2), dtype=complex)
@@ -466,28 +466,20 @@ def reference_switch_process_vector(spec):
 
 
 SIGNED_REALS = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-1.0, 1.0)
-PHASES = st.floats(-2 * np.pi, 2 * np.pi)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     shape=st.sampled_from([(), (2, 3)]) | st.tuples(st.integers(1, 5)),
     data=st.data(),
-    control=st.sampled_from([(1.0, 0.0), (0.0, 1.0)])
-    | st.builds(
-        lambda t, p0, p1: (np.cos(t) * np.exp(1j * p0), np.sin(t) * np.exp(1j * p1)),
-        st.floats(0.0, np.pi / 2),
-        PHASES,
-        PHASES,
-    ),
 )
-def test_switch_process_vector_equals_the_two_loops_bit_for_bit(shape, data, control):
+def test_switch_process_vector_equals_the_two_loops_bit_for_bit(shape, data):
     size = 4 * int(np.prod(shape))
     parts = data.draw(st.lists(SIGNED_REALS, min_size=size, max_size=size))
     psi = np.array(parts).view(complex).reshape(*shape, 2)
     norm = np.linalg.norm(psi, axis=-1, keepdims=True)
     assume(np.all(norm > 1e-3))
-    spec = SwitchSpec(target_state=psi / norm, control_amplitudes=control)
+    spec = SwitchSpec(target_state=psi / norm)
     actual = switch_process_vector(spec).view(np.float64)
     expected = reference_switch_process_vector(spec).view(np.float64)
     assert np.array_equal(actual, expected)
@@ -773,7 +765,7 @@ def test_causal_mixtures_never_beat_three_quarters(seed, q, ranks, free_state):
     rng = np.random.default_rng(seed)
     w_ba = channel_process(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, ranks[0], rng)))
     w_ab = channel_process_reverse(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, ranks[1], rng)))
-    strategy = ocb_strategy(bob_free_state=rand_density(2, rng)) if free_state else ocb_strategy()
+    strategy = free_state_strategy(rand_density(2, rng)) if free_state else ocb_strategy()
     assert success_probability(causal_mixture(w_ab, w_ba, q), strategy) <= 0.75 + 1e-9
 
 

@@ -124,8 +124,8 @@ def test_channel_process_matches_direct_composition(seed):
     for _ in range(25):
         alice = rand_instrument(2, 2, 2, rng)
         bob = rand_instrument(2, 2, 2, rng)
-        for m_op in alice.elements:
-            for n_op in bob.elements:
+        for m_op in alice:
+            for n_op in bob:
                 got = probability(w, choi_of_operation(m_op), choi_of_operation(n_op))
                 want = sequential_probability(m_op, channel, n_op, rho_b)
                 worst = max(worst, abs(got - want))
@@ -139,8 +139,8 @@ def test_channel_process_identity_channel():
     ident = Operation.from_unitary(ID2)
     w = channel_process(proj(KET0), choi_of_operation(ident))
     for _ in range(50):
-        m_op = rand_instrument(2, 2, 2, rng).elements[0]
-        n_op = rand_instrument(2, 2, 2, rng).elements[0]
+        m_op = rand_instrument(2, 2, 2, rng)[0]
+        n_op = rand_instrument(2, 2, 2, rng)[0]
         got = probability(w, choi_of_operation(m_op), choi_of_operation(n_op))
         want = sequential_probability(m_op, ident, n_op, proj(KET0))
         assert abs(got - want) < 1e-9
@@ -161,7 +161,7 @@ def test_channel_process_depolarizing_hides_bob():
             # Alice measures pa, then reprepares the maximally mixed state.
             m = ChoiOperator(2, 2, kron(pa, ID2 / 2), Convention.TRANSPOSED)
             marginal = sum(
-                probability(w, m, choi_of_operation(n_op)) for n_op in bob.elements
+                probability(w, m, choi_of_operation(n_op)) for n_op in bob
             )
             assert abs(marginal - 0.5) < 1e-9
 
@@ -174,8 +174,8 @@ def test_full_instruments_give_total_probability_one():
     bob = rand_instrument(2, 2, 3, rng)
     total = sum(
         probability(w, choi_of_operation(m), choi_of_operation(n))
-        for m in alice.elements
-        for n in bob.elements
+        for m in alice
+        for n in bob
     )
     assert abs(total - 1.0) < 1e-8
 
@@ -211,7 +211,7 @@ def test_causal_mixture_endpoints_and_validity():
     mixed = causal_mixture(w1, w2, 0.5)
     assert abs(np.trace(mixed.matrix).real - 4.0) < 1e-9
     report = validate_process(mixed, 20, np.random.default_rng(8))
-    assert report.psd and report.trace_ok and report.max_norm_deviation < 1e-8
+    assert report.psd and report.trace == 4.0 and report.max_norm_deviation < 1e-8
     with pytest.raises(ValueError):
         causal_mixture(w1, w2, 1.5)
 
@@ -297,21 +297,21 @@ def test_hs_decompose_rejects_bad_dimensions():
 def test_validate_process_ocb():
     report = validate_process(ocb_process(), 100, np.random.default_rng(10))
     assert report.psd
-    assert report.trace_ok
+    assert report.trace == 4.0
     assert report.max_norm_deviation < 1e-8
 
 
 def test_validate_process_wrong_trace():
     w = ProcessMatrix((2, 2, 2, 2), np.eye(16) / 8)
     report = validate_process(w, 5, np.random.default_rng(11))
-    assert not report.trace_ok
+    assert report.trace == 2.0
 
 
 def test_validate_process_state_process():
     rng = np.random.default_rng(12)
     w = state_process(rand_density(4, rng), (2, 2, 2, 2))
     report = validate_process(w, 50, rng)
-    assert report.ok and report.max_norm_deviation < 1e-8
+    assert report.psd and abs(report.trace - 4.0) < DEFAULT_TOL and report.max_norm_deviation < 1e-8
 
 
 def reference_validate_process(w, samples, rng):
@@ -321,8 +321,7 @@ def reference_validate_process(w, samples, rng):
         ma = choi_of_operation(rand_cptp(w.d_a_in, w.d_a_out, 2, rng), Convention.TRANSPOSED)
         nb = choi_of_operation(rand_cptp(w.d_b_in, w.d_b_out, 2, rng), Convention.TRANSPOSED)
         worst = max(worst, abs(probability(w, ma, nb) - 1.0))
-    trace_ok = abs(np.trace(w.matrix).real - w.d_a_out * w.d_b_out) < 1e-6
-    return ValidationReport(is_psd(w.matrix), trace_ok, worst)
+    return ValidationReport(is_psd(w.matrix), float(np.trace(w.matrix).real), worst)
 
 
 def _random_mixture(rng):
@@ -335,14 +334,14 @@ PROCESSES = {
     "ocb": lambda rng: ocb_process(),
     "causal-mixture": _random_mixture,
     "state": lambda rng: state_process(rand_density(4, rng), (2, 2, 2, 2)),
-    # dims (3, 4, 2, 2): the two sides, and in and out on Alice's, differ
-    "unequal-dims": lambda rng: channel_process(
-        rand_density(2, rng), choi_of_operation(rand_cptp(2, 3, 2, rng)), d_a_out=4
-    ),
-    # dims (2, 2, 3, 2)
+    # dims (3, 3, 2, 2): the two sides differ
+    "unequal-dims": lambda rng: channel_process(rand_density(2, rng), choi_of_operation(rand_cptp(2, 3, 2, rng))),
+    # dims (2, 2, 3, 3)
     "unequal-dims-reverse": lambda rng: channel_process_reverse(
-        rand_density(2, rng), choi_of_operation(rand_cptp(2, 3, 2, rng)), d_b_out=2
+        rand_density(2, rng), choi_of_operation(rand_cptp(2, 3, 2, rng))
     ),
+    # dims (3, 4, 2, 1): in and out differ on both sides
+    "unequal-dims-state": lambda rng: state_process(rand_density(6, rng), (3, 4, 2, 1)),
 }
 
 
@@ -374,7 +373,7 @@ def test_validate_process_proves_positivity_once(proof_shapes, samples):
     # proof is the one on W, whatever the sample count.
     w = ocb_process()
     proof_shapes.clear()
-    assert validate_process(w, samples, np.random.default_rng(7)).ok
+    assert validate_process(w, samples, np.random.default_rng(7)).psd
     assert proof_shapes == [(16, 16)]
 
 
@@ -545,9 +544,9 @@ SIDE = st.tuples(LOCAL_DIM, LOCAL_DIM).filter(lambda side: 2 * side[1] >= side[0
 def process_constructions(draw):
     """(W, every ChoiOperator and ProcessMatrix built on the way, W among
     them) for a state, one-way channel or causal-mixture process W with local
-    dimensions 1-3, channel Kraus ranks 1-4, the last dimension given or left
-    to its default, and a mixing weight that may be 0 or 1. The first Choi
-    built is of a CPTP or trace-decreasing operation in either convention."""
+    dimensions 1-3, channel Kraus ranks 1-4 and a mixing weight that may be 0
+    or 1. The first Choi built is of a CPTP or trace-decreasing operation in
+    either convention."""
     kind = draw(st.sampled_from(["state", "b-to-a", "a-to-b", "mixture"]))
     (a_in, a_out), (b_in, b_out) = draw(SIDE), draw(SIDE)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -562,9 +561,13 @@ def process_constructions(draw):
     if kind == "state":
         built.append(state_process(rand_density(a_in * b_in, rng), (a_in, a_out, b_in, b_out)))
         return built[-1], built
-    explicit = kind == "mixture" or draw(st.booleans())
-    w_ba = channel_process(rand_density(b_in, rng), choi(b_out, a_in), a_out if explicit else None)
-    w_ab = channel_process_reverse(rand_density(a_in, rng), choi(a_out, b_in), b_out if explicit else None)
+    if kind == "mixture":
+        # A one-way process's last factor has its channel's output dimension,
+        # so both are on (a_in, a_in, b_in, b_in) only when each side's in
+        # and out agree.
+        a_out, b_out = a_in, b_in
+    w_ba = channel_process(rand_density(b_in, rng), choi(b_out, a_in))
+    w_ab = channel_process_reverse(rand_density(a_in, rng), choi(a_out, b_in))
     built += [w_ba, w_ab]
     if kind == "mixture":
         built.append(causal_mixture(w_ba, w_ab, draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))))
@@ -577,7 +580,7 @@ def process_constructions(draw):
 def test_process_constructions_are_normalized(construction, seed):
     w, _ = construction
     report = validate_process(w, 64, np.random.default_rng(seed))
-    assert report.trace_ok
+    assert abs(report.trace - w.d_a_out * w.d_b_out) < DEFAULT_TOL
     assert report.max_norm_deviation < NORMALIZATION_TOL
 
 
@@ -610,41 +613,36 @@ def test_built_objects_equal_their_public_construction(construction):
     seed=st.integers(0, 2**32 - 1),
     dims=st.tuples(LOCAL_DIM, LOCAL_DIM, LOCAL_DIM),
     rank=st.integers(3, 4),  # admits every pair of dimensions 1-3
-    d_a_out=st.one_of(st.none(), LOCAL_DIM),
 )
-def test_channel_process_equals_the_written_out_formula(seed, dims, rank, d_a_out):
-    # W = 1^{A_out} (x) C^T (x) rho^{B_in}, built on (A_out, B_out, A_in, B_in).
+def test_channel_process_equals_the_written_out_formula(seed, dims, rank):
+    # W = 1^{A_out} (x) C^T (x) rho^{B_in}, built on (A_out, B_out, A_in, B_in),
+    # where A_out has the channel's output dimension d_a_in.
     d_b_in, d_b_out, d_a_in = dims
     rng = np.random.default_rng(seed)
     rho = rand_density(d_b_in, rng)
     choi = choi_of_operation(rand_cptp(d_b_out, d_a_in, rank, rng))
-    d_out = d_a_in if d_a_out is None else d_a_out
     want, _ = permute_subsystems(
-        kron(np.eye(d_out), choi.matrix.T, rho), (d_out, d_b_out, d_a_in, d_b_in), (2, 0, 3, 1)
+        kron(np.eye(d_a_in), choi.matrix.T, rho), (d_a_in, d_b_out, d_a_in, d_b_in), (2, 0, 3, 1)
     )
-    assert np.abs(channel_process(rho, choi, d_a_out).matrix - want).max() < 1e-15
+    assert np.abs(channel_process(rho, choi).matrix - want).max() < 1e-15
 
 
-@pytest.mark.parametrize(
-    "side, d_last",
-    [((2, 2), None), ((2, 3), 4), ((2, 3), 2)],
-    ids=["qubits", "unequal-dims", "unequal-dims-override-2"],
-)
+@pytest.mark.parametrize("side", [(2, 2), (2, 3)], ids=["qubits", "unequal-dims"])
 @pytest.mark.parametrize(
     "build, perm",
     [(channel_process, (2, 3, 0, 1)), (channel_process_reverse, (0, 1, 2, 3))],
     ids=["b-to-a", "a-to-b"],
 )
-def test_one_way_processes_equal_kron_then_permute_bit_for_bit(build, perm, side, d_last):
-    # W = rho (x) C^T (x) 1, built on (rho's, C's input, C's output, the last
-    # factor) and reordered to (A_in, A_out, B_in, B_out); signed zeros included.
+def test_one_way_processes_equal_kron_then_permute_bit_for_bit(build, perm, side):
+    # W = rho (x) C^T (x) 1, built on (rho's, C's input, C's output, C's
+    # output again) and reordered to (A_in, A_out, B_in, B_out); signed zeros
+    # included.
     rng = np.random.default_rng(21)
     for _ in range(5):
         rho = rand_density(2, rng)
         choi = choi_of_operation(rand_cptp(*side, 2, rng))
-        d = side[1] if d_last is None else d_last
-        want, _ = permute_subsystems(kron(rho, choi.matrix.T, np.eye(d)), (2, *side, d), perm)
-        assert build(rho, choi, d_last).matrix.tobytes() == want.tobytes()
+        want, _ = permute_subsystems(kron(rho, choi.matrix.T, np.eye(side[1])), (2, *side, side[1]), perm)
+        assert build(rho, choi).matrix.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 3, 2), (3, 1, 2, 2)])
@@ -661,12 +659,10 @@ def test_state_process_equals_kron_then_permute_bit_for_bit(dims):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: channel_process(ID2 / 2, choi_of_operation(Operation.from_unitary(ID2)), d_a_out=0),
-         "ProcessMatrix dims (2, 0, 2, 2)"),
         (lambda: state_process(np.eye(1), (1, 0, 1, 1)), "ProcessMatrix dims (1, 0, 1, 1)"),
         (lambda: ProcessMatrix((2, 2, 2), np.eye(8) / 4), "ProcessMatrix dims (2, 2, 2)"),
     ],
-    ids=["channel-zero-output", "state-zero-output", "three-dims"],
+    ids=["state-zero-output", "three-dims"],
 )
 def test_process_dims_are_four_and_positive(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -680,12 +676,8 @@ def test_process_dims_are_four_and_positive(build, message):
         (lambda: ProcessMatrix(("2", 2, 2, 2), np.eye(16) / 4), "ProcessMatrix dims ('2', 2, 2, 2)"),
         (lambda: ChoiOperator(1.5, 2, np.eye(3)), "ChoiOperator dims (1.5, 2)"),
         (lambda: Operation(2.0, 2, (ID2,)), "Operation dims (2.0, 2)"),
-        (lambda: channel_process(ID2 / 2, choi_of_operation(Operation.from_unitary(ID2)), d_a_out=2.7),
-         "ProcessMatrix dims (2, 2.7, 2, 2)"),
-        (lambda: channel_process_reverse(ID2 / 2, choi_of_operation(Operation.from_unitary(ID2)), d_b_out=True),
-         "ProcessMatrix dims (2, 2, 2, True)"),
     ],
-    ids=["process-float", "process-string", "choi-float", "operation-float", "channel-float", "reverse-bool"],
+    ids=["process-float", "process-string", "choi-float", "operation-float"],
 )
 def test_dims_that_are_not_integers_fail_by_name(build, message):
     with pytest.raises(ValueError, match=re.escape(message) + ".* must each be an integer of at least 1"):

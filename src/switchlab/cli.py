@@ -70,7 +70,7 @@ def _scenario_ocb_game(params, rng):
     w = process.ocb_process()
     strategy = order.ocb_strategy()
     p_alice, p_bob = order.branch_probabilities(w, strategy)
-    success = 0.5 * (p_alice + p_bob)
+    success = order.success_probability(w, strategy)
     outputs = {
         "success_probability": success,
         "p_alice_guesses_b": p_alice,

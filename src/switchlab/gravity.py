@@ -88,17 +88,23 @@ def light_coordinate_time(r1, r2, body):
     rs = body.schwarzschild_radius
     if r1 <= rs:
         raise ValueError("emission point inside the Schwarzschild radius")
-    return ((r2 - r1) + rs * np.log1p((r2 - r1) / (r1 - rs))) / C_LIGHT
+    x = (r2 - r1) / (r1 - rs)
+    # Where x overflows, log1p(x) is log(x) to within 1/x.
+    log_term = np.log1p(x) if x < np.inf else np.log(r2 - r1) - np.log(r1 - rs)
+    return ((r2 - r1) + rs * log_term) / C_LIGHT
 
 
 def _lapse_gap(r, h, body):
     """lapse(r + h) - lapse(r), rationalized as R_S h / (r (r + h)) /
     (lapse(r + h) + lapse(r)) so that lapses within 1e-9 of one do not cancel.
-    Raises ValueError when h is nonzero but the gap underflows to 0, as it
-    does when R_S underflows or r (r + h) overflows: ratios and thresholds
-    divide by it."""
+    Raises ValueError when r (r + h) underflows to 0, or when h is nonzero
+    but the gap underflows to 0, as it does when R_S underflows or r (r + h)
+    overflows: ratios and thresholds divide by it."""
     rs = body.schwarzschild_radius
-    gap = rs * h / (r * (r + h)) / (lapse(r + h, body) + lapse(r, body))
+    den = r * (r + h)
+    if den == 0.0:
+        raise ValueError("lapse gap between the two radii: its denominator underflows to 0")
+    gap = rs * h / den / (lapse(r + h, body) + lapse(r, body))
     if gap == 0.0 and h != 0.0:
         raise ValueError("lapse gap between the two radii underflows to 0")
     return gap

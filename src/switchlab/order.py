@@ -6,8 +6,9 @@ Bit convention throughout: bit 0 encodes |up> = |0>, bit 1 encodes
 Switch states live on target (x) control, in that factor order.
 """
 
-import functools
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .linalg import (
     kron,
 )
 from .ops import ChoiOperator, rand_unitary
-from .process import _BLOCK, _reduced, _rule_operator, _rule_trace
+from .process import _BLOCK, _party_dims, _reduced, _rule_operator, _rule_trace
 
 __all__ = [
     "GameStrategy",
@@ -44,62 +45,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameStrategy:
-    """Instrument-element Chois played by Alice and Bob in the causal game.
-
-    `alice_choi(x, a)` and `bob_choi(y, b, bp)` return TRANSPOSED-convention
-    Choi operators; summed over the guess bit they must be CPTP. The game
-    operators are built from them once per instance, on first use.
+    """Instrument-element Chois played by Alice and Bob in the causal game:
+    `alice` maps each bit pair (x, a) to a TRANSPOSED-convention Choi
+    operator, and `bob` each (y, b, b'); summed over the guess bit they must
+    be CPTP. Both are copied into read-only mappings, checked once, on
+    construction, and summed into the read-only stack `game` of
+        G_A = sum_b (sum_a M(b,a)) (x) (sum_y N(y,b,0))  (Alice guesses b),
+        G_B = sum_a (sum_x M(x,a)) (x) (sum_b N(a,b,1))  (Bob guesses a),
+    with the (d_a_in, d_a_out, d_b_in, d_b_out) `dims` a process must have.
     """
 
-    alice_choi: object
-    bob_choi: object
+    alice: Mapping
+    bob: Mapping
+    dims: tuple = field(init=False, repr=False)
+    game: np.ndarray = field(init=False, repr=False)
 
-    @functools.cached_property
-    def _game(self):
-        """One :func:`_rule_operator`-shaped result whose operator is the
-        read-only stack (G_A, G_B), from the 12 distinct instrument elements,
-        each asked for once:
-        G_A = sum_b (sum_a M(b,a)) (x) (sum_y N(y,b,0))  (Alice guesses b),
-        G_B = sum_a (sum_x M(x,a)) (x) (sum_b N(a,b,1))  (Bob guesses a).
-        Both hold all four of Alice's Chois, so they share her dimensions.
-        """
-        m = {k: self.alice_choi(*k) for k in np.ndindex(2, 2)}
-        n = {k: self.bob_choi(*k) for k in np.ndindex(2, 2, 2)}
-        dims_alice, dims_bob, g_a = _rule_operator(
-            [([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)]
-        )
-        _, dims_bob_b, g_b = _rule_operator(
-            [([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)]
-        )
-        if dims_bob_b != dims_bob:
-            # No process fits both of Bob's shapes: its Bob check fails
-            # before any trace, after its Alice check.
-            return dims_alice, None, None
+    def __post_init__(self):
+        m = MappingProxyType({k: self.alice[k] for k in np.ndindex(2, 2)})
+        n = MappingProxyType({k: self.bob[k] for k in np.ndindex(2, 2, 2)})
+        dims = _party_dims("Alice", m.values()) + _party_dims("Bob", n.values())
+        _, g_a = _rule_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)])
+        _, g_b = _rule_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)])
         g = np.stack((g_a, g_b))
         g.setflags(write=False)
-        return dims_alice, dims_bob, g
+        object.__setattr__(self, "alice", m)
+        object.__setattr__(self, "bob", n)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "game", g)
 
 
-def _ocb_strategy():
-    # The 12 instrument elements, each built and validated once, indexed by
-    # their bits: Alice's (x, a) and Bob's (y, b, b').
-    alice = {
+_OCB_STRATEGY = GameStrategy(
+    alice={
         (x, a): ChoiOperator(2, 2, 0.25 * kron(ID2 + (-1) ** x * PAULI_Z, ID2 + (-1) ** a * PAULI_Z))
         for x, a in np.ndindex(2, 2)
-    }
-    bob = {}
-    for y, b, bp in np.ndindex(2, 2, 2):
-        if bp == 1:
-            m = 0.5 * kron(ID2 + (-1) ** y * PAULI_Z, ID2 / 2)
-        else:
-            m = 0.25 * kron(ID2 + (-1) ** y * PAULI_X, ID2 + (-1) ** (b + y) * PAULI_Z)
-        bob[y, b, bp] = ChoiOperator(2, 2, m)
-    return GameStrategy(lambda x, a: alice[x, a], lambda y, b, bp: bob[y, b, bp])
-
-
-_OCB_STRATEGY = _ocb_strategy()
+    },
+    bob={
+        (y, b, bp): ChoiOperator(2, 2, 0.5 * kron(ID2 + (-1) ** y * PAULI_Z, ID2 / 2)) if bp
+        else ChoiOperator(2, 2, 0.25 * kron(ID2 + (-1) ** y * PAULI_X, ID2 + (-1) ** (b + y) * PAULI_Z))
+        for y, b, bp in np.ndindex(2, 2, 2)
+    },
+)
 
 
 def ocb_strategy():
@@ -118,7 +105,7 @@ def ocb_strategy():
 def branch_probabilities(w, strategy):
     """(P(x=b | b'=0), P(y=a | b'=1)) with uniform random bits: 1/4 Tr[W G_A]
     and 1/4 Tr[W G_B] on the strategy's game operators (see GameStrategy)."""
-    p_alice, p_bob = 0.25 * _rule_trace(w, strategy._game)
+    p_alice, p_bob = 0.25 * _rule_trace(w, strategy.dims, strategy.game)
     return float(p_alice), float(p_bob)
 
 
@@ -129,13 +116,13 @@ def success_probability(w, strategy):
 
 def bob_reduced_matrix(w, strategy, a):
     """Tr_A[W (sum_x M(x,a) (x) 1)]: the process Bob faces for Alice bit a."""
-    return _reduced(w, "Alice", [strategy.alice_choi(x, a) for x in range(2)])
+    return _reduced(w, "Alice", strategy.dims[:2], [strategy.alice[x, a] for x in range(2)])
 
 
 def alice_reduced_matrix(w, strategy, b):
     """Tr_B[W (1 (x) sum_y N(y,b,0))]: the process Alice faces when Bob
     guesses (b' = 0)."""
-    return _reduced(w, "Bob", [strategy.bob_choi(y, b, 0) for y in range(2)])
+    return _reduced(w, "Bob", strategy.dims[2:], [strategy.bob[y, b, 0] for y in range(2)])
 
 
 # The amplitude of each control basis state: the switch's control starts in

@@ -96,11 +96,6 @@ class ProcessMatrix:
         return self.dims[3]
 
 
-def _require_transposed(convention):
-    if convention is not Convention.TRANSPOSED:
-        raise ValueError("probability rule requires TRANSPOSED-convention Choi operators")
-
-
 def _require_dims(w, party, dims):
     # The probability rule's check that a Choi of `party`, "Alice" or "Bob",
     # with (d_in, d_out) = `dims` fits that party's side of W.
@@ -111,12 +106,12 @@ def _require_dims(w, party, dims):
 def _party_dims(party, chois):
     """The probability rule's checks on the Choi operators of `party`: each
     is TRANSPOSED, and all share the (d_in, d_out) that is returned."""
-    for c in chois:
-        _require_transposed(c.convention)
+    if any(c.convention is not Convention.TRANSPOSED for c in chois):
+        raise ValueError(f"probability rule requires TRANSPOSED-convention Choi operators; one of {party}'s is PLAIN")
     shapes = {(c.d_in, c.d_out) for c in chois}
     if len(shapes) != 1:
-        # No process matches both of a party's shapes.
-        raise ValueError(f"{party} Choi dimensions do not match the process")
+        # No process matches two of a party's shapes.
+        raise ValueError(f"{party} Chois must share one (d_in, d_out), not {sorted(shapes)}")
     return shapes.pop()
 
 
@@ -130,37 +125,37 @@ def _real_probability(val):
 
 
 def _rule_operator(terms):
-    """(Alice's (d_in, d_out), Bob's, G) for `terms` = [(Alice Chois, Bob
-    Chois), ...], where the read-only G = sum over terms of (sum of Alice's)
-    (x) (sum of Bob's) is the operator the probability rule traces against W."""
-    dims_alice = _party_dims("Alice", [c for alice, _ in terms for c in alice])
-    dims_bob = _party_dims("Bob", [c for _, bob in terms for c in bob])
+    """(dims, G) for `terms` = [(Alice Chois, Bob Chois), ...]: the
+    (d_a_in, d_a_out, d_b_in, d_b_out) a process must have, and the read-only
+    G = sum over terms of (sum of Alice's) (x) (sum of Bob's), the operator
+    the probability rule traces against W."""
+    dims = _party_dims("Alice", [c for alice, _ in terms for c in alice])
+    dims += _party_dims("Bob", [c for _, bob in terms for c in bob])
     g = 0
     for alice, bob in terms:
         g = g + kron(sum(c.matrix for c in alice), sum(c.matrix for c in bob))
     g.setflags(write=False)
-    return dims_alice, dims_bob, g
+    return dims, g
 
 
-def _rule_trace(w, rule):
-    """The probability rule Tr[W G] on a :func:`_rule_operator` result, or one
-    per member when G is a (..., n, n) stack, once both parties' dimensions
-    fit W; each must be real."""
-    dims_alice, dims_bob, g = rule
-    _require_dims(w, "Alice", dims_alice)
-    _require_dims(w, "Bob", dims_bob)
+def _rule_trace(w, dims, g):
+    """The probability rule Tr[W G], or one per member when G is a
+    (..., n, n) stack, once both parties' `dims` fit W; each must be real."""
+    _require_dims(w, "Alice", dims[:2])
+    _require_dims(w, "Bob", dims[2:])
     return _real_probability(np.trace(w.matrix @ g, axis1=-2, axis2=-1))
 
 
 def probability(w, choi_a, choi_b):
     """Joint probability Tr[W (M (x) N)] for one instrument element each."""
-    return float(_rule_trace(w, _rule_operator([((choi_a,), (choi_b,))])))
+    return float(_rule_trace(w, *_rule_operator([((choi_a,), (choi_b,))])))
 
 
-def _reduced(w, party, chois):
-    """W contracted with the sum of one party's Chois, after the probability
-    rule's checks on them, leaving the other party's factors."""
-    _require_dims(w, party, _party_dims(party, chois))
+def _reduced(w, party, dims, chois):
+    """W contracted with the sum of one party's Chois, already checked to be
+    TRANSPOSED and of (d_in, d_out) = `dims`, leaving the other party's
+    factors."""
+    _require_dims(w, party, dims)
     choi_sum = sum(c.matrix for c in chois)
     if party == "Alice":
         full = kron(choi_sum, np.eye(w.d_b_in * w.d_b_out))
@@ -201,7 +196,8 @@ def _one_way(rho, channel_choi, perm):
     """The one-way process W = rho (x) C^T (x) 1 from the party that receives
     rho to the other, with the channel's output dimension on the last factor,
     reordered by `perm` to (A_in, A_out, B_in, B_out)."""
-    _require_transposed(channel_choi.convention)
+    if channel_choi.convention is not Convention.TRANSPOSED:
+        raise ValueError("channel Choi must use the TRANSPOSED convention")
     if not channel_choi.is_cptp():
         raise ValueError("channel Choi is not trace-preserving")
     rho = np.asarray(rho, dtype=complex)
@@ -349,7 +345,7 @@ def _block_deviation(w, k, rng):
     ma, nb = _cptp_choi_pairs((w.dims[:2], w.dims[2:]), _KRAUS_RANK, k, rng)
     # probability()'s kron and trace, so the CLI's 12 printed digits share
     # its roundoff. Both parties' Chois are drawn at W's own dimensions.
-    vals = _rule_trace(w, (w.dims[:2], w.dims[2:], kron(ma, nb)))
+    vals = _rule_trace(w, w.dims, kron(ma, nb))
     return float(np.abs(vals - 1.0).max())
 
 

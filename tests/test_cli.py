@@ -269,6 +269,8 @@ NUMERIC_FAILURES = {
     "tinier-radius": ("grav-duration", ["radius=1e-176", "mass=1e-237"], "surface gravity g"),
     "threshold-overflow": ("grav-order", ["mass=1e-200", "r_a_offset=1.5e200"], "threshold proper time"),
     "asymmetric-underflow": ("grav-order", ["asym_l=1e-308", "asym_r_offset=1e-200"], "asymmetric threshold"),
+    "lapse-denominator-underflow": ("grav-duration", ["mass=1e-257", "radius=1e-219", "h=1e-160"], "lapse gap"),
+    "lapse-denominator-underflow-order": ("grav-order", ["mass=1e-240", "radius=1e-200", "r_a_offset=1e-200"], "lapse gap"),
 }
 # A numeric failure names its quantity, never only the exception class.
 EXCEPTION_CLASSES = ("ZeroDivisionError", "FloatingPointError", "OverflowError")
@@ -480,6 +482,41 @@ def test_every_param_value_gives_a_finite_report_or_a_named_error(tmp_path_facto
             coerced = int(float(cli_text)) if isinstance(default, int) else _round12(float(cli_text))
             assert run["inputs"][key] == coerced
             assert suite["reports"][0]["inputs"][key] == coerced
+
+
+# Per scenario with float parameters, their names.
+FLOAT_PARAMS = [
+    (name, sorted(key for key, default in defaults.items() if isinstance(default, float)))
+    for name, defaults in PARAMETRIZED
+]
+FLOAT_PARAMS = [(name, keys) for name, keys in FLOAT_PARAMS if keys]
+# 0, or either sign of a magnitude log-uniform on 1e-308 ... 1e308.
+ANY_MAGNITUDE = st.one_of(
+    st.just(0.0),
+    st.builds(lambda exponent, sign: sign * 10.0 ** exponent, st.floats(-308.0, 308.0), st.sampled_from([1.0, -1.0])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_float_params_at_every_magnitude_give_a_finite_report_or_a_named_error(data):
+    scenario, keys = data.draw(st.sampled_from(FLOAT_PARAMS))
+    argv = ["run", "--scenario", scenario]
+    for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True)):
+        argv += ["--param", f"{key}={data.draw(ANY_MAGNITUDE)!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        error = json.loads(err.getvalue())["error"]
+        assert error.startswith(f"{scenario}: ")
+        assert not any(name in error for name in EXCEPTION_CLASSES), error
+    else:
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED) and err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
 def test_cli_trigger_outside_its_regime_fails_its_check():

@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 from switchlab.cli import EXIT_OK, SCENARIOS, main
@@ -125,3 +126,25 @@ def test_seeded_all_scenario_suite_fingerprint(tmp_path):
     out = _suite_stdout(config)
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == SEEDED_SHA256, f"sha256 now {digest}: {_describe_seeded_moves(json.loads(out))}"
+
+
+# Checks whose expected value is 0 by design: a deviation or an excess over a
+# bound that vanishes exactly, held to an absolute tolerance.
+EXPECTED_ZERO = {
+    "contraction_equals_supermap",
+    "separable_within_classical_bound",
+    "normalization_deviation",
+    "weak_field_consistent",
+}
+
+
+def test_no_golden_check_passes_vacuously():
+    # A tolerance at least |expected| would pass a check whose actual is 0,
+    # and an infinite one would pass any actual.
+    suite = json.loads(_suite_stdout(SUITES / "golden.json"))
+    numeric = [c for r in suite["reports"] for c in r["checks"] if not isinstance(c["expected"], bool)]
+    assert {c["name"] for c in numeric if c["expected"] == 0} == EXPECTED_ZERO
+    for check in numeric:
+        assert math.isfinite(check["tolerance"]), check
+        if check["name"] not in EXPECTED_ZERO:
+            assert check["tolerance"] < abs(check["expected"]), check

@@ -74,6 +74,18 @@ def test_light_time_closed_form_vs_quadrature():
     assert abs(got - oracle) / oracle < 1e-12
 
 
+@pytest.mark.parametrize(
+    "mass, r1", [(1e-308, 1e-306), (6.7e-74, 9.951054760619012e-101)], ids=["zero-rs", "rs-just-below-r1"]
+)
+def test_light_time_is_finite_where_the_log_argument_overflows(mass, r1):
+    # (r2 - r1) / (r1 - R_S) is past the float range; R_S ln(...) is not.
+    # Under R_S = 0 its product with log1p(inf) would be 0 * inf.
+    body = BodyConfig(mass=mass, radius=r1)
+    with np.errstate(all="raise"):
+        t = light_coordinate_time(r1, 1e200, body)
+    assert t == 1e200 / C_LIGHT
+
+
 def test_light_time_additive_over_segments():
     r1, r2, r3 = COMPACT.radius, 3e4, 8e4
     whole = light_coordinate_time(r1, r3, COMPACT)

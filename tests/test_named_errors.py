@@ -8,7 +8,7 @@ import pytest
 
 from switchlab import order
 from switchlab.linalg import ID2, kron_permuted, partial_trace, permute_subsystems
-from switchlab.ops import ChoiOperator
+from switchlab.ops import ChoiOperator, Convention
 from switchlab.process import (
     ProcessMatrix,
     causal_mixture,
@@ -20,13 +20,11 @@ from switchlab.process import (
 
 
 def mixed_shape_strategy():
-    # Bob's Choi is 2 x 3 only at (y, b') = (1, 1), so G_B mixes two shapes.
+    # Bob's Choi is 2 x 3 only at (y, b') = (1, 1), so G_B would mix two shapes.
     good = order.ocb_strategy()
-
-    def bob(y, b, bp):
-        return ChoiOperator(2, 3, np.eye(6) / 3) if (y, bp) == (1, 1) else good.bob_choi(y, b, bp)
-
-    return order.GameStrategy(good.alice_choi, bob)
+    wide = ChoiOperator(2, 3, np.eye(6) / 3)
+    bob = {(y, b, bp): wide if (y, bp) == (1, 1) else n for (y, b, bp), n in good.bob.items()}
+    return order.GameStrategy(good.alice, bob)
 
 
 def rng():
@@ -46,11 +44,12 @@ def rng():
         (lambda: state_process(ID2 / 2, (2, 2, 2, 2)), "state must live on A_in (x) B_in"),
         (lambda: state_process(ID2 / 2, (2, 2, 2)), "ProcessMatrix dims (2, 2, 2) must be four dimensions"),
         (lambda: channel_process(ID2 / 2, ChoiOperator(2, 2, np.eye(4))), "channel Choi is not trace-preserving"),
+        (lambda: channel_process(ID2 / 2, ChoiOperator(2, 2, np.eye(4) / 2, Convention.PLAIN)),
+         "channel Choi must use the TRANSPOSED convention"),
         (lambda: causal_mixture(ocb_process(), ProcessMatrix((4, 1, 2, 2), np.eye(16) / 4), 0.5),
          "process dimensions disagree"),
         (lambda: validate_process(ocb_process(), 0, rng()), "need at least one sample"),
-        (lambda: order.success_probability(ocb_process(), mixed_shape_strategy()),
-         "Bob Choi dimensions do not match the process"),
+        (mixed_shape_strategy, "Bob Chois must share one (d_in, d_out), not [(2, 2), (2, 3)]"),
         (lambda: order.switch_supermap_state(2 * ID2, ID2, order.SwitchSpec()), "switch branches must be unitary"),
         (lambda: order.max_contraction_deviation(0, rng()), "need at least one pair"),
         (lambda: order.chsh_value(np.ones(3)), "CHSH evaluation needs a two-qubit state vector"),
@@ -73,6 +72,7 @@ def rng():
         "state-process-shape",
         "state-process-three-dims",
         "one-way-non-tp-channel",
+        "one-way-plain-channel",
         "causal-mixture-dims",
         "validate-zero-samples",
         "party-dims-mixed-shapes",

@@ -54,7 +54,7 @@ KET0 = np.array([1, 0], dtype=complex)
 def game_probability(w, strategy, x, y, a, b, bp):
     """P(x, y | a, b, b') for the causal game on process w: the reference
     that the game operators of `branch_probabilities` are checked against."""
-    return probability(w, strategy.alice_choi(x, a), strategy.bob_choi(y, b, bp))
+    return probability(w, strategy.alice[x, a], strategy.bob[y, b, bp])
 
 
 def test_game_probabilities_normalize():
@@ -88,7 +88,7 @@ def free_state_strategy(rho):
     a strategy other than the library's, built directly."""
     ocb = ocb_strategy()
     free = {y: ChoiOperator(2, 2, 0.5 * kron(ID2 + (-1) ** y * PAULI_Z, rho)) for y in range(2)}
-    return GameStrategy(ocb.alice_choi, lambda y, b, bp: free[y] if bp else ocb.bob_choi(y, b, bp))
+    return GameStrategy(ocb.alice, {(y, b, bp): free[y] if bp else n for (y, b, bp), n in ocb.bob.items()})
 
 
 def test_success_invariant_under_bob_free_state():
@@ -128,10 +128,9 @@ def test_branch_probabilities_equal_game_probability_sums():
 def separate_branch_probabilities(w, strategy):
     """1/4 Tr[W G_A] and 1/4 Tr[W G_B] as two separate traces, each on its
     own game operator."""
-    m = {k: strategy.alice_choi(*k) for k in np.ndindex(2, 2)}
-    n = {k: strategy.bob_choi(*k) for k in np.ndindex(2, 2, 2)}
-    g_a = _rule_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)])[2]
-    g_b = _rule_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)])[2]
+    m, n = strategy.alice, strategy.bob
+    g_a = _rule_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)])[1]
+    g_b = _rule_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)])[1]
     return tuple(0.25 * float(np.trace(w.matrix @ g).real) for g in (g_a, g_b))
 
 
@@ -152,22 +151,32 @@ def test_ocb_branch_values():
     assert abs(p_alice - P_OCB) < 1e-9 and abs(p_bob - P_OCB) < 1e-9
 
 
+def plain(chois):
+    """`chois` as PLAIN-convention Choi operators of the same maps."""
+    return {k: ChoiOperator(c.d_in, c.d_out, c.matrix.T, Convention.PLAIN) for k, c in chois.items()}
+
+
+def wide(chois):
+    """A 2 x 3 Choi in place of each of `chois`."""
+    return {k: ChoiOperator(2, 3, np.eye(6) / 3) for k in chois}
+
+
+def test_game_strategy_rejects_plain_chois_on_construction():
+    good = ocb_strategy()
+    with pytest.raises(ValueError, match="TRANSPOSED-convention Choi operators; one of Alice's is PLAIN"):
+        GameStrategy(plain(good.alice), good.bob)
+    with pytest.raises(ValueError, match="TRANSPOSED-convention Choi operators; one of Bob's is PLAIN"):
+        GameStrategy(good.alice, plain(good.bob))
+
+
 def test_success_probability_enforces_the_probability_rule():
     good = ocb_strategy()
-
-    def plain_alice(x, a):
-        m = good.alice_choi(x, a)
-        return ChoiOperator(m.d_in, m.d_out, m.matrix.T, Convention.PLAIN)
-
-    def wide_bob(y, b, bp):
-        return ChoiOperator(2, 3, np.eye(6) / 3)
-
     w = ocb_process()
-    bad = (GameStrategy(plain_alice, good.bob_choi), GameStrategy(good.alice_choi, wide_bob))
-    for strategy in bad:
-        with pytest.raises(ValueError):
+    bad = {"Alice": GameStrategy(wide(good.alice), good.bob), "Bob": GameStrategy(good.alice, wide(good.bob))}
+    for party, strategy in bad.items():
+        with pytest.raises(ValueError, match=f"{party} Choi dimensions do not match the process"):
             success_probability(w, strategy)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{party} Choi dimensions do not match the process"):
             branch_probabilities(w, strategy)
 
 
@@ -191,33 +200,11 @@ def test_reduced_matrices_match_closed_forms():
 
 def test_reduced_matrices_enforce_the_probability_rule():
     good = ocb_strategy()
-
-    def plain_alice(x, a):
-        m = good.alice_choi(x, a)
-        return ChoiOperator(m.d_in, m.d_out, m.matrix.T, Convention.PLAIN)
-
-    def plain_bob(y, b, bp):
-        n = good.bob_choi(y, b, bp)
-        return ChoiOperator(n.d_in, n.d_out, n.matrix.T, Convention.PLAIN)
-
-    def wide_alice(x, a):
-        return ChoiOperator(2, 3, np.eye(6) / 3)
-
-    def wide_bob(y, b, bp):
-        return ChoiOperator(2, 3, np.eye(6) / 3)
-
     w = ocb_process()
-    with pytest.raises(ValueError, match="TRANSPOSED"):
-        bob_reduced_matrix(w, GameStrategy(plain_alice, good.bob_choi), 0)
-    with pytest.raises(ValueError, match="TRANSPOSED"):
-        alice_reduced_matrix(w, GameStrategy(good.alice_choi, plain_bob), 0)
     with pytest.raises(ValueError, match="Alice Choi dimensions"):
-        bob_reduced_matrix(w, GameStrategy(wide_alice, good.bob_choi), 1)
+        bob_reduced_matrix(w, GameStrategy(wide(good.alice), good.bob), 1)
     with pytest.raises(ValueError, match="Bob Choi dimensions"):
-        alice_reduced_matrix(w, GameStrategy(good.alice_choi, wide_bob), 1)
-    # Each function checks only the Chois it contracts with W.
-    assert bob_reduced_matrix(w, GameStrategy(good.alice_choi, plain_bob), 0).shape == (4, 4)
-    assert alice_reduced_matrix(w, GameStrategy(plain_alice, good.bob_choi), 0).shape == (4, 4)
+        alice_reduced_matrix(w, GameStrategy(good.alice, wide(good.bob)), 1)
 
 
 def test_causal_bound_on_random_separable_processes():
@@ -260,7 +247,7 @@ def test_causal_bound_certificate_is_exact():
     # 1/2; the same holds for Bob's branch on a B -> A process. By linearity
     # every causal mixture then succeeds with at most (1/2 + 1) / 2 = 3/4
     # (Branciard et al., NJP 2016).
-    _, _, (g_a, g_b) = ocb_strategy()._game
+    g_a, g_b = ocb_strategy().game
     assert np.abs(trace_and_replace(g_a, 3) - np.eye(16) / 2).max() == 0.0
     assert np.abs(trace_and_replace(g_b, 1) - np.eye(16) / 2).max() == 0.0
 
@@ -321,11 +308,13 @@ def test_causal_bound_is_attained_by_an_a_to_b_identity_channel():
 def test_ocb_strategy_is_one_read_only_instance():
     s = ocb_strategy()
     assert s is ocb_strategy()
-    chois = [s.alice_choi(*k) for k in np.ndindex(2, 2)]
-    chois += [s.bob_choi(*k) for k in np.ndindex(2, 2, 2)]
-    for c in chois:
+    for c in [*s.alice.values(), *s.bob.values()]:
         with pytest.raises(ValueError, match="read-only"):
             c.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        s.game[0, 0, 0] = 1.0
+    with pytest.raises(TypeError):
+        s.alice[0, 0] = s.alice[0, 1]
 
 
 def test_success_probability_builds_no_choi_operator(monkeypatch):
@@ -343,9 +332,9 @@ def test_success_probability_builds_no_choi_operator(monkeypatch):
     assert abs(success_probability(w, strategy) - P_OCB) < 1e-9
     assert abs(success_probability(w, ocb_strategy()) - P_OCB) < 1e-9
     assert calls == []
-    # The counter sees constructions: a new strategy validates its 12 Chois.
-    order._ocb_strategy()
-    assert len(calls) == 12
+    # The counter sees constructions.
+    ChoiOperator(2, 2, np.eye(4) / 2)
+    assert len(calls) == 1
 
 
 def proj(v):
@@ -705,28 +694,16 @@ def test_temporal_order_state_rejects_a_nan_target():
         temporal_order_state(*TEMPORAL_ORDER_UNITARIES, np.array([np.nan, 0]), KET0, +1)
 
 
-def counting_strategy(strategy):
-    """`strategy` with callables that record every (party, bits) asked for."""
-    asked = []
-
-    def alice(x, a):
-        asked.append(("Alice", x, a))
-        return strategy.alice_choi(x, a)
-
-    def bob(y, b, bp):
-        asked.append(("Bob", y, b, bp))
-        return strategy.bob_choi(y, b, bp)
-
-    return GameStrategy(alice, bob), asked
-
-
-def test_game_strategy_asks_for_its_chois_once():
-    counted, asked = counting_strategy(ocb_strategy())
-    w = ocb_process()
-    for _ in range(3):
-        assert abs(success_probability(w, counted) - P_OCB) < 1e-9
-    assert branch_probabilities(w, counted) == branch_probabilities(w, ocb_strategy())
-    assert len(asked) == 12 and len(set(asked)) == 12
+def test_game_strategy_copies_its_chois():
+    # The game operators are built from a copy, so changing the tables passed
+    # in afterwards cannot make them stale.
+    good = ocb_strategy()
+    alice, bob = dict(good.alice), dict(good.bob)
+    copied = GameStrategy(alice, bob)
+    alice[0, 0], bob[0, 0, 0] = alice[1, 1], bob[1, 1, 1]
+    assert copied.alice == good.alice and copied.bob == good.bob
+    assert np.array_equal(copied.game, good.game)
+    assert branch_probabilities(ocb_process(), copied) == branch_probabilities(ocb_process(), good)
 
 
 def test_game_strategy_checks_the_process_on_every_call():
@@ -743,13 +720,12 @@ def test_game_strategy_checks_the_process_on_every_call():
 
 
 def test_game_strategy_rejects_mixed_choi_shapes():
+    # Bob's b' = 0 Chois are 2 x 2 and his b' = 1 Chois 2 x 3: G_A and G_B
+    # are each built from one shape, but no process fits both.
     good = ocb_strategy()
-
-    def mixed_bob(y, b, bp):
-        return ChoiOperator(2, 3, np.eye(6) / 3) if bp else good.bob_choi(y, b, bp)
-
-    with pytest.raises(ValueError, match="Bob Choi dimensions do not match the process"):
-        success_probability(ocb_process(), GameStrategy(good.alice_choi, mixed_bob))
+    mixed_bob = {k: ChoiOperator(2, 3, np.eye(6) / 3) if k[2] else n for k, n in good.bob.items()}
+    with pytest.raises(ValueError, match=re.escape("Bob Chois must share one (d_in, d_out), not [(2, 2), (2, 3)]")):
+        GameStrategy(good.alice, mixed_bob)
 
 
 @settings(max_examples=40, deadline=None)
@@ -761,7 +737,7 @@ def test_game_strategy_rejects_mixed_choi_shapes():
 )
 def test_causal_mixtures_never_beat_three_quarters(seed, q, ranks, free_state):
     # Every convex mixture of the two one-way channel processes
-    # stays within the causal bound, scored through the cached game operators.
+    # stays within the causal bound, scored through the stored game operators.
     rng = np.random.default_rng(seed)
     w_ba = channel_process(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, ranks[0], rng)))
     w_ab = channel_process_reverse(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, ranks[1], rng)))

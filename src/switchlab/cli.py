@@ -160,7 +160,7 @@ def _scenario_grav_duration(params, rng):
         _check(
             "weak_field_consistent",
             0.0,
-            abs(report.ratio - wf.ratio) / wf.ratio,
+            abs(wf.deviation),
             APPROX_REL_TOL,
         ),
     ]

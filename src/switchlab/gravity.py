@@ -95,16 +95,14 @@ def light_coordinate_time(r1, r2, body):
 
 
 def _lapse_gap(r, h, body):
-    """lapse(r + h) - lapse(r), rationalized as R_S h / (r (r + h)) /
+    """lapse(r + h) - lapse(r), rationalized as (R_S/r) (h/(r + h)) /
     (lapse(r + h) + lapse(r)) so that lapses within 1e-9 of one do not cancel.
-    Raises ValueError when r (r + h) underflows to 0, or when h is nonzero
-    but the gap underflows to 0, as it does when R_S underflows or r (r + h)
-    overflows: ratios and thresholds divide by it."""
-    rs = body.schwarzschild_radius
-    den = r * (r + h)
-    if den == 0.0:
-        raise ValueError("lapse gap between the two radii: its denominator underflows to 0")
-    gap = rs * h / den / (lapse(r + h, body) + lapse(r, body))
+    For h > 0 both ratios of lengths lie below one, so the gap leaves the
+    float range only where its value does. Raises ValueError when h is
+    nonzero but the gap underflows to 0, as it does when R_S/r or h/(r + h)
+    underflows: ratios and thresholds divide by it."""
+    lapse_sum = lapse(r + h, body) + lapse(r, body)  # rejects r <= R_S before r divides
+    gap = body.schwarzschild_radius / r * (h / (r + h)) / lapse_sum
     if gap == 0.0 and h != 0.0:
         raise ValueError("lapse gap between the two radii underflows to 0")
     return gap
@@ -121,15 +119,6 @@ def _ratio(num, den, what):
     if not np.isfinite(ratio):
         raise ValueError(f"{what} overflows")
     return ratio
-
-
-def _power(x, n, what):
-    """x ** n as a float, the denominator of `what`. Raises ValueError naming
-    `what` where Python's power would raise OverflowError."""
-    try:
-        return float(x) ** n
-    except OverflowError:
-        raise ValueError(f"{what}: its denominator overflows") from None
 
 
 def order_margin(tau_star, r_a, r_b, body):
@@ -180,7 +169,7 @@ def switch_ratio_exact(body, h):
     if h <= 0.0:
         raise ValueError("height must be positive")
     r = body.radius
-    return lapse(r + h, body) / _lapse_gap(r, h, body)
+    return _ratio(lapse(r + h, body), _lapse_gap(r, h, body), "switch ratio")
 
 
 @dataclass(frozen=True)
@@ -188,22 +177,29 @@ class WeakFieldRatio:
     ratio: float
     gravity_term: float
     curvature_term: float
+    deviation: float  # switch_ratio_exact / ratio - 1
 
 
 def switch_ratio_weak_field(body, h):
-    """Weak-field Delta t_r / Delta t_c = c^2/(g h) - (c^2/2) R_0101 / g^2,
-    with g = GM/R^2 and the curvature component R_0101 = -c^2 R_S / R^3."""
+    """Weak-field Delta t_r / Delta t_c = 2R^2/(R_S h) + 2R/R_S: the gravity
+    term c^2/(g h) and the curvature term -(c^2/2) R_0101/g^2, with
+    g = (c^2/2) R_S/R^2 and R_0101 = -c^2 R_S/R^3. They are formed as
+    2 (R/R_S) and that times R/h, their sum as 2 (R/R_S) times (R + h)/h;
+    each raises ValueError by name where its value leaves the float range.
+
+    `deviation` = switch_ratio_exact / ratio - 1 = L1 (L1 + L0)/2 - 1
+    = -(a + (a + b - ab)/(1 + L0 L1))/2, with L0 = lapse(R), L1 = lapse(R + h),
+    a = R_S/(R + h) and b = R_S/R, so that nothing cancels."""
     body.require_weak_field()
     if h <= 0.0:
         raise ValueError("height must be positive")
-    r = body.radius
-    what = "surface gravity g"
-    g = _ratio(G_NEWTON * body.mass, _power(r, 2, what), what)
-    what = "curvature component R_0101"
-    r0101 = _ratio(-C_LIGHT ** 2 * body.schwarzschild_radius, _power(r, 3, what), what)
-    gravity_term = C_LIGHT ** 2 / (g * h)
-    curvature_term = _ratio(-0.5 * C_LIGHT ** 2 * r0101, g ** 2, "weak-field curvature term")
-    return WeakFieldRatio(gravity_term + curvature_term, gravity_term, curvature_term)
+    r, rs = body.radius, body.schwarzschild_radius
+    curvature_term = _ratio(2.0 * r, rs, "weak-field curvature term")
+    gravity_term = _ratio(curvature_term, h / r, "weak-field gravity term")
+    ratio = _ratio(curvature_term, h / (r + h), "weak-field ratio")
+    a, b = rs / (r + h), rs / r
+    deviation = -0.5 * (a + (a + b - a * b) / (1.0 + lapse(r, body) * lapse(r + h, body)))
+    return WeakFieldRatio(ratio, gravity_term, curvature_term, deviation)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import json
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from switchlab.gravity import (
     protocol_duration,
     switch_ratio_exact,
     switch_ratio_weak_field,
+    _lapse_gap,
 )
 
 # Strong-field body (neutron-star scale) for exact-metric ordering tests.
@@ -162,11 +165,11 @@ ORDER_OFFSETS = [10.0 ** k for k in range(-3, 6)]
 SWITCH_LENGTHS = [10.0 ** k for k in range(0, 6)]
 
 
-def reference(f, *floats):
-    """f evaluated at 50 digits on the exact values of the float inputs."""
+def reference(f, *floats, prec=50, **named):
+    """f evaluated at `prec` digits on the exact values of the float inputs."""
     with localcontext() as ctx:
-        ctx.prec = 50
-        return f(*map(Decimal, floats))
+        ctx.prec = prec
+        return f(*map(Decimal, floats), **{k: Decimal(v) for k, v in named.items()})
 
 
 def ref_lapse(r, rs):
@@ -195,6 +198,64 @@ def ref_asymmetric(r, h, L, rs):
     far = ref_light_time(r + L, r + L + h, rs)
     near = ref_light_time(r, r + h, rs)
     return l(r) * (l(r + L + h) / l(r + h) * far + near) / denom
+
+
+def ref_weak_field(r, h, rs):
+    # the gravity and curvature terms 2R^2/(R_S h) and 2R/R_S
+    return 2 * r * r / (rs * h), 2 * r / rs
+
+
+def ref_exact(r, h, rs):
+    l0, l1 = ref_lapse(r, rs), ref_lapse(r + h, rs)
+    return l1 / (l1 - l0)
+
+
+def ref_deviation(r, h, rs):
+    return ref_exact(r, h, rs) / sum(ref_weak_field(r, h, rs)) - 1
+
+
+def ref_duration(mass, radius, d, h, **window):
+    """Every float a grav-duration report prints, from the definitions, and
+    the check values by check name; the check window is input, not physics."""
+    c = Decimal(C_LIGHT)
+    rs = 2 * Decimal(G_NEWTON) * mass / c**2
+    exact = ref_exact(radius, h, rs)
+    gravity, curvature = ref_weak_field(radius, h, rs)
+    dt_r = exact * d / c
+    outputs = {
+        "body_mass": mass,
+        "body_radius": radius,
+        "schwarzschild_radius": rs,
+        "d": d,
+        "h": h,
+        "dt_c": d / c,
+        "ratio_exact": exact,
+        "ratio_weak_field": gravity + curvature,
+        "gravity_term": gravity,
+        "curvature_term": curvature,
+        "dt_r": dt_r,
+        "dt_exp_low": dt_r,
+        "dt_exp_high": 2 * dt_r,
+    }
+    checks = {
+        "dt_r_in_window": dt_r,
+        "weak_field_consistent": abs(ref_deviation(radius, h, rs)),
+        "earth_coefficient": exact / c * h,
+    }
+    return outputs, checks
+
+
+def ref_order(mass, radius, r_a_offset, r_b_offset, asym_r_offset, asym_h, asym_l):
+    """Every float a grav-order report prints, from the definitions."""
+    rs = 2 * Decimal(G_NEWTON) * mass / Decimal(C_LIGHT) ** 2
+    r_a, r_b = radius + r_a_offset, radius + r_b_offset
+    outputs = {
+        "r_a": r_a,
+        "r_b": r_b,
+        "min_tau_threshold": ref_min_tau(r_a, r_b, rs),
+        "asymmetric_threshold": ref_asymmetric(radius + asym_r_offset, asym_h, asym_l, rs),
+    }
+    return outputs, {}
 
 
 def relative_error(got, want):
@@ -270,19 +331,48 @@ def test_switch_ratio_weak_field_terms():
     wf = switch_ratio_weak_field(EARTH, 1.0)
     # gravity term dominates near the surface
     assert wf.gravity_term > 1e5 * wf.curvature_term
-    # algebraic identity: (R/R_S)(2R/h + 2) equals the g / R_0101 form
+    # algebraic identity: (R/R_S)(2R/h + 2) equals the 2 (R/R_S) ((R + h)/h) form
     r, rs = EARTH.radius, EARTH.schwarzschild_radius
     direct = (r / rs) * (2.0 * r / 1.0 + 2.0)
     assert abs(wf.ratio - direct) / direct < 1e-12
 
 
 @pytest.mark.parametrize(
-    "radius, quantity", [(1e150, "curvature component R_0101"), (1e160, "surface gravity g")], ids=["R^3", "R^2"]
+    "body, h, message",
+    [
+        (BodyConfig(1e-300, 1.0), 1.0, "weak-field curvature term: its denominator underflows to 0"),
+        (BodyConfig(1e-10, 1e300), 1e-300, "weak-field curvature term overflows"),
+        (BodyConfig(EARTH.mass, 1e10), 1e-320, "weak-field gravity term: its denominator underflows to 0"),
+        (BodyConfig(EARTH.mass, 1e160), 1.0, "weak-field gravity term overflows"),
+        (BodyConfig(1e19, 1e300), 1e300, "weak-field ratio overflows"),
+    ],
+    ids=["rs-underflow", "curvature-overflow", "height-underflow", "gravity-overflow", "ratio-overflow"],
 )
-def test_weak_field_radius_powers_past_the_float_range_are_named(radius, quantity):
-    # A Python float power raises OverflowError where a quotient gives inf.
-    with pytest.raises(ValueError, match=f"^{quantity}: its denominator overflows$"):
-        switch_ratio_weak_field(BodyConfig(mass=EARTH.mass, radius=radius), 1.0)
+def test_weak_field_terms_past_the_float_range_are_named(body, h, message):
+    # R_S underflows to 0, or R/R_S, R/h or a term leaves the float range;
+    # a bare quotient would raise ZeroDivisionError or give inf.
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=f"^{message}$"):
+        switch_ratio_weak_field(body, h)
+
+
+@pytest.mark.parametrize("body", [EARTH, LAB_BODY, BodyConfig(mass=1e-10, radius=1e-15)], ids=["earth", "lab", "small"])
+def test_weak_field_deviation_matches_the_decimal_reference(body):
+    # exact / weak - 1 cancels ~log10(R/R_S) digits of each ratio; the closed
+    # form loses none.
+    for h in np.geomspace(1e-3 * body.radius, 1e3 * body.radius, 7):
+        got = switch_ratio_weak_field(body, h).deviation
+        want = reference(ref_deviation, body.radius, h, body.schwarzschild_radius, prec=100)
+        assert relative_error(got, want) <= 1e-14
+
+
+def test_lapse_gap_is_finite_where_rs_h_and_r_squared_overflow():
+    # R_S h and r (r + h) are both past 1e308 here, so their quotient is inf / inf.
+    body = BodyConfig(1e300, 1e300)
+    got = _lapse_gap(1e300, 1e100, body)
+    want = reference(
+        lambda r, h, rs: ref_lapse(r + h, rs) - ref_lapse(r, rs), 1e300, 1e100, body.schwarzschild_radius, prec=300
+    )
+    assert relative_error(got, want) <= 1e-12
 
 
 def test_switch_ratio_exact_vs_weak_field_sweep():
@@ -296,6 +386,31 @@ def test_switch_ratio_exact_vs_weak_field_sweep():
             assert abs(exact - wf) / wf < max(10 * x, 5e-15)
             if x <= 1e-8:
                 assert abs(exact - wf) / wf < 1e-6
+
+
+GOLDEN_REPORTS = json.loads((Path(__file__).resolve().parent.parent / "suites" / "golden.expected.json").read_text())
+GRAVITY_REPORTS = [r for r in GOLDEN_REPORTS["reports"] if r["scenario"] in ("grav-duration", "grav-order")]
+
+
+def round12(x):
+    return float(f"{x:.12g}")
+
+
+@pytest.mark.parametrize(
+    "report", GRAVITY_REPORTS, ids=[f"{r['scenario']}-{r['inputs']['mass']:g}" for r in GRAVITY_REPORTS]
+)
+def test_every_printed_gravity_digit_is_right(report):
+    # Each float the golden suite prints, outputs and check values alike,
+    # is its 100-digit reference rounded to 12 significant digits.
+    ref = ref_duration if report["scenario"] == "grav-duration" else ref_order
+    outputs, checks = reference(ref, **report["inputs"], prec=100)
+    printed = {k: v for k, v in report["outputs"].items() if not isinstance(v, bool)}
+    assert printed.keys() == outputs.keys()
+    for key, value in printed.items():
+        assert value == round12(outputs[key]), key
+    for check in report["checks"]:
+        if not isinstance(check["actual"], bool):
+            assert check["actual"] == round12(checks[check["name"]]), check["name"]
 
 
 def test_small_mass_limit_curvature_dominates():

@@ -119,12 +119,10 @@ def _scenario_validate_process(params, rng):
     report = process.validate_process(w, samples, rng)
     outputs = {
         "samples": samples,
-        "psd": report.psd,
         "trace": report.trace,
         "max_norm_deviation": report.max_norm_deviation,
     }
     checks = [
-        _bool_check("psd", True, report.psd),
         _check("trace_equals_4", 4.0, report.trace, DEFAULT_TOL),
         _check("normalization_deviation", 0.0, report.max_norm_deviation, NORMALIZATION_TOL),
     ]

@@ -35,7 +35,6 @@ __all__ = [
     "hermitian_eigen",
     "partial_trace",
     "trace_and_replace",
-    "permute_subsystems",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -114,10 +113,9 @@ def _kron_layout(shapes, dims, perm):
 
 
 def kron_permuted(matrices, dims, perm):
-    """``permute_subsystems(kron(*matrices), dims, perm)[0]``, where `dims`
-    are the tensor factors of the Kronecker product, each square matrix
-    covering the next run of them, without kron's or permute_subsystems'
-    per-call shape handling.
+    """``kron(*matrices)`` with its tensor factors reordered: `dims` are the
+    factors of the Kronecker product, each square matrix covering the next
+    run of them, and `perm[i]` names which of them lands at position i.
 
     Each matrix is one broadcast factor of the product, so every entry is the
     product kron forms, in kron's order, and keeps its bits; one
@@ -170,21 +168,6 @@ def require_dims(dims, what):
         if not ((type(d) is int or isinstance(d, numbers.Integral) and not isinstance(d, bool)) and d >= 1):
             raise ValueError(f"{what} dims {dims} must each be an integer of at least 1")
     return tuple(map(int, dims))
-
-
-def permute_subsystems(m, dims, perm):
-    """Reorder the tensor factors of a square operator.
-
-    `perm[i]` names which of the original factors lands at position i.
-    """
-    m, total = _check_dims(m, dims)
-    k = len(dims)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"perm {perm} is not a permutation of range({k})")
-    t = m.reshape(tuple(dims) * 2)
-    axes = list(perm) + [k + p for p in perm]
-    new_dims = [dims[p] for p in perm]
-    return t.transpose(axes).reshape(total, total), new_dims
 
 
 def partial_trace(m, dims, keep):

@@ -25,7 +25,6 @@ from .linalg import (
     dagger,
     hermitian_eigen,
     is_psd,
-    is_unitary,
     kron,
     partial_trace,
     require_dims,
@@ -96,13 +95,6 @@ class Operation:
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
         _require_trace_nonincreasing(stack)
-
-    @classmethod
-    def from_unitary(cls, u):
-        u = np.asarray(u, dtype=complex)
-        if not is_unitary(u):
-            raise ValueError("matrix is not unitary within tolerance")
-        return cls(u.shape[0], u.shape[0], (u,))
 
 
 def apply_operation(op, rho):

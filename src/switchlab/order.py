@@ -23,7 +23,7 @@ from .linalg import (
     kron,
 )
 from .ops import ChoiOperator, rand_unitary
-from .process import _BLOCK, _party_dims, _reduced, _rule_operator, _rule_trace
+from .process import _BLOCK, _party_dims, _reduced, _rule_trace
 
 __all__ = [
     "GameStrategy",
@@ -43,6 +43,16 @@ __all__ = [
     "temporal_order_state",
     "TEMPORAL_ORDER_UNITARIES",
 ]
+
+
+def _game_operator(terms):
+    """G = sum over `terms` = [(Alice Chois, Bob Chois), ...] of
+    (sum of Alice's) (x) (sum of Bob's), the operator the probability rule
+    traces against W."""
+    g = 0
+    for alice, bob in terms:
+        g = g + kron(sum(c.matrix for c in alice), sum(c.matrix for c in bob))
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +76,8 @@ class GameStrategy:
         m = MappingProxyType({k: self.alice[k] for k in np.ndindex(2, 2)})
         n = MappingProxyType({k: self.bob[k] for k in np.ndindex(2, 2, 2)})
         dims = _party_dims("Alice", m.values()) + _party_dims("Bob", n.values())
-        _, g_a = _rule_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)])
-        _, g_b = _rule_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)])
+        g_a = _game_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)])
+        g_b = _game_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)])
         g = np.stack((g_a, g_b))
         g.setflags(write=False)
         object.__setattr__(self, "alice", m)

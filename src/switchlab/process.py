@@ -20,7 +20,6 @@ from .linalg import (
     PAULI_Z,
     _identity,
     close,
-    is_psd,
     kron,
     kron_permuted,
     partial_trace,
@@ -34,7 +33,6 @@ __all__ = [
     "ProcessMatrix",
     "ValidationReport",
     "probability",
-    "state_process",
     "channel_process",
     "channel_process_reverse",
     "causal_mixture",
@@ -46,14 +44,6 @@ __all__ = [
     "no_signaling_a_to_b",
     "no_signaling_b_to_a",
 ]
-
-
-def _process_dims(dims):
-    """`dims` as four checked ints (d_a_in, d_a_out, d_b_in, d_b_out)."""
-    dims = require_dims(dims, "ProcessMatrix")
-    if len(dims) != 4:
-        raise ValueError(f"ProcessMatrix dims {dims} must be four dimensions")
-    return dims
 
 
 @dataclass(frozen=True)
@@ -69,7 +59,9 @@ class ProcessMatrix:
     matrix: np.ndarray = None
 
     def __post_init__(self):
-        dims = _process_dims(self.dims)
+        dims = require_dims(self.dims, "ProcessMatrix")
+        if len(dims) != 4:
+            raise ValueError(f"ProcessMatrix dims {dims} must be four dimensions")
         object.__setattr__(self, "dims", dims)
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
@@ -78,22 +70,6 @@ class ProcessMatrix:
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         require_psd(m, "process matrix")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def d_a_in(self):
-        return self.dims[0]
-
-    @property
-    def d_a_out(self):
-        return self.dims[1]
-
-    @property
-    def d_b_in(self):
-        return self.dims[2]
-
-    @property
-    def d_b_out(self):
-        return self.dims[3]
 
 
 def _require_dims(w, party, dims):
@@ -124,20 +100,6 @@ def _real_probability(val):
     return val.real
 
 
-def _rule_operator(terms):
-    """(dims, G) for `terms` = [(Alice Chois, Bob Chois), ...]: the
-    (d_a_in, d_a_out, d_b_in, d_b_out) a process must have, and the read-only
-    G = sum over terms of (sum of Alice's) (x) (sum of Bob's), the operator
-    the probability rule traces against W."""
-    dims = _party_dims("Alice", [c for alice, _ in terms for c in alice])
-    dims += _party_dims("Bob", [c for _, bob in terms for c in bob])
-    g = 0
-    for alice, bob in terms:
-        g = g + kron(sum(c.matrix for c in alice), sum(c.matrix for c in bob))
-    g.setflags(write=False)
-    return dims, g
-
-
 def _rule_trace(w, dims, g):
     """The probability rule Tr[W G], or one per member when G is a
     (..., n, n) stack, once both parties' `dims` fit W; each must be real."""
@@ -148,7 +110,8 @@ def _rule_trace(w, dims, g):
 
 def probability(w, choi_a, choi_b):
     """Joint probability Tr[W (M (x) N)] for one instrument element each."""
-    return float(_rule_trace(w, *_rule_operator([((choi_a,), (choi_b,))])))
+    dims = _party_dims("Alice", (choi_a,)) + _party_dims("Bob", (choi_b,))
+    return float(_rule_trace(w, dims, kron(choi_a.matrix, choi_b.matrix)))
 
 
 def _reduced(w, party, dims, chois):
@@ -158,44 +121,21 @@ def _reduced(w, party, dims, chois):
     _require_dims(w, party, dims)
     choi_sum = sum(c.matrix for c in chois)
     if party == "Alice":
-        full = kron(choi_sum, np.eye(w.d_b_in * w.d_b_out))
+        full = kron(choi_sum, np.eye(math.prod(w.dims[2:])))
         keep = (2, 3)
     else:
-        full = kron(np.eye(w.d_a_in * w.d_a_out), choi_sum)
+        full = kron(np.eye(math.prod(w.dims[:2])), choi_sum)
         keep = (0, 1)
     return partial_trace(w.matrix @ full, w.dims, keep=keep)
-
-
-def _proved(dims, m):
-    """The ProcessMatrix of checked `dims` on the fresh matrix `m` built to fit
-    them, after its one positivity proof. The proof is on W itself: from a
-    state at -DEFAULT_TOL, rho (x) C^T (x) 1 can reach -d_in * DEFAULT_TOL."""
-    require_psd(m, "process matrix")
-    return _built(ProcessMatrix, dims=dims, matrix=m)
-
-
-def _require_unit_trace(rho):
-    if not abs(rho.trace().real - 1.0) <= DEFAULT_TOL:
-        raise ValueError("state is not a density operator: trace is not 1")
-
-
-def state_process(rho, dims):
-    """Process matrix of a shared state: W = rho^{A_in B_in} (x) 1^{A_out B_out}."""
-    dims = _process_dims(dims)
-    d_a_in, d_a_out, d_b_in, d_b_out = dims
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d_a_in * d_b_in,) * 2:
-        raise ValueError("state must live on A_in (x) B_in")
-    _require_unit_trace(rho)
-    # rho (x) 1 is on (A_in, B_in, A_out, B_out); reorder to (A_in, A_out, B_in, B_out)
-    w = kron_permuted((rho, _identity(d_a_out * d_b_out)), (d_a_in, d_b_in, d_a_out, d_b_out), (0, 2, 1, 3))
-    return _proved(dims, w)
 
 
 def _one_way(rho, channel_choi, perm):
     """The one-way process W = rho (x) C^T (x) 1 from the party that receives
     rho to the other, with the channel's output dimension on the last factor,
-    reordered by `perm` to (A_in, A_out, B_in, B_out)."""
+    reordered by `perm` to (A_in, A_out, B_in, B_out). The one positivity
+    proof is on W itself, since from a state at -DEFAULT_TOL, rho (x) C^T (x) 1
+    can reach -d_in * DEFAULT_TOL; the fresh W is then wrapped without the
+    constructor's checks."""
     if channel_choi.convention is not Convention.TRANSPOSED:
         raise ValueError("channel Choi must use the TRANSPOSED convention")
     if not channel_choi.is_cptp():
@@ -203,11 +143,13 @@ def _one_way(rho, channel_choi, perm):
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"state shape {rho.shape} is not square")
-    _require_unit_trace(rho)
+    if not abs(rho.trace().real - 1.0) <= DEFAULT_TOL:
+        raise ValueError("state is not a density operator: trace is not 1")
     d_in, d_out = channel_choi.d_in, channel_choi.d_out
     built = (len(rho), d_in, d_out, d_out)
-    dims = tuple(built[p] for p in perm)
-    return _proved(dims, kron_permuted((rho, channel_choi.matrix.T, _identity(d_out)), built, perm))
+    w = kron_permuted((rho, channel_choi.matrix.T, _identity(d_out)), built, perm)
+    require_psd(w, "process matrix")
+    return _built(ProcessMatrix, dims=tuple(built[p] for p in perm), matrix=w)
 
 
 def channel_process(rho_b, channel_choi):
@@ -312,7 +254,6 @@ def hs_reconstruct(coeffs, d):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    psd: bool
     trace: float  # Tr W; a valid W has d_A_out * d_B_out
     max_norm_deviation: float
 
@@ -320,11 +261,19 @@ class ValidationReport:
 # validate_process checks its random pairs in stacks of at most this many,
 # so that peak memory does not grow with the sample count.
 _BLOCK = 64
+# It forms W (M (x) N) for at most this many pairs at a time. Two (8, 16, 16)
+# complex temporaries (32 KB each) fit in the free memory malloc keeps. Two
+# of 64 (256 KB each) sat at glibc's heap-trim threshold, so whether every
+# block faulted their ~100 pages in again turned on the heap's layout, which
+# any edit to the source could move.
+_PRODUCT_BLOCK = 8
 _KRAUS_RANK = 2
 
 
 def validate_process(w, samples, rng):
-    """Report W's positivity, its trace and its randomized normalization.
+    """Report W's trace and its randomized normalization. W's positivity is
+    not proved again: every ProcessMatrix proved it on construction, at the
+    same DEFAULT_TOL.
 
     Draws `samples` independent CPTP Choi pairs, consuming `rng` exactly as
     ``rand_cptp(d_in, d_out, 2, rng)`` for Alice and then for Bob would, once
@@ -332,21 +281,24 @@ def validate_process(w, samples, rng):
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    psd = is_psd(w.matrix)
     trace = float(np.trace(w.matrix).real)
     worst = 0.0
     for start in range(0, samples, _BLOCK):
         worst = max(worst, _block_deviation(w, min(_BLOCK, samples - start), rng))
-    return ValidationReport(psd, trace, worst)
+    return ValidationReport(trace, worst)
 
 
 def _block_deviation(w, k, rng):
     # Largest |Tr[W (M (x) N)] - 1| over k random CPTP pairs, stacked.
     ma, nb = _cptp_choi_pairs((w.dims[:2], w.dims[2:]), _KRAUS_RANK, k, rng)
     # probability()'s kron and trace, so the CLI's 12 printed digits share
-    # its roundoff. Both parties' Chois are drawn at W's own dimensions.
-    vals = _rule_trace(w, w.dims, kron(ma, nb))
-    return float(np.abs(vals - 1.0).max())
+    # its roundoff. Both parties' Chois are drawn at W's own dimensions, so
+    # they fit it.
+    traces = [
+        np.trace(w.matrix @ kron(ma[i:i + _PRODUCT_BLOCK], nb[i:i + _PRODUCT_BLOCK]), axis1=-2, axis2=-1)
+        for i in range(0, k, _PRODUCT_BLOCK)
+    ]
+    return float(np.abs(_real_probability(np.concatenate(traces)) - 1.0).max())
 
 
 def ocb_process():

@@ -21,7 +21,6 @@ from switchlab.linalg import (
     kron,
     kron_permuted,
     partial_trace,
-    permute_subsystems,
     require_psd,
     trace_and_replace,
 )
@@ -119,11 +118,18 @@ def kron_factors(draw):
     return matrices, dims, perm
 
 
+def permuted(m, dims, perm):
+    """`m` with its tensor factors `dims` reordered, factor perm[i] to position i."""
+    k = len(dims)
+    t = np.asarray(m).reshape(tuple(dims) * 2).transpose(*perm, *(k + p for p in perm))
+    return t.reshape(np.shape(m))
+
+
 @settings(max_examples=120, deadline=None)
 @given(factors=kron_factors())
 def test_kron_permuted_equals_kron_then_permute_bit_for_bit(factors):
     matrices, dims, perm = factors
-    want, _ = permute_subsystems(kron(*matrices), dims, perm)
+    want = permuted(kron(*matrices), dims, perm)
     got = kron_permuted(matrices, dims, perm)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -202,23 +208,6 @@ def test_partial_trace_vs_brute_force_three_factors():
         assert np.abs(got - want).max() < 1e-12
     # tracing every factor reduces to the scalar trace
     assert abs(partial_trace(m, dims, ())[0, 0] - np.trace(m)) < 1e-12
-
-
-def test_permute_subsystems_roundtrip():
-    rng = np.random.default_rng(4)
-    m = rand_hermitian(8, rng)
-    permuted, dims = permute_subsystems(m, (2, 2, 2), (2, 0, 1))
-    back, _ = permute_subsystems(permuted, dims, (1, 2, 0))
-    assert np.abs(back - m).max() == 0
-
-
-def test_permute_subsystems_on_kron():
-    rng = np.random.default_rng(5)
-    a = rand_hermitian(2, rng)
-    b = rand_hermitian(3, rng)
-    got, dims = permute_subsystems(kron(a, b), (2, 3), (1, 0))
-    assert dims == [3, 2]
-    assert np.abs(got - kron(b, a)).max() < 1e-12
 
 
 def test_hermitian_eigen_pauli_spectra():

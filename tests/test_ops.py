@@ -48,7 +48,7 @@ def kraus_sum_oracle(kraus, rho):
 
 
 def test_apply_operation_bit_flip():
-    op = Operation.from_unitary(PAULI_X)
+    op = Operation(2, 2, (PAULI_X,))
     assert np.abs(apply_operation(op, proj(KET0)) - proj(KET1)).max() < 1e-12
 
 
@@ -86,7 +86,7 @@ def test_apply_operation_linearity():
 
 
 def test_choi_transposed_of_identity_channel():
-    op = Operation.from_unitary(ID2)
+    op = Operation(2, 2, (ID2,))
     choi = choi_of_operation(op, Convention.TRANSPOSED)
     # |1>><<1| = sum_{jk} |jj><kk|
     expected = np.zeros((4, 4), dtype=complex)
@@ -99,7 +99,7 @@ def test_choi_transposed_of_identity_channel():
 def test_choi_plain_of_unitary_is_rank_one():
     rng = np.random.default_rng(1)
     u = rand_unitary(2, rng)
-    choi = choi_of_operation(Operation.from_unitary(u), Convention.PLAIN)
+    choi = choi_of_operation(Operation(2, 2, (u,)), Convention.PLAIN)
     w, _ = hermitian_eigen(choi.matrix)
     assert np.sum(w > 1e-9) == 1
     assert abs(w[-1] - 2.0) < 1e-9  # squared norm of (1 (x) U)|1>>
@@ -138,11 +138,11 @@ def test_trace_of_plain_choi_equals_d_in():
 
 
 def test_apply_choi_identity_and_bit_flip():
-    ident = choi_of_operation(Operation.from_unitary(ID2), Convention.TRANSPOSED)
+    ident = choi_of_operation(Operation(2, 2, (ID2,)), Convention.TRANSPOSED)
     rng = np.random.default_rng(4)
     rho = rand_density(2, rng)
     assert np.abs(apply_choi(ident, rho) - rho).max() < 1e-12
-    flip = choi_of_operation(Operation.from_unitary(PAULI_X), Convention.TRANSPOSED)
+    flip = choi_of_operation(Operation(2, 2, (PAULI_X,)), Convention.TRANSPOSED)
     assert np.abs(apply_choi(flip, proj(KET0)) - proj(KET1)).max() < 1e-12
 
 
@@ -160,7 +160,7 @@ def test_apply_choi_round_trip_random(convention):
 
 
 def test_kraus_from_choi_identity_channel():
-    choi = choi_of_operation(Operation.from_unitary(ID2), Convention.TRANSPOSED)
+    choi = choi_of_operation(Operation(2, 2, (ID2,)), Convention.TRANSPOSED)
     op = kraus_from_choi(choi)
     assert len(op.kraus) == 1
     e = op.kraus[0]
@@ -226,7 +226,7 @@ def test_choi_rejects_non_cp():
 def test_stinespring_unitary_channel():
     rng = np.random.default_rng(8)
     u = rand_unitary(2, rng)
-    dil = stinespring_dilation(Operation.from_unitary(u))
+    dil = stinespring_dilation(Operation(2, 2, (u,)))
     assert dil.env_dim == 1
     assert dil.projector is None
     assert np.abs(dil.unitary - u).max() < 1e-9

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from switchlab import linalg, order
 
-from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, is_unitary, kron, partial_trace, permute_subsystems
+from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, is_unitary, kron, partial_trace
 from switchlab.ops import (
     ChoiOperator,
     Convention,
@@ -23,6 +23,7 @@ from switchlab.order import (
     GameStrategy,
     SwitchSpec,
     TEMPORAL_ORDER_UNITARIES,
+    _game_operator,
     alice_reduced_matrix,
     bob_reduced_matrix,
     branch_probabilities,
@@ -38,13 +39,11 @@ from switchlab.order import (
 )
 from switchlab.process import (
     ProcessMatrix,
-    _rule_operator,
     causal_mixture,
     channel_process,
     channel_process_reverse,
     ocb_process,
     probability,
-    state_process,
 )
 
 P_OCB = (2.0 + np.sqrt(2.0)) / 4.0
@@ -129,8 +128,8 @@ def separate_branch_probabilities(w, strategy):
     """1/4 Tr[W G_A] and 1/4 Tr[W G_B] as two separate traces, each on its
     own game operator."""
     m, n = strategy.alice, strategy.bob
-    g_a = _rule_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)])[1]
-    g_b = _rule_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)])[1]
+    g_a = _game_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)])
+    g_b = _game_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)])
     return tuple(0.25 * float(np.trace(w.matrix @ g).real) for g in (g_a, g_b))
 
 
@@ -139,7 +138,8 @@ def separate_branch_probabilities(w, strategy):
 def test_stacked_game_trace_equals_two_separate_traces_bit_for_bit(seed, free_state, shared_state):
     rng = np.random.default_rng(seed)
     if shared_state:
-        w = state_process(rand_density(4, rng), (2, 2, 2, 2))
+        # rho^{A_in B_in} (x) 1^{A_out B_out}, reordered to (A_in, A_out, B_in, B_out)
+        w = ProcessMatrix((2, 2, 2, 2), permuted(kron(rand_density(4, rng), ID2, ID2), (2,) * 4, (0, 2, 1, 3)))
     else:
         w = random_causal_mixture(rng)
     strategy = free_state_strategy(rand_density(2, rng)) if free_state else ocb_strategy()
@@ -181,7 +181,7 @@ def test_success_probability_enforces_the_probability_rule():
 
 
 def test_success_on_no_signaling_process_is_half():
-    w = state_process(np.eye(4) / 4, (2, 2, 2, 2))
+    w = ProcessMatrix((2, 2, 2, 2), np.eye(16) / 4)
     assert abs(success_probability(w, ocb_strategy()) - 0.5) < 1e-9
 
 
@@ -228,7 +228,7 @@ def test_causal_bound_is_tight_for_identity_channel():
     from switchlab.ops import Operation
 
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    w = channel_process(proj(plus), choi_of_operation(Operation.from_unitary(ID2)))
+    w = channel_process(proj(plus), choi_of_operation(Operation(2, 2, (ID2,))))
     got = success_probability(w, ocb_strategy())
     assert abs(got - 0.75) < 1e-9
 
@@ -252,14 +252,20 @@ def test_causal_bound_certificate_is_exact():
     assert np.abs(trace_and_replace(g_b, 1) - np.eye(16) / 2).max() == 0.0
 
 
+def permuted(m, dims, perm):
+    """`m` with its tensor factors `dims` reordered, factor perm[i] to position i."""
+    k = len(dims)
+    t = np.asarray(m).reshape(tuple(dims) * 2).transpose(*perm, *(k + p for p in perm))
+    return t.reshape(np.shape(m))
+
+
 def marginal_rebuilt(m, dims, factor):
     """1/d (x) Tr_factor m formed by kron on the factor moved to the front,
     then permuted back into place."""
     reduced = partial_trace(m, dims, keep=[i for i in range(4) if i != factor])
     rebuilt = kron(np.eye(dims[factor]) / dims[factor], reduced)
     moved = [factor] + [i for i in range(4) if i != factor]
-    rebuilt, _ = permute_subsystems(rebuilt, [dims[i] for i in moved], [moved.index(i) for i in range(4)])
-    return rebuilt
+    return permuted(rebuilt, [dims[i] for i in moved], [moved.index(i) for i in range(4)])
 
 
 def test_library_trace_and_replace_equals_both_references():
@@ -299,7 +305,7 @@ def test_one_way_processes_leave_the_uninformed_branch_at_half(seed, ranks):
 
 def test_causal_bound_is_attained_by_an_a_to_b_identity_channel():
     # Alice's z outcome reaches Bob unchanged, so he reads her bit a exactly.
-    w = channel_process_reverse(ID2 / 2, choi_of_operation(Operation.from_unitary(ID2)))
+    w = channel_process_reverse(ID2 / 2, choi_of_operation(Operation(2, 2, (ID2,))))
     alice, bob = branch_probabilities(w, ocb_strategy())
     assert abs(alice - 0.5) < 1e-12 and abs(bob - 1.0) < 1e-12
     assert abs(success_probability(w, ocb_strategy()) - 0.75) < 1e-12

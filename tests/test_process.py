@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,7 @@ from switchlab.linalg import (
     PAULI_X,
     PAULI_Z,
     hermitian_eigen,
-    is_psd,
     kron,
-    permute_subsystems,
 )
 from switchlab.ops import (
     ChoiOperator,
@@ -43,7 +42,6 @@ from switchlab.process import (
     no_signaling_b_to_a,
     ocb_process,
     probability,
-    state_process,
     validate_process,
 )
 
@@ -76,14 +74,29 @@ def effect_choi(p):
     return ChoiOperator(p.shape[0], 1, p, Convention.TRANSPOSED)
 
 
+def permuted(m, dims, perm):
+    """`m` with its tensor factors `dims` reordered, factor perm[i] to position i."""
+    k = len(dims)
+    t = np.asarray(m).reshape(tuple(dims) * 2).transpose(*perm, *(k + p for p in perm))
+    return t.reshape(np.shape(m))
+
+
+def shared_state_process(rho, dims):
+    """The process of a shared state, W = rho^{A_in B_in} (x) 1^{A_out B_out}."""
+    d_a_in, d_a_out, d_b_in, d_b_out = dims
+    w = kron(rho, np.eye(d_a_out * d_b_out))
+    return ProcessMatrix(dims, permuted(w, (d_a_in, d_b_in, d_a_out, d_b_out), (0, 2, 1, 3)))
+
+
 def test_state_process_maximally_mixed():
-    w = state_process(np.eye(4) / 4, (2, 2, 2, 2))
+    w = shared_state_process(np.eye(4) / 4, (2, 2, 2, 2))
     assert np.abs(w.matrix - np.eye(16) / 4).max() < 1e-12
 
 
 def test_state_process_born_rule_bell_state():
+    # With no outputs, W is the state itself.
     rho = proj(BELL)
-    w = state_process(rho, (2, 1, 2, 1))
+    w = ProcessMatrix((2, 1, 2, 1), rho)
     for za in range(2):
         for zb in range(2):
             pa = proj(KET0) if za == 0 else proj(KET1)
@@ -95,16 +108,9 @@ def test_state_process_born_rule_bell_state():
 
 
 def test_state_process_product_state_deterministic():
-    w = state_process(proj(np.kron(KET0, KET0)), (2, 1, 2, 1))
+    w = ProcessMatrix((2, 1, 2, 1), proj(np.kron(KET0, KET0)))
     p00 = probability(w, effect_choi(proj(KET0)), effect_choi(proj(KET0)))
     assert abs(p00 - 1.0) < 1e-12
-
-
-def test_state_process_rejects_invalid_state():
-    with pytest.raises(ValueError):
-        state_process(np.eye(4), (2, 1, 2, 1))  # trace 4, not a state
-    with pytest.raises(ValueError, match="trace"):
-        state_process(np.full((4, 4), np.nan), (2, 1, 2, 1))
 
 
 def sequential_probability(m_op, channel, n_op, rho_b):
@@ -136,7 +142,7 @@ def test_channel_process_identity_channel():
     rng = np.random.default_rng(2)
     from switchlab.ops import Operation
 
-    ident = Operation.from_unitary(ID2)
+    ident = Operation(2, 2, (ID2,))
     w = channel_process(proj(KET0), choi_of_operation(ident))
     for _ in range(50):
         m_op = rand_instrument(2, 2, 2, rng)[0]
@@ -211,7 +217,7 @@ def test_causal_mixture_endpoints_and_validity():
     mixed = causal_mixture(w1, w2, 0.5)
     assert abs(np.trace(mixed.matrix).real - 4.0) < 1e-9
     report = validate_process(mixed, 20, np.random.default_rng(8))
-    assert report.psd and report.trace == 4.0 and report.max_norm_deviation < 1e-8
+    assert report.trace == 4.0 and report.max_norm_deviation < 1e-8
     with pytest.raises(ValueError):
         causal_mixture(w1, w2, 1.5)
 
@@ -231,7 +237,7 @@ def test_hs_basis_relations():
 
 
 def test_hs_decompose_identity():
-    w = state_process(np.eye(4) / 4, (2, 2, 2, 2))
+    w = shared_state_process(np.eye(4) / 4, (2, 2, 2, 2))
     coeffs = hs_decompose(w)
     assert abs(coeffs[0, 0, 0, 0] - 0.25) < 1e-12
     coeffs[0, 0, 0, 0] = 0.0
@@ -296,7 +302,6 @@ def test_hs_decompose_rejects_bad_dimensions():
 
 def test_validate_process_ocb():
     report = validate_process(ocb_process(), 100, np.random.default_rng(10))
-    assert report.psd
     assert report.trace == 4.0
     assert report.max_norm_deviation < 1e-8
 
@@ -309,19 +314,20 @@ def test_validate_process_wrong_trace():
 
 def test_validate_process_state_process():
     rng = np.random.default_rng(12)
-    w = state_process(rand_density(4, rng), (2, 2, 2, 2))
+    w = shared_state_process(rand_density(4, rng), (2, 2, 2, 2))
     report = validate_process(w, 50, rng)
-    assert report.psd and abs(report.trace - 4.0) < DEFAULT_TOL and report.max_norm_deviation < 1e-8
+    assert abs(report.trace - 4.0) < DEFAULT_TOL and report.max_norm_deviation < 1e-8
 
 
 def reference_validate_process(w, samples, rng):
     """The per-sample loop that validate_process stacks, from the public API."""
+    d_a_in, d_a_out, d_b_in, d_b_out = w.dims
     worst = 0.0
     for _ in range(samples):
-        ma = choi_of_operation(rand_cptp(w.d_a_in, w.d_a_out, 2, rng), Convention.TRANSPOSED)
-        nb = choi_of_operation(rand_cptp(w.d_b_in, w.d_b_out, 2, rng), Convention.TRANSPOSED)
+        ma = choi_of_operation(rand_cptp(d_a_in, d_a_out, 2, rng), Convention.TRANSPOSED)
+        nb = choi_of_operation(rand_cptp(d_b_in, d_b_out, 2, rng), Convention.TRANSPOSED)
         worst = max(worst, abs(probability(w, ma, nb) - 1.0))
-    return ValidationReport(is_psd(w.matrix), float(np.trace(w.matrix).real), worst)
+    return ValidationReport(float(np.trace(w.matrix).real), worst)
 
 
 def _random_mixture(rng):
@@ -333,7 +339,7 @@ def _random_mixture(rng):
 PROCESSES = {
     "ocb": lambda rng: ocb_process(),
     "causal-mixture": _random_mixture,
-    "state": lambda rng: state_process(rand_density(4, rng), (2, 2, 2, 2)),
+    "state": lambda rng: shared_state_process(rand_density(4, rng), (2, 2, 2, 2)),
     # dims (3, 3, 2, 2): the two sides differ
     "unequal-dims": lambda rng: channel_process(rand_density(2, rng), choi_of_operation(rand_cptp(2, 3, 2, rng))),
     # dims (2, 2, 3, 3)
@@ -341,7 +347,7 @@ PROCESSES = {
         rand_density(2, rng), choi_of_operation(rand_cptp(2, 3, 2, rng))
     ),
     # dims (3, 4, 2, 1): in and out differ on both sides
-    "unequal-dims-state": lambda rng: state_process(rand_density(6, rng), (3, 4, 2, 1)),
+    "unequal-dims-state": lambda rng: shared_state_process(rand_density(6, rng), (3, 4, 2, 1)),
 }
 
 
@@ -369,12 +375,28 @@ def test_validate_process_rejects_sides_without_a_rank_two_map():
 
 @pytest.mark.parametrize("samples", [1, 64, 129, 500])
 def test_validate_process_proves_positivity_once(proof_shapes, samples):
-    # The sampled Chois are CPTP by construction, so the only positivity
-    # proof is the one on W, whatever the sample count.
+    # W made its one positivity proof on construction, and the sampled Chois
+    # are CPTP by construction, so validation proves nothing again, whatever
+    # the sample count.
     w = ocb_process()
     proof_shapes.clear()
-    assert validate_process(w, samples, np.random.default_rng(7)).psd
-    assert proof_shapes == [(16, 16)]
+    validate_process(w, samples, np.random.default_rng(7))
+    assert proof_shapes == []
+
+
+def test_validate_process_forms_no_full_block_of_products():
+    # W (M (x) N) for a whole block of 64 pairs takes two 256 KB temporaries,
+    # the size at which glibc's heap trimming can make every block fault its
+    # pages in again. The first call also makes numpy's one-time allocations.
+    w = ocb_process()
+    validate_process(w, 64, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        validate_process(w, 64, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * w.matrix.nbytes
 
 
 def test_validate_process_checks_that_every_probability_is_real():
@@ -480,12 +502,6 @@ def test_channel_processes_prove_positivity_once(proof_shapes, build):
     assert proof_shapes == [(16, 16)]
 
 
-def test_state_process_proves_positivity_once(proof_shapes):
-    # The proof is on W, not on the 4x4 state.
-    state_process(rand_density(4, np.random.default_rng(10)), (2, 2, 2, 2))
-    assert proof_shapes == [(16, 16)]
-
-
 def test_chois_of_operations_and_mixtures_are_not_proved_again(proof_shapes):
     # A Choi of an Operation is a sum of outer products, and a mixture of two
     # validated W keeps their bound on the smallest eigenvalue.
@@ -559,7 +575,7 @@ def process_constructions(draw):
 
     choi(a_in, a_out, draw(st.sampled_from([rand_cptp, rand_operation])), draw(st.sampled_from(Convention)))
     if kind == "state":
-        built.append(state_process(rand_density(a_in * b_in, rng), (a_in, a_out, b_in, b_out)))
+        built.append(shared_state_process(rand_density(a_in * b_in, rng), (a_in, a_out, b_in, b_out)))
         return built[-1], built
     if kind == "mixture":
         # A one-way process's last factor has its channel's output dimension,
@@ -580,7 +596,7 @@ def process_constructions(draw):
 def test_process_constructions_are_normalized(construction, seed):
     w, _ = construction
     report = validate_process(w, 64, np.random.default_rng(seed))
-    assert abs(report.trace - w.d_a_out * w.d_b_out) < DEFAULT_TOL
+    assert abs(report.trace - w.dims[1] * w.dims[3]) < DEFAULT_TOL
     assert report.max_norm_deviation < NORMALIZATION_TOL
 
 
@@ -621,9 +637,7 @@ def test_channel_process_equals_the_written_out_formula(seed, dims, rank):
     rng = np.random.default_rng(seed)
     rho = rand_density(d_b_in, rng)
     choi = choi_of_operation(rand_cptp(d_b_out, d_a_in, rank, rng))
-    want, _ = permute_subsystems(
-        kron(np.eye(d_a_in), choi.matrix.T, rho), (d_a_in, d_b_out, d_a_in, d_b_in), (2, 0, 3, 1)
-    )
+    want = permuted(kron(np.eye(d_a_in), choi.matrix.T, rho), (d_a_in, d_b_out, d_a_in, d_b_in), (2, 0, 3, 1))
     assert np.abs(channel_process(rho, choi).matrix - want).max() < 1e-15
 
 
@@ -641,25 +655,14 @@ def test_one_way_processes_equal_kron_then_permute_bit_for_bit(build, perm, side
     for _ in range(5):
         rho = rand_density(2, rng)
         choi = choi_of_operation(rand_cptp(*side, 2, rng))
-        want, _ = permute_subsystems(kron(rho, choi.matrix.T, np.eye(side[1])), (2, *side, side[1]), perm)
+        want = permuted(kron(rho, choi.matrix.T, np.eye(side[1])), (2, *side, side[1]), perm)
         assert build(rho, choi).matrix.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 3, 2), (3, 1, 2, 2)])
-def test_state_process_equals_kron_then_permute_bit_for_bit(dims):
-    # rho (x) 1 on (A_in, B_in, A_out, B_out), reordered to (A_in, A_out, B_in, B_out).
-    d_a_in, d_a_out, d_b_in, d_b_out = dims
-    rho = rand_density(d_a_in * d_b_in, np.random.default_rng(22))
-    want, _ = permute_subsystems(
-        kron(rho, np.eye(d_a_out * d_b_out)), (d_a_in, d_b_in, d_a_out, d_b_out), (0, 2, 1, 3)
-    )
-    assert state_process(rho, dims).matrix.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: state_process(np.eye(1), (1, 0, 1, 1)), "ProcessMatrix dims (1, 0, 1, 1)"),
+        (lambda: ProcessMatrix((1, 0, 1, 1), np.eye(1)), "ProcessMatrix dims (1, 0, 1, 1)"),
         (lambda: ProcessMatrix((2, 2, 2), np.eye(8) / 4), "ProcessMatrix dims (2, 2, 2)"),
     ],
     ids=["state-zero-output", "three-dims"],

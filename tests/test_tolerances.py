@@ -1,12 +1,19 @@
 """Tolerances are the named constants of ``switchlab.linalg``: no public
-function or method takes one as an argument. The public routines are read
-from each module's ``__all__``, which lists exactly its public names."""
+function or method takes one as an argument, and a headline path reaches
+every public routine. The public routines are read from each module's
+``__all__``, which lists exactly its public names."""
 
+import contextlib
+import importlib.util
 import inspect
+import io
+import sys
+from pathlib import Path
 
-from switchlab import agents, gravity, linalg, ops, order, process
+from switchlab import agents, cli, gravity, linalg, ops, order, process
 
 MODULES = (linalg, ops, process, order, gravity, agents)
+TESTS = Path(__file__).resolve().parent
 
 
 def _public_routines():
@@ -54,3 +61,43 @@ def test_all_lists_exactly_the_public_names():
             and obj.__module__ == module.__name__
         }
         assert not defined - set(module.__all__), (module.__name__, defined - set(module.__all__))
+
+
+# The public routines that neither the golden suite nor an acceptance
+# criterion calls, each with the reason it stays.
+UNREACHED = {
+    "switchlab.linalg.trace_and_replace": "the no-signaling diagnostics' L_X, a term of the valid-process projector",
+    "switchlab.process.no_signaling_a_to_b": "a term of the valid-process projector",
+    "switchlab.process.no_signaling_b_to_a": "a term of the valid-process projector",
+    "switchlab.process.hs_basis": "the benchmark's hs-roundtrip workload and micro table call it",
+    "switchlab.process.hs_decompose": "the benchmark's hs-roundtrip workload and micro table call it",
+    "switchlab.process.hs_reconstruct": "the benchmark's hs-roundtrip workload calls it",
+}
+
+
+def test_every_public_routine_is_reached_by_a_headline():
+    # Library code that no headline path reaches is deleted, unless it is
+    # listed above. Constructors are reached whenever their class is used.
+    routines = {fn.__code__: name for name, fn in _public_routines() if not name.endswith(".__init__")}
+    spec = importlib.util.spec_from_file_location("acceptance_criteria", TESTS / "test_acceptance.py")
+    acceptance = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(acceptance)
+    criteria = [fn for name, fn in sorted(vars(acceptance).items()) if name.startswith("test_criterion_")]
+    reached = set()
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code in routines:
+            reached.add(routines[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["suite", "--config", str(TESTS.parent / "suites" / "golden.json")]) == cli.EXIT_OK
+            for criterion in criteria:
+                criterion()
+    finally:
+        sys.setprofile(previous)
+    assert len(criteria) == 15
+    unreached = set(routines.values()) - reached
+    assert unreached == UNREACHED.keys(), sorted(unreached ^ UNREACHED.keys())

@@ -31,7 +31,6 @@ __all__ = [
     "require_dims",
     "is_unitary",
     "kron",
-    "kron_permuted",
     "hermitian_eigen",
     "partial_trace",
     "trace_and_replace",
@@ -84,49 +83,6 @@ def kron(*matrices):
         out = out[..., :, None, :, None] * m[..., None, :, None, :]
         out = out.reshape(*out.shape[:-4], r0 * r1, c0 * c1)
     return out
-
-
-@functools.lru_cache(maxsize=256)
-def _kron_layout(shapes, dims, perm):
-    """For :func:`kron_permuted` on matrices of `shapes`: the shape that puts
-    each matrix's factors in place among the product's row and then column
-    factor axes, the axes that reorder those factors by `perm`, and the side
-    of the result."""
-    k = len(dims)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"perm {perm} is not a permutation of range({k})")
-    placed, first = [], 0
-    for shape in shapes:
-        # Each matrix covers the next run of factors whose sizes multiply to its side.
-        last, side = first, 1
-        while len(shape) == 2 and side < shape[0] and last < k:
-            side *= dims[last]
-            last += 1
-        if shape != (side, side):
-            raise ValueError(f"matrix of shape {shape} does not match dims {dims}")
-        run = (1,) * first + dims[first:last] + (1,) * (k - last)
-        placed.append(run * 2)
-        first = last
-    if math.prod(dims[first:]) != 1:
-        raise ValueError(f"matrices of shapes {shapes} do not match dims {dims}")
-    return placed, (*perm, *(k + p for p in perm)), math.prod(dims)
-
-
-def kron_permuted(matrices, dims, perm):
-    """``kron(*matrices)`` with its tensor factors reordered: `dims` are the
-    factors of the Kronecker product, each square matrix covering the next
-    run of them, and `perm[i]` names which of them lands at position i.
-
-    Each matrix is one broadcast factor of the product, so every entry is the
-    product kron forms, in kron's order, and keeps its bits; one
-    transpose-copy then puts the factors in `perm`'s order.
-    """
-    placed, axes, side = _kron_layout(tuple(map(np.shape, matrices)), tuple(dims), tuple(perm))
-    out = None
-    for m, shape in zip(matrices, placed):
-        t = np.asarray(m, dtype=complex).reshape(shape)
-        out = t if out is None else out * t
-    return out.transpose(axes).reshape(side, side)
 
 
 def _frozen(a):

@@ -21,7 +21,6 @@ from .linalg import (
     _identity,
     close,
     kron,
-    kron_permuted,
     partial_trace,
     require_dims,
     require_psd,
@@ -132,9 +131,10 @@ def _reduced(w, party, dims, chois):
 def _one_way(rho, channel_choi, perm):
     """The one-way process W = rho (x) C^T (x) 1 from the party that receives
     rho to the other, with the channel's output dimension on the last factor,
-    reordered by `perm` to (A_in, A_out, B_in, B_out). The one positivity
-    proof is on W itself, since from a state at -DEFAULT_TOL, rho (x) C^T (x) 1
-    can reach -d_in * DEFAULT_TOL; the fresh W is then wrapped without the
+    formed by :func:`kron` and put in (A_in, A_out, B_in, B_out) order by
+    `perm` with one transpose-copy. The one positivity proof is on W itself,
+    since from a state at -DEFAULT_TOL, rho (x) C^T (x) 1 can reach
+    -d_in * DEFAULT_TOL; the fresh W is then wrapped without the
     constructor's checks."""
     if channel_choi.convention is not Convention.TRANSPOSED:
         raise ValueError("channel Choi must use the TRANSPOSED convention")
@@ -147,7 +147,8 @@ def _one_way(rho, channel_choi, perm):
         raise ValueError("state is not a density operator: trace is not 1")
     d_in, d_out = channel_choi.d_in, channel_choi.d_out
     built = (len(rho), d_in, d_out, d_out)
-    w = kron_permuted((rho, channel_choi.matrix.T, _identity(d_out)), built, perm)
+    w = kron(rho, channel_choi.matrix.T, _identity(d_out))
+    w = w.reshape(built * 2).transpose(*perm, *(4 + p for p in perm)).reshape(w.shape)
     require_psd(w, "process matrix")
     return _built(ProcessMatrix, dims=tuple(built[p] for p in perm), matrix=w)
 
@@ -291,14 +292,14 @@ def validate_process(w, samples, rng):
 def _block_deviation(w, k, rng):
     # Largest |Tr[W (M (x) N)] - 1| over k random CPTP pairs, stacked.
     ma, nb = _cptp_choi_pairs((w.dims[:2], w.dims[2:]), _KRAUS_RANK, k, rng)
-    # probability()'s kron and trace, so the CLI's 12 printed digits share
-    # its roundoff. Both parties' Chois are drawn at W's own dimensions, so
-    # they fit it.
+    # Scored by the probability rule itself, so the CLI's 12 printed digits
+    # share probability()'s roundoff. The chunks are scored in order, so an
+    # imaginary probability is reported as the first in the block.
     traces = [
-        np.trace(w.matrix @ kron(ma[i:i + _PRODUCT_BLOCK], nb[i:i + _PRODUCT_BLOCK]), axis1=-2, axis2=-1)
+        _rule_trace(w, w.dims, kron(ma[i:i + _PRODUCT_BLOCK], nb[i:i + _PRODUCT_BLOCK]))
         for i in range(0, k, _PRODUCT_BLOCK)
     ]
-    return float(np.abs(_real_probability(np.concatenate(traces)) - 1.0).max())
+    return float(np.abs(np.concatenate(traces) - 1.0).max())
 
 
 def ocb_process():

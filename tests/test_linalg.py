@@ -19,7 +19,6 @@ from switchlab.linalg import (
     is_psd,
     is_unitary,
     kron,
-    kron_permuted,
     partial_trace,
     require_psd,
     trace_and_replace,
@@ -94,45 +93,6 @@ def test_kron_of_broadcasting_stacks_equals_numpy_kron_per_member():
     assert got.shape == (5, 3, 8, 6)
     for i, j in np.ndindex(5, 3):
         assert np.array_equal(got[i, j], np.kron(a[i, j], b[j]))
-
-
-@st.composite
-def kron_factors(draw):
-    """(matrices, dims, perm): one to three square matrices, real or complex
-    with signed zeros, whose sides are the products of consecutive runs of
-    one to four factor dims of 1-3 (a run may be empty, for a 1 x 1 matrix)."""
-    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
-    cuts = sorted(draw(st.lists(st.integers(0, len(dims)), max_size=2)))
-    runs = [dims[a:b] for a, b in zip([0, *cuts], [*cuts, len(dims)])]
-    entries = st.floats(-1e3, 1e3, allow_subnormal=False)
-    matrices = []
-    for run in runs:
-        side = math.prod(run)
-        # Hypothesis refuses a list of more than 8192 values, so an 81 x 81
-        # matrix (four factors of 3) repeats the values of a 27 x 27 one.
-        size = 2 * side * side
-        drawn = draw(st.lists(entries, min_size=min(size, 2 * 27 * 27), max_size=min(size, 2 * 27 * 27)))
-        m = np.resize(np.array(drawn), size).reshape(2, side, side)
-        matrices.append(m[0] + 1j * m[1] if draw(st.booleans()) else m[0])
-    perm = tuple(draw(st.permutations(range(len(dims)))))
-    return matrices, dims, perm
-
-
-def permuted(m, dims, perm):
-    """`m` with its tensor factors `dims` reordered, factor perm[i] to position i."""
-    k = len(dims)
-    t = np.asarray(m).reshape(tuple(dims) * 2).transpose(*perm, *(k + p for p in perm))
-    return t.reshape(np.shape(m))
-
-
-@settings(max_examples=120, deadline=None)
-@given(factors=kron_factors())
-def test_kron_permuted_equals_kron_then_permute_bit_for_bit(factors):
-    matrices, dims, perm = factors
-    want = permuted(kron(*matrices), dims, perm)
-    got = kron_permuted(matrices, dims, perm)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 def test_trace_and_replace_is_idempotent_and_checks_its_factor():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from switchlab import order
-from switchlab.linalg import ID2, kron_permuted, partial_trace
+from switchlab.linalg import ID2, partial_trace
 from switchlab.ops import ChoiOperator, Convention
 from switchlab.process import (
     ProcessMatrix,
@@ -34,9 +34,6 @@ def rng():
     "call, message",
     [
         (lambda: partial_trace(np.eye(3), (2, 2), keep=(0,)), "matrix of shape (3, 3) does not match dims (2, 2)"),
-        (lambda: kron_permuted((np.eye(4),), (2, 2), (0, 0)), "perm (0, 0) is not a permutation of range(2)"),
-        (lambda: kron_permuted((ID2, np.eye(3)), (2, 2), (0, 1)), "matrix of shape (3, 3) does not match dims (2, 2)"),
-        (lambda: kron_permuted((ID2,), (2, 2), (0, 1)), "matrices of shapes ((2, 2),) do not match dims (2, 2)"),
         (lambda: partial_trace(np.eye(4), (2, 2), keep=(2,)), "keep indices [2] out of range for 2 factors"),
         (lambda: ProcessMatrix((2, 2, 2, 2), np.eye(4)), "matrix shape (4, 4) does not match dims (2, 2, 2, 2)"),
         (lambda: ProcessMatrix((2, 2, 2), ID2 / 2), "ProcessMatrix dims (2, 2, 2) must be four dimensions"),
@@ -60,12 +57,9 @@ def rng():
     ],
     ids=[
         "check-dims-shape",
-        "kron-permuted-non-permutation",
-        "kron-permuted-shape",
-        "kron-permuted-dims-left-over",
         "partial-trace-keep-range",
         "process-matrix-shape",
-        "state-process-three-dims",
+        "process-matrix-three-dims",
         "one-way-non-tp-channel",
         "one-way-plain-channel",
         "causal-mixture-dims",

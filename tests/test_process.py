@@ -412,6 +412,21 @@ def test_validate_process_checks_that_every_probability_is_real():
             validate(w, 97, np.random.default_rng(4))
 
 
+def test_validate_process_names_the_first_imaginary_probability():
+    # At c = 1.2e-10 and seed 1, samples 13, 21, 23, 33, ... of the first
+    # block have an imaginary part above 1e-9; sample 13, in the second
+    # 8-pair chunk, is neither the largest nor the last. Both loops must
+    # name it.
+    w = ocb_process()
+    w = ProcessMatrix(w.dims, w.matrix + 1.2e-10j * np.ones((16, 16)))
+    messages = []
+    for validate in (validate_process, reference_validate_process):
+        with pytest.raises(ValueError, match="imaginary part") as error:
+            validate(w, 64, np.random.default_rng(1))
+        messages.append(str(error.value))
+    assert messages[0] == messages[1] == "probability has imaginary part 1.009e-09"
+
+
 def test_ocb_process_spectrum_and_trace():
     w = ocb_process()
     vals, _ = hermitian_eigen(w.matrix)

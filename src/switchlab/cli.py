@@ -7,6 +7,7 @@ byte-identical across runs for a fixed configuration and seed.
 """
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -443,7 +444,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    # Built once; each parse makes a fresh namespace, and `append` copies its default.
     parser = _Parser(prog="switchlab", description=__doc__)
     parser.add_argument("--list", action="store_true", help="enumerate scenarios and parameters")
     sub = parser.add_subparsers(dest="command")
@@ -455,9 +458,12 @@ def main(argv=None):
     suite_p = sub.add_parser("suite", help="run a suite from a JSON config file")
     suite_p.add_argument("--config", required=True)
     suite_p.add_argument("--out", default=None)
+    return parser
 
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.list:
             sys.stdout.write(_list_text())
             return EXIT_OK

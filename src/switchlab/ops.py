@@ -137,8 +137,8 @@ class ChoiOperator:
 
 
 def _choi_vec(e):
-    # |E>> = sum_k |k> (x) E|k>, component (k, o) at index k*d_out + o; one
-    # vector per member of a (..., d_out, d_in) stack.
+    # vec(E^T), row by row: |E>> = sum_k |k> (x) E|k>, component (k, o) at
+    # index k*d_out + o; one vector per member of a (..., d_out, d_in) stack.
     return e.swapaxes(-1, -2).reshape(*e.shape[:-2], -1)
 
 

@@ -22,7 +22,7 @@ from .linalg import (
     is_unitary,
     kron,
 )
-from .ops import ChoiOperator, rand_unitary
+from .ops import ChoiOperator, _choi_vec, rand_unitary
 from .process import _BLOCK, _party_dims, _reduced, _rule_trace
 
 __all__ = [
@@ -45,45 +45,39 @@ __all__ = [
 ]
 
 
-def _game_operator(terms):
-    """G = sum over `terms` = [(Alice Chois, Bob Chois), ...] of
-    (sum of Alice's) (x) (sum of Bob's), the operator the probability rule
-    traces against W."""
-    g = 0
-    for alice, bob in terms:
-        g = g + kron(sum(c.matrix for c in alice), sum(c.matrix for c in bob))
-    return g
-
-
 @dataclass(frozen=True, eq=False)
 class GameStrategy:
     """Instrument-element Chois played by Alice and Bob in the causal game:
     `alice` maps each bit pair (x, a) to a TRANSPOSED-convention Choi
     operator, and `bob` each (y, b, b'); summed over the guess bit they must
     be CPTP. Both are copied into read-only mappings, checked once, on
-    construction, and summed into the read-only stack `game` of
+    construction, and summed into the two product terms A (x) B of each branch
         G_A = sum_b (sum_a M(b,a)) (x) (sum_y N(y,b,0))  (Alice guesses b),
         G_B = sum_a (sum_x M(x,a)) (x) (sum_b N(a,b,1))  (Bob guesses a),
-    with the (d_a_in, d_a_out, d_b_in, d_b_out) `dims` a process must have.
+    kept as the rule's rows vec(A^T) in `alice_terms` and vec(B^T) in
+    `bob_terms`, read-only (2 branches, 2 terms, n^2) stacks; `dims` are the
+    (d_a_in, d_a_out, d_b_in, d_b_out) a process must have.
     """
 
     alice: Mapping
     bob: Mapping
     dims: tuple = field(init=False, repr=False)
-    game: np.ndarray = field(init=False, repr=False)
+    alice_terms: np.ndarray = field(init=False, repr=False)
+    bob_terms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = MappingProxyType({k: self.alice[k] for k in np.ndindex(2, 2)})
         n = MappingProxyType({k: self.bob[k] for k in np.ndindex(2, 2, 2)})
         dims = _party_dims("Alice", m.values()) + _party_dims("Bob", n.values())
-        g_a = _game_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)])
-        g_b = _game_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)])
-        g = np.stack((g_a, g_b))
-        g.setflags(write=False)
+        g_a = [([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)]
+        g_b = [([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)]
+        for side, name in enumerate(("alice_terms", "bob_terms")):
+            rows = _choi_vec(np.array([[sum(c.matrix for c in t[side]) for t in g] for g in (g_a, g_b)]))
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
         object.__setattr__(self, "alice", m)
         object.__setattr__(self, "bob", n)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "game", g)
 
 
 _OCB_STRATEGY = GameStrategy(
@@ -114,8 +108,10 @@ def ocb_strategy():
 
 def branch_probabilities(w, strategy):
     """(P(x=b | b'=0), P(y=a | b'=1)) with uniform random bits: 1/4 Tr[W G_A]
-    and 1/4 Tr[W G_B] on the strategy's game operators (see GameStrategy)."""
-    p_alice, p_bob = 0.25 * _rule_trace(w, strategy.dims, strategy.game)
+    and 1/4 Tr[W G_B], each the sum of its two terms' probabilities, all four
+    scored in one call of the probability rule (see GameStrategy)."""
+    terms = _rule_trace(w, strategy.dims, strategy.alice_terms, strategy.bob_terms)
+    p_alice, p_bob = 0.25 * (terms[:, 0] + terms[:, 1])
     return float(p_alice), float(p_bob)
 
 

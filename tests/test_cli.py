@@ -115,6 +115,20 @@ def test_cli_usage_errors_are_one_json_line(argv, fragment):
     assert fragment in run_cli_usage_error(argv)
 
 
+def test_cli_calls_share_no_parser_state():
+    # main builds its parser once: nothing one call parses may reach the
+    # next. A --param must not stay in the default, a command or --list must
+    # not carry over, and a usage error after a good call exits 2 as usual.
+    defaults = render_report(run_scenario(ScenarioConfig("grav-order")))
+    code, out = run_cli(["run", "--scenario", "grav-order", "--param", "r_a_offset=1"])
+    assert code == EXIT_OK and out != defaults
+    assert run_cli(["run", "--scenario", "grav-order"]) == (EXIT_OK, defaults)
+    assert "a command is required" in run_cli_usage_error([])
+    assert "--scenario" in run_cli_usage_error(["run"])
+    assert run_cli(["--list"])[0] == EXIT_OK
+    assert run_cli(["run", "--scenario", "grav-order"]) == (EXIT_OK, defaults)
+
+
 def test_cli_suite_golden_and_out_file(tmp_path):
     out_file = tmp_path / "report.json"
     code, out = run_cli(["suite", "--config", str(GOLDEN), "--out", str(out_file)])

@@ -28,7 +28,7 @@ ROUNDOFF = (
 )
 
 SEEDS = (11, 12, 13)
-SEEDED_SHA256 = "644c3a6f2f4db39451c716e50c672821fd7345c0052255efb4e950d747188597"
+SEEDED_SHA256 = "e1e0ceddd48d555e14d3e08b473a4a07da9dc3fa28ab5b94f4ecdb4dad889d43"
 # Per report, the first 16 hex digits of the sha256 of its non-roundoff
 # fields, so that a mismatch says which reports moved and how.
 SEEDED_HEADLINES = {

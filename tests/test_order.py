@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 
 import numpy as np
@@ -23,7 +24,6 @@ from switchlab.order import (
     GameStrategy,
     SwitchSpec,
     TEMPORAL_ORDER_UNITARIES,
-    _game_operator,
     alice_reduced_matrix,
     bob_reduced_matrix,
     branch_probabilities,
@@ -124,18 +124,24 @@ def test_branch_probabilities_equal_game_probability_sums():
         assert abs(success_probability(w, s) - 0.5 * (got[0] + got[1])) < 1e-12
 
 
-def separate_branch_probabilities(w, strategy):
-    """1/4 Tr[W G_A] and 1/4 Tr[W G_B] as two separate traces, each on its
-    own game operator."""
+def branch_terms(strategy):
+    """Each branch's two product terms A (x) B as pairs of Choi operators,
+    summed from the strategy's Chois as GameStrategy documents them."""
     m, n = strategy.alice, strategy.bob
-    g_a = _game_operator([([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)])
-    g_b = _game_operator([([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)])
-    return tuple(0.25 * float(np.trace(w.matrix @ g).real) for g in (g_a, g_b))
+
+    def term(alice, bob):
+        return tuple(ChoiOperator(2, 2, sum(c.matrix for c in side)) for side in (alice, bob))
+
+    g_a = [term([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)]
+    g_b = [term([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)]
+    return g_a, g_b
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), free_state=st.booleans(), shared_state=st.booleans())
-def test_stacked_game_trace_equals_two_separate_traces_bit_for_bit(seed, free_state, shared_state):
+def test_branch_probabilities_equal_their_terms_scored_one_by_one_bit_for_bit(seed, free_state, shared_state):
+    # The four terms are scored in one stacked call; each must keep the bits
+    # that probability() gives it alone.
     rng = np.random.default_rng(seed)
     if shared_state:
         # rho^{A_in B_in} (x) 1^{A_out B_out}, reordered to (A_in, A_out, B_in, B_out)
@@ -143,7 +149,10 @@ def test_stacked_game_trace_equals_two_separate_traces_bit_for_bit(seed, free_st
     else:
         w = random_causal_mixture(rng)
     strategy = free_state_strategy(rand_density(2, rng)) if free_state else ocb_strategy()
-    assert branch_probabilities(w, strategy) == separate_branch_probabilities(w, strategy)
+    one_by_one = tuple(
+        0.25 * (probability(w, *first) + probability(w, *second)) for first, second in branch_terms(strategy)
+    )
+    assert branch_probabilities(w, strategy) == one_by_one
 
 
 def test_ocb_branch_values():
@@ -241,13 +250,23 @@ def trace_and_replace(g, x, dims=(2, 2, 2, 2)):
     return (np.expand_dims(reduced, (x, x + n)) * eye / dims[x]).reshape(g.shape)
 
 
+def game_operators(strategy):
+    """G_A and G_B rebuilt as matrices from the strategy's stored rows:
+    the sum of A (x) B over each branch's terms, with A^T and B^T the rows
+    reshaped."""
+    n = math.isqrt(strategy.alice_terms.shape[-1])
+    alice = strategy.alice_terms.reshape(2, 2, n, n).swapaxes(-1, -2)
+    bob = strategy.bob_terms.reshape(2, 2, n, n).swapaxes(-1, -2)
+    return tuple(kron(a[0], b[0]) + kron(a[1], b[1]) for a, b in zip(alice, bob))
+
+
 def test_causal_bound_certificate_is_exact():
     # An A -> B process, memory included, is W' (x) 1_{B_out}, so Tr[W G_A] =
     # Tr[W L_{B_out}(G_A)] = Tr[W] / 2 = 2 and Alice's branch is 1/4 of that,
     # 1/2; the same holds for Bob's branch on a B -> A process. By linearity
     # every causal mixture then succeeds with at most (1/2 + 1) / 2 = 3/4
     # (Branciard et al., NJP 2016).
-    g_a, g_b = ocb_strategy().game
+    g_a, g_b = game_operators(ocb_strategy())
     assert np.abs(trace_and_replace(g_a, 3) - np.eye(16) / 2).max() == 0.0
     assert np.abs(trace_and_replace(g_b, 1) - np.eye(16) / 2).max() == 0.0
 
@@ -318,7 +337,9 @@ def test_ocb_strategy_is_one_read_only_instance():
         with pytest.raises(ValueError, match="read-only"):
             c.matrix[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        s.game[0, 0, 0] = 1.0
+        s.alice_terms[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        s.bob_terms[0, 0, 0] = 1.0
     with pytest.raises(TypeError):
         s.alice[0, 0] = s.alice[0, 1]
 
@@ -708,7 +729,8 @@ def test_game_strategy_copies_its_chois():
     copied = GameStrategy(alice, bob)
     alice[0, 0], bob[0, 0, 0] = alice[1, 1], bob[1, 1, 1]
     assert copied.alice == good.alice and copied.bob == good.bob
-    assert np.array_equal(copied.game, good.game)
+    assert np.array_equal(copied.alice_terms, good.alice_terms)
+    assert np.array_equal(copied.bob_terms, good.bob_terms)
     assert branch_probabilities(ocb_process(), copied) == branch_probabilities(ocb_process(), good)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -197,6 +198,31 @@ def test_probability_is_bilinear():
     lhs = probability(w, mix, n)
     rhs = lam * probability(w, m1, n) + (1 - lam) * probability(w, m2, n)
     assert abs(lhs - rhs) < 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 2, 2), (2, 2, 3, 3), (3, 4, 2, 1)], ids=str)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), samples=st.integers(1, 130))
+def test_realigned_rule_equals_the_written_out_trace(dims, seed, samples):
+    # The rule scores vec(M^T)^T R(W) vec(N^T), with R(W) an (n_A^2, n_B^2)
+    # matrix, square only when both sides match. On a random positive W of
+    # the right trace, which is not a process, the probabilities spread
+    # around one, and both probability() and validate_process's worst must
+    # equal Tr[W (M (x) N)] written out.
+    d_a_in, d_a_out, d_b_in, d_b_out = dims
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((math.prod(dims),) * 2) + 1j * rng.standard_normal((math.prod(dims),) * 2)
+    x = g @ g.conj().T
+    w = ProcessMatrix(dims, d_a_out * d_b_out * x / np.trace(x).real)
+    draws, ref_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    worst = 0.0
+    for _ in range(samples):
+        ma = choi_of_operation(rand_cptp(d_a_in, d_a_out, 2, ref_rng))
+        nb = choi_of_operation(rand_cptp(d_b_in, d_b_out, 2, ref_rng))
+        want = np.trace(w.matrix @ np.kron(ma.matrix, nb.matrix))
+        assert abs(want.imag) < 1e-14 and abs(probability(w, ma, nb) - want.real) < 1e-14
+        worst = max(worst, abs(want.real - 1.0))
+    assert abs(validate_process(w, samples, draws).max_norm_deviation - worst) < 1e-14
 
 
 def test_probability_rejects_plain_convention():

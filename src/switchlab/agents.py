@@ -14,11 +14,12 @@ x (det B 2).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .gravity import HBAR
-from .linalg import DEFAULT_TOL, MODULUS_TOL, ZERO_PROB_TOL, close
+from .linalg import DEFAULT_TOL, MODULUS_TOL, ZERO_PROB_TOL, _frozen, _identity, close
 
 __all__ = [
     "DIMS",
@@ -26,6 +27,7 @@ __all__ = [
     "ModelState",
     "apply_agent_a_then_b",
     "apply_agent_b_then_a",
+    "max_isometry_deviation",
     "postselect",
     "run_switch_model",
     "SwitchModelResult",
@@ -96,6 +98,11 @@ class AgentAmplitudes:
     def g_ab(self):
         return _phase(self.gamma_ab) * _complement(self.f_ab)
 
+    @cached_property
+    def isometries(self):
+        """(V_AB, V_BA), each order's read-only DIMS + (5,) isometry."""
+        return _isometry("a", self), _isometry("b", self)
+
 
 @dataclass(frozen=True)
 class ModelState:
@@ -110,29 +117,6 @@ class ModelState:
         if not close(np.linalg.norm(t), 1.0):
             raise ValueError("state is not normalized")
         object.__setattr__(self, "tensor", t)
-
-    @classmethod
-    def from_target(cls, alpha):
-        """Initial state: agents ready in A_1, B_1, detectors silent, target
-        in sum_i alpha_i |e_i>."""
-        alpha = np.asarray(alpha, dtype=complex)
-        if alpha.shape != (5,):
-            raise ValueError("target amplitudes must be a 5-vector")
-        norm = np.linalg.norm(alpha)
-        if not norm > ZERO_PROB_TOL:
-            raise ValueError("target amplitudes must not all vanish")
-        t = np.zeros(DIMS, dtype=complex)
-        t[1, 0, :, 0, 0] = alpha / norm
-        return cls(t)
-
-
-def _require_ready_support(state):
-    t = state.tensor
-    mask = np.zeros(DIMS, dtype=bool)
-    mask[1, 0, :, 0, 0] = True
-    if np.abs(t[~mask]).max() > ZERO_PROB_TOL:
-        raise ValueError("input must have agents in A_1, B_1 with silent detectors")
-    return t[1, 0, :, 0, 0]
 
 
 # Per agent: its ground level and the target photons it absorbs
@@ -159,29 +143,45 @@ def _scatter(agent, amps, e, emitted):
     return [(absorb, level, 0, e_out), (passing, ground, 1, e)]
 
 
-def _apply(first, amps, state):
-    # Photon i meets the `first` agent, then whatever leaves meets the other.
-    alpha = _require_ready_support(state)
+def _isometry(first, amps):
+    # Column i: photon e_{i+1}, agents ready in A_1, B_1 and detectors silent,
+    # meets the `first` agent, then whatever leaves meets the other.
     second, step = ("b", 1) if first == "a" else ("a", -1)
-    out = np.zeros(DIMS, dtype=complex)
+    v = np.zeros(DIMS + (5,), dtype=complex)
     for i in range(5):
-        if alpha[i] == 0:
-            continue
         for amp_1, *agent_1, e_1 in _scatter(first, amps, i, False):
             for amp_2, *agent_2, e_2 in _scatter(second, amps, e_1, e_1 != i):
                 (level_a, herald_a), (level_b, herald_b) = (agent_1, agent_2)[::step]
-                out[level_a, level_b, e_2, herald_a, herald_b] += alpha[i] * (amp_1 * amp_2)
-    return ModelState(out)
+                v[level_a, level_b, e_2, herald_a, herald_b, i] += amp_1 * amp_2
+    return _frozen(v)
 
 
-def apply_agent_a_then_b(amps, state):
-    """Order A then B: the four-branch scattering outcome of the A < B path."""
-    return _apply("a", amps, state)
+def _apply(v, alpha):
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.shape != (5,):
+        raise ValueError("target amplitudes must be a 5-vector")
+    norm = np.linalg.norm(alpha)
+    if not norm > ZERO_PROB_TOL:
+        raise ValueError("target amplitudes must not all vanish")
+    # Plain einsum keeps the per-photon sum's bits, where V @ alpha does not.
+    return ModelState(np.einsum("...i,i->...", v, alpha / norm))
 
 
-def apply_agent_b_then_a(amps, state):
+def apply_agent_a_then_b(amps, alpha):
+    """Order A then B on the target sum_i alpha_i |e_i> (normalized), agents
+    ready and detectors silent: the four-branch outcome of the A < B path."""
+    return _apply(amps.isometries[0], alpha)
+
+
+def apply_agent_b_then_a(amps, alpha):
     """Order B then A: the same scattering rules, met in the other order."""
-    return _apply("b", amps, state)
+    return _apply(amps.isometries[1], alpha)
+
+
+def max_isometry_deviation(amps):
+    """Largest |V^dagger V - 1| over both orders: herald completeness, exactly."""
+    columns = [v.reshape(-1, 5) for v in amps.isometries]
+    return max(float(np.abs(v.conj().T @ v - _identity(5)).max()) for v in columns)
 
 
 _DETECTOR_PATTERN = {0: (1, 1), 1: (1, 0), 2: (0, 1), 3: (0, 0)}
@@ -248,10 +248,9 @@ def run_switch_model(amps, target_in, zeta, sign):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     path_amp = 1 / np.sqrt(2.0)
-    state_in = ModelState.from_target(target_in)
     det_a, det_b = _detector_pattern(zeta)
-    branch_ba = path_amp * apply_agent_a_then_b(amps, state_in).tensor[:, :, :, det_a, det_b]
-    branch_ab = path_amp * apply_agent_b_then_a(amps, state_in).tensor[:, :, :, det_a, det_b]
+    branch_ba = path_amp * apply_agent_a_then_b(amps, target_in).tensor[:, :, :, det_a, det_b]
+    branch_ab = path_amp * apply_agent_b_then_a(amps, target_in).tensor[:, :, :, det_a, det_b]
     post_prob = float(np.linalg.norm(branch_ba) ** 2 + np.linalg.norm(branch_ab) ** 2)
     if post_prob < ZERO_PROB_TOL:
         raise ValueError(f"postselection zeta={zeta} has zero probability for this input")

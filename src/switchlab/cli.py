@@ -236,19 +236,22 @@ def _scenario_agent_switch(params, rng):
     fid_e4 = abs(np.vdot(np.eye(5)[4], res_e4.target)) ** 2
     rng_alpha = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     rng_alpha /= np.linalg.norm(rng_alpha)
-    full = agents.apply_agent_a_then_b(amps, agents.ModelState.from_target(rng_alpha))
+    full = agents.apply_agent_a_then_b(amps, rng_alpha)
     total = sum(agents.postselect(full, zeta)[1] for zeta in range(4))
+    isometry_dev = agents.max_isometry_deviation(amps)
     outputs = {
         "e1_plus_fidelity": fid[+1],
         "e1_minus_fidelity": fid[-1],
         "e4_fidelity": fid_e4,
         "postselection_total": total,
+        "max_isometry_deviation": isometry_dev,
     }
     checks = [
         _check("e1_plus_target", 1.0, fid[+1], DEFAULT_TOL),
         _check("e1_minus_target", 1.0, fid[-1], DEFAULT_TOL),
         _check("e4_trivial_switch", 1.0, fid_e4, DEFAULT_TOL),
         _check("postselection_completeness", 1.0, total, DEFAULT_TOL),
+        _check("orders_are_isometries", 0.0, isometry_dev, ROUNDOFF_TOL),
     ]
     return outputs, checks
 

@@ -252,7 +252,7 @@ def test_criterion_14_agent_model():
     rng = np.random.default_rng(14)
     alpha = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     alpha /= np.linalg.norm(alpha)
-    full = agents.apply_agent_a_then_b(amps, agents.ModelState.from_target(alpha))
+    full = agents.apply_agent_a_then_b(amps, alpha)
     total = sum(agents.postselect(full, zeta)[1] for zeta in range(4))
     ok = dev <= 1e-9 and abs(total - 1.0) <= 1e-9
     _report(14, f"agent switch outputs (dev {dev:.2e}), postselect total {total:.12f}", ok)

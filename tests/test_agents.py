@@ -14,6 +14,7 @@ from switchlab.agents import (
     apply_agent_a_then_b,
     apply_agent_b_then_a,
     crossing_rotation_angle,
+    max_isometry_deviation,
     postselect,
     run_switch_model,
 )
@@ -47,28 +48,28 @@ def generic_amps(rng, phases=False):
 
 
 def test_ideal_a_then_b_full_absorption():
-    out = apply_agent_a_then_b(AgentAmplitudes(), ModelState.from_target(E[1]))
+    out = apply_agent_a_then_b(AgentAmplitudes(), E[1])
     expected = np.zeros(DIMS, dtype=complex)
     expected[3, 4, 2, 0, 0] = 1.0  # |A_3>|B_5>|e_3>, no heralds
     assert np.abs(out.tensor - expected).max() < 1e-12
 
 
 def test_no_coupling_input_decays_to_psi00():
-    out = apply_agent_a_then_b(AgentAmplitudes(), ModelState.from_target(E[3]))
+    out = apply_agent_a_then_b(AgentAmplitudes(), E[3])
     expected = np.zeros(DIMS, dtype=complex)
     expected[5, 4, 2, 1, 1] = 1.0  # agents decayed, target unchanged, both heralds
     assert np.abs(out.tensor - expected).max() < 1e-12
 
 
 def test_ideal_b_then_a_full_absorption():
-    out = apply_agent_b_then_a(AgentAmplitudes(), ModelState.from_target(E[1]))
+    out = apply_agent_b_then_a(AgentAmplitudes(), E[1])
     expected = np.zeros(DIMS, dtype=complex)
     expected[5, 2, 4, 0, 0] = 1.0  # |A_5>|B_3>|e_5>
     assert np.abs(out.tensor - expected).max() < 1e-12
 
 
 def test_b_then_a_on_e4_only_a_scatters():
-    out = apply_agent_b_then_a(AgentAmplitudes(), ModelState.from_target(E[4]))
+    out = apply_agent_b_then_a(AgentAmplitudes(), E[4])
     expected = np.zeros(DIMS, dtype=complex)
     expected[5, 4, 4, 0, 1] = 1.0  # e_5 out, B heralded
     assert np.abs(out.tensor - expected).max() < 1e-12
@@ -80,7 +81,7 @@ def test_branch_amplitudes_match_term_by_term():
     amps = generic_amps(rng)
     alpha = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     alpha /= np.linalg.norm(alpha)
-    out = apply_agent_a_then_b(amps, ModelState.from_target(alpha)).tensor
+    out = apply_agent_a_then_b(amps, alpha).tensor
     c1a, c4a = amps.c_a(1), amps.c_a(4)
     c1b, c2b = amps.c_b(1), amps.c_b(2)
     d = amps.d_a
@@ -101,20 +102,29 @@ def test_unitarity_for_arbitrary_amplitudes(order):
         amps = generic_amps(rng, phases=True)
         alpha = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         alpha /= np.linalg.norm(alpha)
-        out = order(amps, ModelState.from_target(alpha))
+        out = order(amps, alpha)
         assert abs(np.linalg.norm(out.tensor) - 1.0) < 1e-9
+        # ... and for every input at once: the order's V^dagger V is 1.
+        v = amps.isometries[(apply_agent_a_then_b, apply_agent_b_then_a).index(order)]
+        v = v.reshape(-1, 5)
+        assert np.abs(v.conj().T @ v - np.eye(5)).max() <= 1e-15
 
 
-def test_rejects_malformed_input_support():
-    bad = np.zeros(DIMS, dtype=complex)
-    bad[0, 0, 0, 0, 0] = 1.0  # agent A in A_0, not armed
-    with pytest.raises(ValueError):
-        apply_agent_a_then_b(AgentAmplitudes(), ModelState(bad))
+def test_isometries_are_built_once_and_read_only():
+    amps = generic_amps(np.random.default_rng(6), phases=True)
+    assert amps.isometries is amps.isometries
+    for v in amps.isometries:
+        with pytest.raises(ValueError, match="read-only"):
+            v[1, 0, 0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            v.flags.writeable = True
 
 
 def test_rejects_vanishing_or_nan_states():
-    with pytest.raises(ValueError, match="vanish"):
-        ModelState.from_target(np.zeros(5))
+    with pytest.raises(ValueError, match="must not all vanish"):
+        apply_agent_a_then_b(AgentAmplitudes(), np.zeros(5))
+    with pytest.raises(ValueError, match="must not all vanish"):
+        apply_agent_a_then_b(AgentAmplitudes(), [np.nan, 1, 0, 0, 0])
     nan_state = np.zeros(DIMS, dtype=complex)
     nan_state[1, 0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="normalized"):
@@ -128,20 +138,23 @@ def test_modulus_in_the_slack_above_one_scatters_finitely():
     # instead of the square root of a negative number.
     amps = AgentAmplitudes(c_1a=1 + 1e-13)
     assert amps.d_a(1) == 0
-    out = apply_agent_a_then_b(amps, ModelState.from_target(E[1])).tensor
+    out = apply_agent_a_then_b(amps, E[1]).tensor
     assert np.isfinite(out).all()
     assert abs(np.linalg.norm(out) - 1.0) < 1e-9
+    # A then B sends e_1 out with weight |c_1a|^2 = 1 + 2e-13, which the
+    # isometry check reads; B then A absorbs e_1 in B and stays exact.
+    assert max_isometry_deviation(amps) == pytest.approx(2e-13, rel=1e-3)
 
 
 def test_postselect_ideal_run():
-    out = apply_agent_a_then_b(AgentAmplitudes(), ModelState.from_target(E[1]))
+    out = apply_agent_a_then_b(AgentAmplitudes(), E[1])
     selected, prob = postselect(out, 3)
     assert abs(prob - 1.0) < 1e-12
     assert abs(selected.tensor[3, 4, 2, 0, 0] - 1.0) < 1e-12
 
 
 def test_postselect_orthogonal_input():
-    out = apply_agent_a_then_b(AgentAmplitudes(), ModelState.from_target(E[3]))
+    out = apply_agent_a_then_b(AgentAmplitudes(), E[3])
     selected, prob = postselect(out, 3)
     assert selected is None and prob == 0.0
 
@@ -151,7 +164,7 @@ def test_postselect_completeness():
     amps = generic_amps(rng, phases=True)
     alpha = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     alpha /= np.linalg.norm(alpha)
-    out = apply_agent_a_then_b(amps, ModelState.from_target(alpha))
+    out = apply_agent_a_then_b(amps, alpha)
     total = sum(postselect(out, zeta)[1] for zeta in range(4))
     assert abs(total - 1.0) < 1e-9
 
@@ -174,8 +187,8 @@ def test_phase_covariance():
         gamma_ba=1.1,
         gamma_ab=0.2,
     )
-    out0 = apply_agent_a_then_b(base, ModelState.from_target(alpha)).tensor
-    out1 = apply_agent_a_then_b(shifted, ModelState.from_target(alpha)).tensor
+    out0 = apply_agent_a_then_b(base, alpha).tensor
+    out1 = apply_agent_a_then_b(shifted, alpha).tensor
     assert np.abs(np.abs(out0) - np.abs(out1)).max() < 1e-12
 
 
@@ -199,8 +212,8 @@ def test_run_switch_model_trivial_when_alpha1_zero():
     rng = np.random.default_rng(4)
     amps = generic_amps(rng)
     alpha = np.array([0.0, 0.6, 0.0, 0.8, 0.0], dtype=complex)
-    ba = apply_agent_a_then_b(amps, ModelState.from_target(alpha)).tensor
-    ab = apply_agent_b_then_a(amps, ModelState.from_target(alpha)).tensor
+    ba = apply_agent_a_then_b(amps, alpha).tensor
+    ab = apply_agent_b_then_a(amps, alpha).tensor
     assert np.abs(ba - ab).max() < 1e-12
 
 
@@ -237,9 +250,8 @@ def test_run_switch_model_without_a_product_branch_has_no_target():
     result = run_switch_model(amps, E[1] + E[4], zeta=2, sign=+1)
     assert result.target is None
     assert abs(np.linalg.norm(result.residual) - 1.0) < 1e-12
-    state = ModelState.from_target(E[1] + E[4])
     for apply in (apply_agent_a_then_b, apply_agent_b_then_a):
-        branch = apply(amps, state).tensor[:, :, :, 0, 1]
+        branch = apply(amps, E[1] + E[4]).tensor[:, :, :, 0, 1]
         assert np.linalg.svd(branch.reshape(30, 5), compute_uv=False)[1] > 0.1
 
 
@@ -381,8 +393,9 @@ def reference_b_then_a(amps, i):
     return [(amps.d_b(j) * amps.d_a(j), A5, B5, i, 1, 1)]
 
 
-def reference_apply(branches, amps, state):
-    alpha = state.tensor[1, 0, :, 0, 0]
+def reference_apply(branches, amps, alpha):
+    alpha = np.asarray(alpha, dtype=complex)
+    alpha = alpha / np.linalg.norm(alpha)
     out = np.zeros(DIMS, dtype=complex)
     for i in range(5):
         if alpha[i] == 0:
@@ -418,12 +431,11 @@ TARGET_COMPONENTS = st.sampled_from([0j, -0j, 1 + 0j]) | st.complex_numbers(
 )
 def test_both_orders_equal_the_branch_tables_bit_for_bit(c, deltas, gammas, alpha):
     amps = AgentAmplitudes(*c, deltas[:5], deltas[5:], *gammas)
-    state = ModelState.from_target(alpha)
     for order, table in (
         (apply_agent_a_then_b, reference_a_then_b),
         (apply_agent_b_then_a, reference_b_then_a),
     ):
-        assert_same_bits(order(amps, state).tensor, reference_apply(table, amps, state))
+        assert_same_bits(order(amps, alpha).tensor, reference_apply(table, amps, alpha))
 
 
 def test_crossing_rotation_angle_leaves_the_regime_to_its_caller():

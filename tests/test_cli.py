@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchlab import agents
 from switchlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -562,6 +563,16 @@ def test_cli_trigger_outside_its_regime_fails_its_check():
     code, out = run_cli(["run", "--scenario", "trigger", "--param", "potential=1e-21", "--param", "mass=1e-25"])
     assert code == EXIT_CHECK_FAILED
     assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == ["regime_ok"]
+
+
+def test_cli_trigger_angle_off_pi_over_2_fails_its_check(monkeypatch):
+    # 1e-10 rad off pi/2 leaves |<A1|rotated>| at 1.0 in float64, so the angle
+    # check, held to roundoff, is the only one that sees it.
+    exact = agents.crossing_rotation_angle
+    monkeypatch.setattr(agents, "crossing_rotation_angle", lambda p: exact(p) + 1e-10)
+    code, out = run_cli(["run", "--scenario", "trigger"])
+    assert code == EXIT_CHECK_FAILED
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == ["rotation_angle_is_pi_over_2"]
 
 
 def test_cli_run_rejects_a_negative_seed():

@@ -28,7 +28,7 @@ ROUNDOFF = (
 )
 
 SEEDS = (11, 12, 13)
-SEEDED_SHA256 = "e1e0ceddd48d555e14d3e08b473a4a07da9dc3fa28ab5b94f4ecdb4dad889d43"
+SEEDED_SHA256 = "8fb0e3e038f696c7401b6b158efbec649a568e5cb54baf09b84f501347e07fff"
 # Per report, the first 16 hex digits of the sha256 of its non-roundoff
 # fields, so that a mismatch says which reports moved and how.
 SEEDED_HEADLINES = {
@@ -39,7 +39,7 @@ SEEDED_HEADLINES = {
     "grav-duration@11": "add8a7b0357a8256",
     "grav-order@11": "bbb9b55af7be47c7",
     "trigger@11": "6b9967acac698858",
-    "agent-switch@11": "4cd7e7bd449af0fc",
+    "agent-switch@11": "4cec4c31b56cb820",
     "ocb-game@12": "a3bd4f6f8d14cf06",
     "switch-contract@12": "59028747b2550542",
     "chsh-temporal@12": "547c607a6965b610",
@@ -47,7 +47,7 @@ SEEDED_HEADLINES = {
     "grav-duration@12": "e9659e50334e8234",
     "grav-order@12": "82009a17a6d67b8c",
     "trigger@12": "20c6184dce23f4b4",
-    "agent-switch@12": "4aabd79e58886d63",
+    "agent-switch@12": "21896dbcffe0e475",
     "ocb-game@13": "394ad6652628ff92",
     "switch-contract@13": "f06c392a0b6ed598",
     "chsh-temporal@13": "f68dff9d3d23ccee",
@@ -55,7 +55,7 @@ SEEDED_HEADLINES = {
     "grav-duration@13": "c51b0dc276a2b434",
     "grav-order@13": "29c3aee1cea6ced5",
     "trigger@13": "f0ecd7c54d999ed2",
-    "agent-switch@13": "bf93190a59fb2841",
+    "agent-switch@13": "101fc475ce292741",
 }
 
 
@@ -134,6 +134,7 @@ EXPECTED_ZERO = {
     "contraction_equals_supermap",
     "separable_within_classical_bound",
     "normalization_deviation",
+    "orders_are_isometries",
     "weak_field_consistent",
 }
 

@@ -411,7 +411,8 @@ def test_validate_process_proves_positivity_once(proof_shapes, samples):
 
 
 def test_validate_process_forms_no_full_block_of_products():
-    # W (M (x) N) for a whole block of 64 pairs takes two 256 KB temporaries,
+    # A block of 64 pairs is scored as rows vec(M^T), vec(N^T) against W's
+    # realignment, so no M (x) N is formed: a stack of 64 would be 256 KB,
     # the size at which glibc's heap trimming can make every block fault its
     # pages in again. The first call also makes numpy's one-time allocations.
     w = ocb_process()
@@ -439,10 +440,10 @@ def test_validate_process_checks_that_every_probability_is_real():
 
 
 def test_validate_process_names_the_first_imaginary_probability():
-    # At c = 1.2e-10 and seed 1, samples 13, 21, 23, 33, ... of the first
-    # block have an imaginary part above 1e-9; sample 13, in the second
-    # 8-pair chunk, is neither the largest nor the last. Both loops must
-    # name it.
+    # At c = 1.2e-10 and seed 1, samples 13, 21, 23, 33, ... of the one
+    # block of 64, all scored in one call of the rule, have an imaginary part
+    # above 1e-9; sample 13 is neither the largest (46) nor the last. Both
+    # the block and the per-sample loop must name it.
     w = ocb_process()
     w = ProcessMatrix(w.dims, w.matrix + 1.2e-10j * np.ones((16, 16)))
     messages = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ID2, kron, partial_trace
+from .linalg import ID2, kron
 
 __all__ = [
     "C_LIGHT",
@@ -283,8 +283,8 @@ def _joint_state(clock_a, clock_b, taus_ab, taus_ba):
 
 
 def _control_purity(joint):
-    rho = np.outer(joint, joint.conj())
-    rho_c = partial_trace(rho, (2, 4), keep=(0,))
+    j = joint.reshape(2, 4)  # the control's state is J J^dag
+    rho_c = j @ j.conj().T
     return float(np.trace(rho_c @ rho_c).real)
 
 

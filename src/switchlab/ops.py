@@ -20,6 +20,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _frozen,
     _identity,
     close,
     dagger,
@@ -122,8 +123,7 @@ class ChoiOperator:
         d_in, d_out = require_dims((self.d_in, self.d_out), "ChoiOperator")
         object.__setattr__(self, "d_in", d_in)
         object.__setattr__(self, "d_out", d_out)
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
+        m = _frozen(np.asarray(self.matrix, dtype=complex))
         d = self.d_in * self.d_out
         if m.shape != (d, d):
             raise ValueError(f"Choi matrix shape {m.shape} != ({d}, {d})")

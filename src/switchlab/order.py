@@ -18,12 +18,13 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _frozen,
     close,
     is_unitary,
     kron,
 )
 from .ops import ChoiOperator, _choi_vec, rand_unitary
-from .process import _BLOCK, _party_dims, _reduced, _rule_trace
+from .process import _BLOCK, _party_dims, _realigned, _require_dims, _rule_trace
 
 __all__ = [
     "GameStrategy",
@@ -55,8 +56,10 @@ class GameStrategy:
         G_A = sum_b (sum_a M(b,a)) (x) (sum_y N(y,b,0))  (Alice guesses b),
         G_B = sum_a (sum_x M(x,a)) (x) (sum_b N(a,b,1))  (Bob guesses a),
     kept as the rule's rows vec(A^T) in `alice_terms` and vec(B^T) in
-    `bob_terms`, read-only (2 branches, 2 terms, n^2) stacks; `dims` are the
-    (d_a_in, d_a_out, d_b_in, d_b_out) a process must have.
+    `bob_terms`, (2 branches, 2 terms, n^2) stacks read-only for good. A process
+    meets the strategy only through these rows: :func:`branch_probabilities`
+    scores them, and each reduced matrix reads one against R(W). `dims` are
+    the (d_a_in, d_a_out, d_b_in, d_b_out) a process must have.
     """
 
     alice: Mapping
@@ -73,8 +76,7 @@ class GameStrategy:
         g_b = [([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)]
         for side, name in enumerate(("alice_terms", "bob_terms")):
             rows = _choi_vec(np.array([[sum(c.matrix for c in t[side]) for t in g] for g in (g_a, g_b)]))
-            rows.setflags(write=False)
-            object.__setattr__(self, name, rows)
+            object.__setattr__(self, name, _frozen(rows))
         object.__setattr__(self, "alice", m)
         object.__setattr__(self, "bob", n)
         object.__setattr__(self, "dims", dims)
@@ -101,7 +103,7 @@ def ocb_strategy():
     measures x and encodes b in z with the sign fixed by his outcome.
 
     The 12 Chois are built and validated once, at import, and their matrices
-    are read-only; every call returns that one shared instance.
+    and the rows are read-only for good; every call returns that one instance.
     """
     return _OCB_STRATEGY
 
@@ -121,14 +123,17 @@ def success_probability(w, strategy):
 
 
 def bob_reduced_matrix(w, strategy, a):
-    """Tr_A[W (sum_x M(x,a) (x) 1)]: the process Bob faces for Alice bit a."""
-    return _reduced(w, "Alice", strategy.dims[:2], [strategy.alice[x, a] for x in range(2)])
+    """Tr_A[W (sum_x M(x,a) (x) 1)]: the process Bob faces for Alice bit a,
+    the stored row vec((sum_x M(x,a))^T) against R(W)."""
+    _require_dims(w, "Alice", strategy.dims[:2])
+    return (strategy.alice_terms[1, a] @ _realigned(w)).reshape(w.dims[2] * w.dims[3], -1)
 
 
 def alice_reduced_matrix(w, strategy, b):
     """Tr_B[W (1 (x) sum_y N(y,b,0))]: the process Alice faces when Bob
-    guesses (b' = 0)."""
-    return _reduced(w, "Bob", strategy.dims[2:], [strategy.bob[y, b, 0] for y in range(2)])
+    guesses (b' = 0), R(W) against the stored row vec((sum_y N(y,b,0))^T)."""
+    _require_dims(w, "Bob", strategy.dims[2:])
+    return (_realigned(w) @ strategy.bob_terms[0, b]).reshape(w.dims[0] * w.dims[1], -1)
 
 
 # The amplitude of each control basis state: the switch's control starts in

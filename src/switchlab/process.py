@@ -21,7 +21,6 @@ from .linalg import (
     _identity,
     close,
     kron,
-    partial_trace,
     require_dims,
     require_psd,
     trace_and_replace,
@@ -99,17 +98,24 @@ def _real_probability(val):
     return val.real
 
 
+def _realigned(w):
+    """R(W), W realigned to (n_A^2, n_B^2), n_X = d_X_in d_X_out, by one
+    transpose-copy: on the rows vec(M^T), vec(N^T) (``_choi_vec``),
+    Tr[W (M (x) N)] = vec(M^T)^T R vec(N^T), Tr_A[W (M (x) 1)] is the
+    reshaped vec(M^T)^T R, and Tr_B[W (1 (x) N)] the reshaped R vec(N^T)."""
+    n_a, n_b = math.prod(w.dims[:2]), math.prod(w.dims[2:])
+    return w.matrix.reshape(n_a, n_b, n_a, n_b).transpose(0, 2, 1, 3).reshape(n_a * n_a, n_b * n_b)
+
+
 def _rule_trace(w, dims, alice, bob):
     """The probability rule Tr[W (M (x) N)] = vec(M^T)^T R(W) vec(N^T) on the
-    rows `alice` = vec(M^T) and `bob` = vec(N^T) (``_choi_vec``), or one value
-    per member of (..., n^2) stacks, once both parties' `dims` fit W; each must
-    be real. R(W) is W realigned to (n_A^2, n_B^2), n_X = d_X_in d_X_out, so no
-    M (x) N is formed, and each member of a stack keeps its own bits."""
+    rows `alice` = vec(M^T) and `bob` = vec(N^T), or one value per member of
+    (..., n^2) stacks, once both parties' `dims` fit W; each must be real.
+    No M (x) N is formed (:func:`_realigned`), and each member of a stack
+    keeps its own bits."""
     _require_dims(w, "Alice", dims[:2])
     _require_dims(w, "Bob", dims[2:])
-    n_a, n_b = math.prod(dims[:2]), math.prod(dims[2:])
-    r = w.matrix.reshape(n_a, n_b, n_a, n_b).transpose(0, 2, 1, 3).reshape(n_a * n_a, n_b * n_b)
-    return _real_probability(((alice[..., None, :] @ r) @ bob[..., :, None])[..., 0, 0])
+    return _real_probability(((alice[..., None, :] @ _realigned(w)) @ bob[..., :, None])[..., 0, 0])
 
 
 def probability(w, choi_a, choi_b):
@@ -117,21 +123,6 @@ def probability(w, choi_a, choi_b):
     scored on their rows vec(M^T), vec(N^T) by the rule of :func:`_rule_trace`."""
     dims = _party_dims("Alice", (choi_a,)) + _party_dims("Bob", (choi_b,))
     return float(_rule_trace(w, dims, _choi_vec(choi_a.matrix), _choi_vec(choi_b.matrix)))
-
-
-def _reduced(w, party, dims, chois):
-    """W contracted with the sum of one party's Chois, already checked to be
-    TRANSPOSED and of (d_in, d_out) = `dims`, leaving the other party's
-    factors."""
-    _require_dims(w, party, dims)
-    choi_sum = sum(c.matrix for c in chois)
-    if party == "Alice":
-        full = kron(choi_sum, np.eye(math.prod(w.dims[2:])))
-        keep = (2, 3)
-    else:
-        full = kron(np.eye(math.prod(w.dims[:2])), choi_sum)
-        keep = (0, 1)
-    return partial_trace(w.matrix @ full, w.dims, keep=keep)
 
 
 def _one_way(rho, channel_choi, perm):

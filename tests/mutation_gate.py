@@ -105,6 +105,18 @@ MUTANTS = (
         "deviation = -0.5 * (a + (a + b - a * b) / (1.0 + lapse(r, body) * lapse(r + h, body)))",
         "deviation = -0.5 * (a + (a + b + a * b) / (1.0 + lapse(r, body) * lapse(r + h, body)))",
     ),
+    (
+        "OCB success tolerance widened to 0.5",
+        "cli.py",
+        '_check("success_equals_(2+sqrt2)/4", (2.0 + SQRT2) / 4.0, success, DEFAULT_TOL),',
+        '_check("success_equals_(2+sqrt2)/4", (2.0 + SQRT2) / 4.0, success, 0.5),',
+    ),
+    (
+        "agent-switch e1_plus_target tolerance widened to 0.5",
+        "cli.py",
+        '_check("e1_plus_target", 1.0, fid[+1], DEFAULT_TOL),',
+        '_check("e1_plus_target", 1.0, fid[+1], 0.5),',
+    ),
 )
 
 

@@ -15,6 +15,7 @@ import math
 from pathlib import Path
 
 from switchlab.cli import EXIT_OK, SCENARIOS, main
+from switchlab.linalg import APPROX_REL_TOL, DEFAULT_TOL, ESTIMATE_REL_TOL, NORMALIZATION_TOL, ROUNDOFF_TOL
 
 SUITES = Path(__file__).resolve().parent.parent / "suites"
 
@@ -149,3 +150,54 @@ def test_no_golden_check_passes_vacuously():
         assert math.isfinite(check["tolerance"]), check
         if check["name"] not in EXPECTED_ZERO:
             assert check["tolerance"] < abs(check["expected"]), check
+
+
+# Each golden check's tolerance: a named constant of switchlab.linalg, or 0
+# for a yes/no check. The golden bytes alone would let a regeneration carry a
+# widened tolerance in.
+TOLERANCES = {
+    "success_equals_(2+sqrt2)/4": DEFAULT_TOL,
+    "alice_branch_value": DEFAULT_TOL,
+    "bob_branch_value": DEFAULT_TOL,
+    "contraction_equals_supermap": DEFAULT_TOL,
+    "plus_state_reaches_-2sqrt2": DEFAULT_TOL,
+    "minus_state_reaches_+2sqrt2": DEFAULT_TOL,
+    "separable_within_classical_bound": DEFAULT_TOL,
+    "trace_equals_4": DEFAULT_TOL,
+    "normalization_deviation": NORMALIZATION_TOL,
+    "weak_field_consistent": APPROX_REL_TOL,
+    "event_a_precedes_b_above_threshold": 0,
+    "no_order_below_threshold": 0,
+    "rotation_angle_is_pi_over_2": ROUNDOFF_TOL,
+    "period_is_4_tau_star": ROUNDOFF_TOL,
+    "rotation_lands_on_A1": ROUNDOFF_TOL,
+    "regime_ok": 0,
+    "e1_plus_target": DEFAULT_TOL,
+    "e1_minus_target": DEFAULT_TOL,
+    "e4_trivial_switch": DEFAULT_TOL,
+    "postselection_completeness": DEFAULT_TOL,
+    "orders_are_isometries": ROUNDOFF_TOL,
+}
+# Checks held to a window derived from the report's inputs and the expected
+# value instead.
+WINDOWS = {
+    "dt_r_in_window": lambda inputs, expected: 0.5 * (inputs["window_high"] - inputs["window_low"]),
+    "earth_coefficient": lambda inputs, expected: ESTIMATE_REL_TOL * expected,
+}
+
+
+def test_every_golden_check_keeps_its_named_tolerance():
+    suite = json.loads(_suite_stdout(SUITES / "golden.json"))
+    seen = set()
+    for report in suite["reports"]:
+        for check in report["checks"]:
+            name = check["name"]
+            seen.add(name)
+            if name in WINDOWS:
+                want = WINDOWS[name](report["inputs"], check["expected"])
+            else:
+                assert name in TOLERANCES, f"{report['scenario']} check {name} is not in the table"
+                want = TOLERANCES[name]
+            # The report prints 12 significant digits.
+            assert check["tolerance"] == float(f"{want:.12g}"), (report["scenario"], check)
+    assert seen == TOLERANCES.keys() | WINDOWS.keys()

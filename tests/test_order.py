@@ -216,6 +216,48 @@ def test_reduced_matrices_enforce_the_probability_rule():
         alice_reduced_matrix(w, GameStrategy(good.alice, wide(good.bob)), 1)
 
 
+def reference_reduced(w, party, chois):
+    """The reduced process as the partial trace of W (M (x) 1), for `party`
+    "Alice", or of W (1 (x) N), with M or N the sum of `chois`."""
+    choi_sum = sum(c.matrix for c in chois)
+    if party == "Alice":
+        return partial_trace(w.matrix @ kron(choi_sum, np.eye(math.prod(w.dims[2:]))), w.dims, keep=(2, 3))
+    return partial_trace(w.matrix @ kron(np.eye(math.prod(w.dims[:2])), choi_sum), w.dims, keep=(0, 1))
+
+
+def qutrit_bob_strategy(rng):
+    """Random instrument elements, each half a random channel's Choi: 4 x 4
+    for Alice's qubits, 9 x 9 for Bob's qutrits."""
+
+    def element(d):
+        return ChoiOperator(d, d, 0.5 * choi_of_operation(rand_cptp(d, d, 2, rng)).matrix)
+
+    return GameStrategy({k: element(2) for k in np.ndindex(2, 2)}, {k: element(3) for k in np.ndindex(2, 2, 2)})
+
+
+def test_reduced_matrices_equal_the_partial_trace_reference():
+    rng = np.random.default_rng(33)
+    cases = [(random_causal_mixture(rng), ocb_strategy()) for _ in range(10)]
+    cases += [(random_causal_mixture(rng), free_state_strategy(rand_density(2, rng))) for _ in range(10)]
+    # A -> B through a qubit-to-qutrit channel, alone (q = 1) and mixed with
+    # B -> A through a qutrit-to-qubit one, so that Bob's output counts:
+    # n_A = 4 and n_B = 9 differ, so a transposed or swapped realignment
+    # cannot pass.
+    for q in (1.0, *rng.uniform(size=4)):
+        w_ab = channel_process_reverse(rand_density(2, rng), choi_of_operation(rand_cptp(2, 3, 2, rng)))
+        w_ba = channel_process(rand_density(3, rng), choi_of_operation(rand_cptp(3, 2, 2, rng)))
+        assert w_ab.dims == w_ba.dims == (2, 2, 3, 3)
+        cases.append((causal_mixture(w_ab, w_ba, float(q)), qutrit_bob_strategy(rng)))
+    for w, s in cases:
+        for bit in range(2):
+            got = bob_reduced_matrix(w, s, bit)
+            want = reference_reduced(w, "Alice", [s.alice[x, bit] for x in range(2)])
+            assert got.shape == want.shape and np.abs(got - want).max() <= 1e-14
+            got = alice_reduced_matrix(w, s, bit)
+            want = reference_reduced(w, "Bob", [s.bob[y, bit, 0] for y in range(2)])
+            assert got.shape == want.shape and np.abs(got - want).max() <= 1e-14
+
+
 def test_causal_bound_on_random_separable_processes():
     # Convex mixtures of one-way channel processes never beat 3/4.
     rng = np.random.default_rng(1)
@@ -333,13 +375,18 @@ def test_causal_bound_is_attained_by_an_a_to_b_identity_channel():
 def test_ocb_strategy_is_one_read_only_instance():
     s = ocb_strategy()
     assert s is ocb_strategy()
+    # Neither the 12 Choi matrices nor the two rows can be written, or be
+    # made writable again.
     for c in [*s.alice.values(), *s.bob.values()]:
         with pytest.raises(ValueError, match="read-only"):
             c.matrix[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        s.alice_terms[0, 0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        s.bob_terms[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            c.matrix.setflags(write=True)
+    for rows in (s.alice_terms, s.bob_terms):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            rows.setflags(write=True)
     with pytest.raises(TypeError):
         s.alice[0, 0] = s.alice[0, 1]
 

@@ -57,16 +57,6 @@ def _check(name, expected, actual, tolerance):
     }
 
 
-def _bool_check(name, expected, actual):
-    return {
-        "name": name,
-        "expected": bool(expected),
-        "actual": bool(actual),
-        "tolerance": 0,
-        "pass": bool(expected) == bool(actual),
-    }
-
-
 def _scenario_ocb_game(params, rng):
     w = process.ocb_process()
     strategy = order.ocb_strategy()
@@ -177,8 +167,10 @@ def _scenario_grav_order(params, rng):
     threshold = gravity.min_tau_for_order(r_a, r_b, body)
     above = 1.01 * threshold
     below = 0.99 * threshold
-    orders_above = gravity.order_margin(above, r_a, r_b, body) < 0.0
-    orders_below = gravity.order_margin(below, r_a, r_b, body) < 0.0
+    # Python bools: a check subtracts its expected from its actual value,
+    # which np.bool_ does not allow.
+    orders_above = bool(gravity.order_margin(above, r_a, r_b, body) < 0.0)
+    orders_below = bool(gravity.order_margin(below, r_a, r_b, body) < 0.0)
     asym = gravity.asymmetric_order_threshold(
         body.radius + params["asym_r_offset"], params["asym_h"], params["asym_l"], body
     )
@@ -191,8 +183,8 @@ def _scenario_grav_order(params, rng):
         "asymmetric_threshold": asym,
     }
     checks = [
-        _bool_check("event_a_precedes_b_above_threshold", True, orders_above),
-        _bool_check("no_order_below_threshold", False, orders_below),
+        _check("event_a_precedes_b_above_threshold", True, orders_above, 0),
+        _check("no_order_below_threshold", False, orders_below, 0),
     ]
     return outputs, checks
 
@@ -215,7 +207,7 @@ def _scenario_trigger(params, rng):
         _check("rotation_angle_is_pi_over_2", float(np.pi / 2), angle, ROUNDOFF_TOL),
         _check("period_is_4_tau_star", 4.0 * params["tau_star"], p.period, ROUNDOFF_TOL),
         _check("rotation_lands_on_A1", 1.0, fidelity, ROUNDOFF_TOL),
-        _bool_check("regime_ok", True, p.regime_ok),
+        _check("regime_ok", True, p.regime_ok, 0),
     ]
     return outputs, checks
 

@@ -147,10 +147,14 @@ def asymmetric_order_threshold(r, h, L, body):
     """Threshold for tau_a* in the two-configuration switch with the mass
     shifted by L: choosing tau_a* at or above it (with tau_b* set to the
     photon arrival time) gives A < B in one configuration and B < A in the
-    other.
+    other. Raises ValueError when h vanishes beside r or r + L in floating
+    point, where a light time would run between equal radii.
     """
     if min(r, h, L) <= 0.0:
         raise ValueError("geometry lengths must be positive")
+    for base in (r, r + L):
+        if base + h == base:
+            raise ValueError(f"asymmetric threshold: height h = {h:g} vanishes beside the radius {base:g}")
     rs = body.schwarzschild_radius
     dil_r, dil_rh = lapse(r, body), lapse(r + h, body)
     dil_rl, dil_rlh = lapse(r + L, body), lapse(r + L + h, body)

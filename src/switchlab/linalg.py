@@ -86,9 +86,9 @@ def kron(*matrices):
 
 
 def _frozen(a):
-    # A copy of `a` that reads an immutable bytes buffer, so no caller can
-    # make it writable.
-    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+    # A C-order copy of `a` that reads an immutable bytes buffer, so no caller
+    # can make it writable: the library's one way to make an array read-only.
+    return np.ndarray(a.shape, a.dtype, a.tobytes())
 
 
 @functools.lru_cache(maxsize=None)

@@ -74,28 +74,24 @@ def _kraus_stack(kraus, d_in, d_out):
     for e in kraus:
         if e.shape != (d_out, d_in):
             raise ValueError(f"Kraus operator shape {e.shape} != ({d_out}, {d_in})")
-    stack = np.array(kraus)
-    stack.setflags(write=False)
-    return stack
+    return _frozen(np.array(kraus))
 
 
 @dataclass(frozen=True)
 class Operation:
-    """A quantum operation in Kraus form, rho -> sum_i E_i rho E_i^dag; the E_i
-    are read-only views of one stacked copy of the family given."""
+    """A quantum operation in Kraus form, rho -> sum_i E_i rho E_i^dag; `kraus`
+    is the family given, copied into one read-only (r, d_out, d_in) stack."""
 
     d_in: int
     d_out: int
-    kraus: tuple = ()
+    kraus: np.ndarray = ()
 
     def __post_init__(self):
         d_in, d_out = require_dims((self.d_in, self.d_out), "Operation")
         object.__setattr__(self, "d_in", d_in)
         object.__setattr__(self, "d_out", d_out)
-        stack = _kraus_stack(self.kraus, d_in, d_out)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "kraus", tuple(stack))
-        _require_trace_nonincreasing(stack)
+        object.__setattr__(self, "kraus", _kraus_stack(self.kraus, d_in, d_out))
+        _require_trace_nonincreasing(self.kraus)
 
 
 def apply_operation(op, rho):
@@ -159,10 +155,9 @@ def _choi_matrix(kraus, convention):
 
 def _built(cls, **fields):
     """A `cls` instance (ChoiOperator or ProcessMatrix) holding `fields`, which
-    the caller built and checked itself: its `matrix` is fresh, so it is made
-    read-only in place, and ``__post_init__`` does not run, so no proof, copy
-    or dims check is repeated."""
-    fields["matrix"].setflags(write=False)
+    the caller built, checked and froze itself (its `matrix` is a
+    ``linalg._frozen`` copy): ``__post_init__`` does not run, so no proof,
+    copy or dims check is repeated."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -172,7 +167,7 @@ def choi_of_operation(op, convention=Convention.TRANSPOSED):
     """Choi operator of an operation in the requested convention. The sum of
     outer products |E>><<E| is Hermitian and positive semidefinite by
     construction, so it is not proved again."""
-    matrix = _choi_matrix(op._stack, convention)
+    matrix = _frozen(_choi_matrix(op.kraus, convention))
     return _built(ChoiOperator, d_in=op.d_in, d_out=op.d_out, matrix=matrix, convention=convention)
 
 
@@ -343,7 +338,7 @@ def rand_operation(d_in, d_out, kraus_rank, rng):
     """Random trace-nonincreasing operation (CPTP scaled by a random weight)."""
     op = rand_cptp(d_in, d_out, kraus_rank, rng)
     scale = np.sqrt(rng.uniform(0.2, 1.0))
-    return Operation(d_in, d_out, tuple(scale * e for e in op.kraus))
+    return Operation(d_in, d_out, scale * op.kraus)
 
 
 def rand_instrument(d_in, d_out, n_outcomes, rng):

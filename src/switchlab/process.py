@@ -18,6 +18,7 @@ from .linalg import (
     DEFAULT_TOL,
     PAULI_X,
     PAULI_Z,
+    _frozen,
     _identity,
     close,
     kron,
@@ -61,8 +62,7 @@ class ProcessMatrix:
         if len(dims) != 4:
             raise ValueError(f"ProcessMatrix dims {dims} must be four dimensions")
         object.__setattr__(self, "dims", dims)
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
+        m = _frozen(np.asarray(self.matrix, dtype=complex))
         total = math.prod(dims)
         if m.shape != (total, total):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
@@ -129,10 +129,10 @@ def _one_way(rho, channel_choi, perm):
     """The one-way process W = rho (x) C^T (x) 1 from the party that receives
     rho to the other, with the channel's output dimension on the last factor,
     formed by :func:`kron` and put in (A_in, A_out, B_in, B_out) order by
-    `perm` with one transpose-copy. The one positivity proof is on W itself,
-    since from a state at -DEFAULT_TOL, rho (x) C^T (x) 1 can reach
-    -d_in * DEFAULT_TOL; the fresh W is then wrapped without the
-    constructor's checks."""
+    `perm` with one transpose-copy into an immutable buffer. The one
+    positivity proof is on that W itself, since from a state at -DEFAULT_TOL,
+    rho (x) C^T (x) 1 can reach -d_in * DEFAULT_TOL; W is then wrapped
+    without the constructor's checks."""
     if channel_choi.convention is not Convention.TRANSPOSED:
         raise ValueError("channel Choi must use the TRANSPOSED convention")
     if not channel_choi.is_cptp():
@@ -145,7 +145,7 @@ def _one_way(rho, channel_choi, perm):
     d_in, d_out = channel_choi.d_in, channel_choi.d_out
     built = (len(rho), d_in, d_out, d_out)
     w = kron(rho, channel_choi.matrix.T, _identity(d_out))
-    w = w.reshape(built * 2).transpose(*perm, *(4 + p for p in perm)).reshape(w.shape)
+    w = _frozen(w.reshape(built * 2).transpose(*perm, *(4 + p for p in perm))).reshape(w.shape)
     require_psd(w, "process matrix")
     return _built(ProcessMatrix, dims=tuple(built[p] for p in perm), matrix=w)
 
@@ -171,7 +171,7 @@ def causal_mixture(w1, w2, q):
         raise ValueError("mixing weight must lie in [0, 1]")
     if w1.dims != w2.dims:
         raise ValueError("process dimensions disagree")
-    return _built(ProcessMatrix, dims=w1.dims, matrix=q * w1.matrix + (1.0 - q) * w2.matrix)
+    return _built(ProcessMatrix, dims=w1.dims, matrix=_frozen(q * w1.matrix + (1.0 - q) * w2.matrix))
 
 
 def hs_basis(d):
@@ -211,8 +211,7 @@ def _hs_plan(d):
     dimension d. The paths are numpy's greedy search for the two contractions,
     run once: einsum given a path contracts in that order, so its results
     equal those of ``optimize=True`` bit for bit."""
-    s = hs_basis(d)
-    s.setflags(write=False)
+    s = _frozen(hs_basis(d))
     n = d * d
     decompose, _ = np.einsum_path(_HS_DECOMPOSE, np.empty((d,) * 8, dtype=complex), s, s, s, s, optimize=True)
     reconstruct, _ = np.einsum_path(_HS_RECONSTRUCT, np.empty((n,) * 4), s, s, s, s, optimize=True)

@@ -66,8 +66,14 @@ MUTANTS = (
     (
         "causal mixture of w1 with itself",
         "process.py",
-        "matrix=q * w1.matrix + (1.0 - q) * w2.matrix)",
-        "matrix=q * w1.matrix + (1.0 - q) * w1.matrix)",
+        "matrix=_frozen(q * w1.matrix + (1.0 - q) * w2.matrix))",
+        "matrix=_frozen(q * w1.matrix + (1.0 - q) * w1.matrix))",
+    ),
+    (
+        "one-way process with the channel's Choi untransposed",
+        "process.py",
+        "w = kron(rho, channel_choi.matrix.T, _identity(d_out))",
+        "w = kron(rho, channel_choi.matrix, _identity(d_out))",
     ),
     (
         "imaginary-part tolerance of the probability rule widened",

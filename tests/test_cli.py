@@ -282,6 +282,8 @@ NUMERIC_FAILURES = {
     "switch-ratio-overflow": ("grav-duration", ["mass=1e19", "radius=1e300", "h=1e300"], "switch ratio"),
     "threshold-overflow": ("grav-order", ["mass=1e-200", "r_a_offset=1.5e200"], "threshold proper time"),
     "asymmetric-underflow": ("grav-order", ["asym_l=1e-308", "asym_r_offset=1e-200"], "asymmetric threshold"),
+    # r + h == r: the light times would run between equal radii.
+    "asymmetric-height-vanishes": ("grav-order", ["asym_h=1e-10"], "asymmetric threshold"),
 }
 # A numeric failure names its quantity, never only the exception class.
 EXCEPTION_CLASSES = ("ZeroDivisionError", "FloatingPointError", "OverflowError")
@@ -328,6 +330,8 @@ FINITE_EXTREMES = {
     "lapse-denominator-underflow": ("grav-duration", ["mass=1e-257", "radius=1e-219", "h=1e-160"], EXIT_CHECK_FAILED),
     "lapse-denominator-underflow-order": ("grav-order", ["mass=1e-240", "radius=1e-200", "r_a_offset=1e-200"], EXIT_OK),
     "huge-body-height": ("grav-duration", ["mass=1e300", "radius=1e300", "h=1e100"], EXIT_CHECK_FAILED),
+    # One ulp of Earth's radius is 9.3e-10, so r + h > r still.
+    "tiny-asymmetric-height": ("grav-order", ["asym_h=1e-9"], EXIT_OK),
 }
 
 

@@ -12,9 +12,12 @@ import hashlib
 import io
 import json
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 from switchlab.cli import EXIT_OK, SCENARIOS, main
+from switchlab.gravity import HBAR
 from switchlab.linalg import APPROX_REL_TOL, DEFAULT_TOL, ESTIMATE_REL_TOL, NORMALIZATION_TOL, ROUNDOFF_TOL
 
 SUITES = Path(__file__).resolve().parent.parent / "suites"
@@ -201,3 +204,135 @@ def test_every_golden_check_keeps_its_named_tolerance():
             # The report prints 12 significant digits.
             assert check["tolerance"] == float(f"{want:.12g}"), (report["scenario"], check)
     assert seen == TOLERANCES.keys() | WINDOWS.keys()
+
+
+# Exact references for the printed digits that gravity's own test does not
+# cover, each evaluated at 60 digits with the standard library only. A printed
+# float is its reference rounded to 12 significant digits.
+PREC = 60
+
+
+def _round12(x):
+    return float(f"{x:.12g}")
+
+
+def _golden_report(scenario):
+    suite = json.loads(_suite_stdout(SUITES / "golden.json"))
+    return next(r for r in suite["reports"] if r["scenario"] == scenario)
+
+
+def _printed(report, skip=()):
+    """{name: value} of every float the report prints, outputs and check
+    values alike, less the keys in `skip`."""
+    printed = {k: v for k, v in report["outputs"].items() if not isinstance(v, bool)}
+    for check in report["checks"]:
+        if not isinstance(check["actual"], bool):
+            printed[f"{check['name']}/expected"] = check["expected"]
+            printed[f"{check['name']}/actual"] = check["actual"]
+    return {k: v for k, v in printed.items() if k not in skip}
+
+
+def _surd(a, b):
+    """a + b sqrt(2), for Fractions a and b, at PREC digits."""
+    with localcontext() as ctx:
+        ctx.prec = PREC
+        return Decimal(a.numerator) / a.denominator + Decimal(b.numerator) / b.denominator * Decimal(2).sqrt()
+
+
+# (2 + sqrt 2) / 4, 3/4, +-2 sqrt 2 and 0 as the pairs (a, b) of a + b sqrt 2 in Q(sqrt 2).
+OCB_VALUE = (Fraction(1, 2), Fraction(1, 4))
+CAUSAL_BOUND = (Fraction(3, 4), Fraction(0))
+CHSH_PLUS, CHSH_MINUS = (Fraction(0), Fraction(-2)), (Fraction(0), Fraction(2))
+ZERO = (Fraction(0), Fraction(0))
+EXACT = {
+    "ocb-game": {
+        "success_probability": OCB_VALUE,
+        "p_alice_guesses_b": OCB_VALUE,
+        "p_bob_guesses_a": OCB_VALUE,
+        "causal_bound": CAUSAL_BOUND,
+        **{f"{name}/{key}": OCB_VALUE
+           for name in ("success_equals_(2+sqrt2)/4", "alice_branch_value", "bob_branch_value")
+           for key in ("expected", "actual")},
+    },
+    "chsh-temporal": {
+        "chsh_plus_state": CHSH_PLUS,
+        "chsh_minus_state": CHSH_MINUS,
+        "plus_state_reaches_-2sqrt2/expected": CHSH_PLUS,
+        "plus_state_reaches_-2sqrt2/actual": CHSH_PLUS,
+        "minus_state_reaches_+2sqrt2/expected": CHSH_MINUS,
+        "minus_state_reaches_+2sqrt2/actual": CHSH_MINUS,
+        "separable_within_classical_bound/expected": ZERO,
+        "separable_within_classical_bound/actual": ZERO,
+    },
+}
+
+
+def test_every_printed_ocb_and_chsh_digit_is_exact():
+    # max_separable_chsh is the largest |CHSH| of random separable states.
+    for scenario, references in EXACT.items():
+        printed = _printed(_golden_report(scenario), skip=("max_separable_chsh",))
+        assert printed.keys() == references.keys(), scenario
+        for key, value in printed.items():
+            assert value == _round12(_surd(*references[key])), (scenario, key)
+
+
+def _arctan_inverse(x):
+    """arctan(1/x) = sum_k (-1)^k / ((2k + 1) x^(2k + 1)) for an integer
+    x > 1, summed until a term no longer moves the sum."""
+    total, power, k = Decimal(0), Decimal(1) / x, 0
+    while True:
+        term = power / (2 * k + 1)
+        new = total - term if k % 2 else total + term
+        if new == total:
+            return total
+        total, power, k = new, power / (x * x), k + 1
+
+
+def _machin_pi():
+    """pi = 16 arctan(1/5) - 4 arctan(1/239), at the context's precision."""
+    return 16 * _arctan_inverse(5) - 4 * _arctan_inverse(239)
+
+
+def _trigger_reference(tau_star, width, potential, mass):
+    """The trigger's printed values on the exact values of its float inputs,
+    with pi from Machin's formula."""
+    with localcontext() as ctx:
+        ctx.prec = PREC
+        tau, delta, v0, m, hbar = (Decimal(x) for x in (tau_star, width, potential, mass, HBAR))
+        pi = _machin_pi()
+        omega = pi / (2 * tau)
+        amplitude = 2 * delta * v0 / (pi * hbar * omega)
+        window = delta / (omega * amplitude)
+        angle = v0 * window / hbar
+        return {
+            "omega": omega,
+            "period": 2 * pi / omega,
+            "amplitude": amplitude,
+            "sigma": (hbar / (m * omega)).sqrt(),
+            "crossing_window": window,
+            "rotation_angle": angle,
+            # |sin(pi/2)|: the angle is pi/2 in exact arithmetic.
+            "rotated_fidelity_with_A1": Decimal(1),
+            "rotation_angle_is_pi_over_2/expected": pi / 2,
+            "rotation_angle_is_pi_over_2/actual": angle,
+            "period_is_4_tau_star/expected": 4 * tau,
+            "period_is_4_tau_star/actual": 2 * pi / omega,
+            "rotation_lands_on_A1/expected": Decimal(1),
+            "rotation_lands_on_A1/actual": Decimal(1),
+        }
+
+
+def test_every_printed_trigger_digit_is_right():
+    report = _golden_report("trigger")
+    references = _trigger_reference(**report["inputs"])
+    printed = _printed(report)
+    assert printed.keys() == references.keys()
+    for key, value in printed.items():
+        assert value == _round12(references[key]), key
+
+
+def test_machin_pi_is_pi():
+    with localcontext() as ctx:
+        ctx.prec = PREC
+        pi = _machin_pi()
+    assert str(pi)[:52] == "3.14159265358979323846264338327950288419716939937510"

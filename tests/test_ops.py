@@ -365,17 +365,25 @@ def test_is_cptp_decides_as_the_partial_trace(dims, sampler, convention, seed):
         assert want
 
 
-def test_operation_kraus_are_read_only_views_of_one_stack():
-    source = list(rand_cptp(2, 3, 2, np.random.default_rng(40)).kraus)
+def test_operation_kraus_is_one_read_only_stack():
+    source = [np.array(e) for e in rand_cptp(2, 3, 2, np.random.default_rng(40)).kraus]
     op = Operation(2, 3, source)
-    stack = op._stack
-    assert stack.shape == (2, 3, 2) and not stack.flags.writeable
-    assert isinstance(op.kraus, tuple) and len(op.kraus) == 2
-    for e, given_e in zip(op.kraus, source):
-        assert e.base is stack and np.array_equal(e, given_e)
-        assert not np.shares_memory(e, given_e)
+    assert op.kraus.shape == (2, 3, 2) and op.kraus.dtype == complex
+    assert np.array_equal(op.kraus, source)
+    assert not any(np.shares_memory(op.kraus, e) for e in source)
     with pytest.raises(ValueError, match="read-only"):
-        op.kraus[1][0, 0] = 0.0
+        op.kraus[1, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        op.kraus.setflags(write=True)
+    # The samplers build from such a stack: rand_operation scales a rand_cptp
+    # stack, and rand_instrument cuts one into single-Kraus operations.
+    rng = np.random.default_rng(41)
+    cptp = rand_cptp(2, 3, 2, rng).kraus
+    scale = np.sqrt(rng.uniform(0.2, 1.0))
+    assert np.array_equal(rand_operation(2, 3, 2, np.random.default_rng(41)).kraus, scale * cptp)
+    instrument = rand_instrument(2, 3, 2, np.random.default_rng(41))
+    assert np.array_equal(np.concatenate([member.kraus for member in instrument]), cptp)
+    assert not any(member.kraus.flags.writeable for member in instrument)
 
 
 @pytest.mark.parametrize(

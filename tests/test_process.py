@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchlab import linalg
+from switchlab import linalg, process
+from switchlab.agents import AgentAmplitudes
 from switchlab.linalg import (
     DEFAULT_TOL,
     ID2,
@@ -575,22 +576,51 @@ def test_causal_bound_operation_makes_four_proofs(proof_shapes):
     assert proof_shapes == [(2, 2), (2, 2), (16, 16), (16, 16)]
 
 
+def _identity_channel(m):
+    # The TRANSPOSED Choi of the qubit channel with the one Kraus operator
+    # 4 m[:2, :2], the identity at m = 1/4.
+    return choi_of_operation(Operation(2, 2, (4 * m[:2, :2],)))
+
+
+def _one_way_pair(m):
+    # Both one-way processes on the state 2 m[:2, :2] and the identity channel.
+    rho, choi = 2 * m[:2, :2], _identity_channel(m)
+    return channel_process(rho, choi), channel_process_reverse(rho, choi)
+
+
+# (build from the 4 x 4 matrix 1/4, the array it holds): the constructors
+# copy the matrix given, the builders keep the matrix they made, and the
+# caches and shared instances hold what every later call reads.
 VALIDATED = {
     "ProcessMatrix": (lambda m: ProcessMatrix((2, 1, 2, 1), m), lambda obj: obj.matrix),
     "ChoiOperator": (lambda m: ChoiOperator(2, 2, m), lambda obj: obj.matrix),
-    "Operation": (lambda m: Operation(4, 4, (m,)), lambda obj: obj.kraus[0]),
+    "Operation": (lambda m: Operation(4, 4, (m,)), lambda obj: obj.kraus),
+    "choi_of_operation": (_identity_channel, lambda obj: obj.matrix),
+    "channel_process": (lambda m: _one_way_pair(m)[0], lambda obj: obj.matrix),
+    "channel_process_reverse": (lambda m: _one_way_pair(m)[1], lambda obj: obj.matrix),
+    "causal_mixture": (lambda m: causal_mixture(*_one_way_pair(m), 0.5), lambda obj: obj.matrix),
+    "_hs_plan": (lambda m: process._hs_plan(2), lambda plan: plan[0]),
+    "ocb_strategy.alice_terms": (lambda m: ocb_strategy(), lambda s: s.alice_terms),
+    "ocb_strategy.bob_terms": (lambda m: ocb_strategy(), lambda s: s.bob_terms),
+    "isometries.a_then_b": (lambda m: AgentAmplitudes().isometries, lambda v: v[0]),
+    "isometries.b_then_a": (lambda m: AgentAmplitudes().isometries, lambda v: v[1]),
+    "_identity": (lambda m: linalg._identity(4), lambda eye: eye),
 }
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATED))
 def test_validated_objects_keep_read_only_copies(name):
+    # No later write to the caller's matrix reaches the array held, no write
+    # to that array succeeds, and it cannot be made writable again.
     build, held = VALIDATED[name]
     source = np.eye(4, dtype=complex) / 4
-    obj = build(source)
+    array = held(build(source))
     source[0, 0] = -5.0
-    assert np.array_equal(held(obj), np.eye(4) / 4)
+    assert np.array_equal(array, held(build(np.eye(4, dtype=complex) / 4)))
     with pytest.raises(ValueError, match="read-only"):
-        held(obj)[0, 0] = 1.0
+        array[(0,) * array.ndim] = 1.0
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        array.setflags(write=True)
 
 
 LOCAL_DIM = st.integers(1, 3)

@@ -50,8 +50,10 @@ class BodyConfig:
     radius: float
 
     def __post_init__(self):
-        if self.mass <= 0 or self.radius <= 0:
-            raise ValueError("mass and radius must be positive")
+        # `0 < x < inf` is false for NaN, so NaN is rejected too.
+        for name in ("mass", "radius"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"body {name} is not positive and finite")
         if self.radius <= self.schwarzschild_radius:
             raise ValueError("body radius lies inside its Schwarzschild radius")
 
@@ -215,8 +217,9 @@ class SwitchGeometry:
     d: float
 
     def __post_init__(self):
-        if self.h <= 0 or self.d <= 0:
-            raise ValueError("geometry lengths must be positive")
+        for name in ("h", "d"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"geometry {name} is not positive and finite")
 
     @property
     def crossing_time(self):
@@ -248,8 +251,8 @@ class ClockModel:
     energy_gap: float
 
     def __post_init__(self):
-        if self.energy_gap < 0:
-            raise ValueError("energy gap must be nonnegative")
+        if not 0.0 <= self.energy_gap < np.inf:
+            raise ValueError("clock energy_gap is not nonnegative and finite")
 
     def state(self, tau):
         phase = -self.energy_gap * tau / HBAR

@@ -1,18 +1,15 @@
 """Quantum operations and instruments.
 
 An operation is a completely positive, trace-nonincreasing map held in Kraus
-form. Two channel-state isomorphism conventions coexist in the literature and
-both are supported, tagged on the :class:`ChoiOperator` so they can never be
-mixed silently:
+form. Its :class:`ChoiOperator` is the transposed Choi matrix of the
+probability rule of Oreshkov, Costa and Brukner:
 
-* ``PLAIN``:       sigma = (I (x) E)(|1>><<1|),  E(A) = Tr_in[(A^T (x) 1) sigma]
-* ``TRANSPOSED``:  M = sigma^T,                  E(rho) = [Tr_in[(rho (x) 1) M]]^T
+    M = [(1 (x) E)(|1>><<1|)]^T,    E(rho) = [Tr_in[(rho (x) 1) M]]^T
 
-For a unitary U the TRANSPOSED Choi is the rank-1 projector onto the Choi
-vector |U*>> = sum_k |k> (x) U*|k>.
+For a unitary U it is the rank-1 projector onto the Choi vector
+|U*>> = sum_k |k> (x) U*|k>.
 """
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +30,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "Convention",
     "Operation",
     "ChoiOperator",
     "apply_operation",
@@ -48,11 +44,6 @@ __all__ = [
     "rand_operation",
     "rand_instrument",
 ]
-
-
-class Convention(enum.Enum):
-    PLAIN = "plain"
-    TRANSPOSED = "transposed"
 
 
 def _require_trace_nonincreasing(kraus):
@@ -107,13 +98,12 @@ def apply_operation(op, rho):
 
 @dataclass(frozen=True)
 class ChoiOperator:
-    """Choi matrix of an operation on H_in (x) H_out, input factor first,
-    kept as a read-only copy."""
+    """Transposed Choi matrix M of an operation on H_in (x) H_out, input
+    factor first, kept as a read-only copy."""
 
     d_in: int
     d_out: int
     matrix: np.ndarray = field(default=None)
-    convention: Convention = Convention.TRANSPOSED
 
     def __post_init__(self):
         d_in, d_out = require_dims((self.d_in, self.d_out), "ChoiOperator")
@@ -127,9 +117,14 @@ class ChoiOperator:
         object.__setattr__(self, "matrix", m)
 
     def is_cptp(self):
-        # Tr_out of the matrix: partial_trace's one contraction, without its checks.
-        t = self.matrix.reshape(self.d_in, self.d_out, self.d_in, self.d_out)
-        return close(np.trace(t, axis1=1, axis2=3), _identity(self.d_in))
+        return _trace_preserving(self.matrix, self.d_in, self.d_out)
+
+
+def _trace_preserving(matrix, d_in, d_out):
+    # Tr_out of a Choi matrix, or of each in a stack, is 1_in within
+    # DEFAULT_TOL: partial_trace's one contraction, without its checks.
+    t = matrix.reshape(*matrix.shape[:-2], d_in, d_out, d_in, d_out)
+    return close(np.trace(t, axis1=-3, axis2=-1), _identity(d_in))
 
 
 def _choi_vec(e):
@@ -138,19 +133,17 @@ def _choi_vec(e):
     return e.swapaxes(-1, -2).reshape(*e.shape[:-2], -1)
 
 
-def _choi_matrix(kraus, convention):
-    # sum_i |E_i>><<E_i| of a (..., r, d_out, d_in) Kraus stack, transposed for
-    # TRANSPOSED: the r outer products in one stacked product, then added in
-    # the family's order. (A sum over the Kraus axis reorders the additions
-    # when the matrices are 1 x 1.)
+def _choi_matrix(kraus):
+    # [sum_i |E_i>><<E_i|]^T of a (..., r, d_out, d_in) Kraus stack: the r
+    # outer products in one stacked product, then added in the family's order.
+    # (A sum over the Kraus axis reorders the additions when the matrices are
+    # 1 x 1.)
     v = _choi_vec(kraus)
     terms = v[..., :, None] * v[..., None, :].conj()
     m = terms[..., 0, :, :]
     for i in range(1, terms.shape[-3]):
         m = m + terms[..., i, :, :]
-    if convention is Convention.TRANSPOSED:
-        m = m.swapaxes(-1, -2)
-    return m
+    return m.swapaxes(-1, -2)
 
 
 def _built(cls, **fields):
@@ -163,24 +156,21 @@ def _built(cls, **fields):
     return obj
 
 
-def choi_of_operation(op, convention=Convention.TRANSPOSED):
-    """Choi operator of an operation in the requested convention. The sum of
-    outer products |E>><<E| is Hermitian and positive semidefinite by
-    construction, so it is not proved again."""
-    matrix = _frozen(_choi_matrix(op.kraus, convention))
-    return _built(ChoiOperator, d_in=op.d_in, d_out=op.d_out, matrix=matrix, convention=convention)
+def choi_of_operation(op):
+    """Choi operator of an operation. The sum of outer products |E>><<E| is
+    Hermitian and positive semidefinite by construction, so it is not proved
+    again."""
+    matrix = _frozen(_choi_matrix(op.kraus))
+    return _built(ChoiOperator, d_in=op.d_in, d_out=op.d_out, matrix=matrix)
 
 
 def apply_choi(choi, rho):
-    """Act on a state through the Choi matrix (inverse isomorphism)."""
+    """Act on a state through the Choi matrix (inverse isomorphism):
+    [Tr_in[(rho (x) 1) M]]^T."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (choi.d_in, choi.d_in):
         raise ValueError(f"state shape {rho.shape} != ({choi.d_in}, {choi.d_in})")
     t = choi.matrix.reshape(choi.d_in, choi.d_out, choi.d_in, choi.d_out)
-    if choi.convention is Convention.PLAIN:
-        # Tr_in[(rho^T (x) 1) sigma]
-        return np.einsum("mi,maib->ab", rho, t)
-    # TRANSPOSED: [Tr_in[(rho (x) 1) M]]^T
     return np.einsum("im,maib->ab", rho, t).T
 
 
@@ -190,10 +180,7 @@ def kraus_from_choi(choi):
     Eigenvectors with eigenvalue > DEFAULT_TOL each yield one Kraus operator, so
     the Kraus rank equals the numerical rank and Tr(E_i E_j^dag) = lam_i d_ij.
     """
-    m = choi.matrix
-    if choi.convention is Convention.TRANSPOSED:
-        m = m.T
-    w, v = hermitian_eigen(m)
+    w, v = hermitian_eigen(choi.matrix.T)
     kraus = []
     for lam, vec in zip(w, v.T):
         if lam > DEFAULT_TOL:
@@ -316,7 +303,7 @@ def rand_cptp(d_in, d_out, kraus_rank, rng):
 
 
 def _cptp_choi_pairs(sides, kraus_rank, k, rng):
-    """TRANSPOSED Choi matrices, one (k, n, n) stack per (d_in, d_out) in
+    """Choi matrices, one (k, n, n) stack per (d_in, d_out) in
     `sides`, of the maps that k rounds of one ``rand_cptp(d_in, d_out,
     kraus_rank, rng)`` call per side would build. One draw holds each
     round's normals in those calls' order: per side, real then imaginary.
@@ -330,7 +317,7 @@ def _cptp_choi_pairs(sides, kraus_rank, k, rng):
     chois = []
     for (_, d_out), shape, real, imag in zip(sides, shapes, normals[::2], normals[1::2]):
         g = real.reshape(k, *shape) + 1j * imag.reshape(k, *shape)
-        chois.append(_choi_matrix(_isometry_kraus(g, d_out, kraus_rank), Convention.TRANSPOSED))
+        chois.append(_choi_matrix(_isometry_kraus(g, d_out, kraus_rank)))
     return chois
 
 

@@ -23,8 +23,8 @@ from .linalg import (
     is_unitary,
     kron,
 )
-from .ops import ChoiOperator, _choi_vec, rand_unitary
-from .process import _BLOCK, _party_dims, _realigned, _require_dims, _rule_trace
+from .ops import ChoiOperator, _choi_vec, _trace_preserving, rand_unitary
+from .process import _BLOCK, _realigned, _require_dims, _rule_trace
 
 __all__ = [
     "GameStrategy",
@@ -49,10 +49,10 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class GameStrategy:
     """Instrument-element Chois played by Alice and Bob in the causal game:
-    `alice` maps each bit pair (x, a) to a TRANSPOSED-convention Choi
-    operator, and `bob` each (y, b, b'); summed over the guess bit they must
-    be CPTP. Both are copied into read-only mappings, checked once, on
-    construction, and summed into the two product terms A (x) B of each branch
+    `alice` maps each bit pair (x, a) to a Choi operator, and `bob` each
+    (y, b, b'); summed over the guess bit (x or y) they must be CPTP. Both
+    are copied into read-only mappings, checked once, on construction, and
+    summed into the two product terms A (x) B of each branch
         G_A = sum_b (sum_a M(b,a)) (x) (sum_y N(y,b,0))  (Alice guesses b),
         G_B = sum_a (sum_x M(x,a)) (x) (sum_b N(a,b,1))  (Bob guesses a),
     kept as the rule's rows vec(A^T) in `alice_terms` and vec(B^T) in
@@ -71,7 +71,17 @@ class GameStrategy:
     def __post_init__(self):
         m = MappingProxyType({k: self.alice[k] for k in np.ndindex(2, 2)})
         n = MappingProxyType({k: self.bob[k] for k in np.ndindex(2, 2, 2)})
-        dims = _party_dims("Alice", m.values()) + _party_dims("Bob", n.values())
+        dims = ()
+        for party, chois in (("Alice", m), ("Bob", n)):
+            shapes = {(c.d_in, c.d_out) for c in chois.values()}
+            if len(shapes) != 1:
+                # No process matches two of a party's shapes.
+                raise ValueError(f"{party} Chois must share one (d_in, d_out), not {sorted(shapes)}")
+            dims += shapes.pop()
+            # The guess bit leads each key, so axis 0 of the stack sums over it.
+            stack = np.array([c.matrix for c in chois.values()])
+            if not _trace_preserving(stack.reshape(2, -1, *stack.shape[1:]).sum(axis=0), *dims[-2:]):
+                raise ValueError(f"{party}'s instrument elements, summed over the guess bit, are not trace-preserving")
         g_a = [([m[b, a] for a in range(2)], [n[y, b, 0] for y in range(2)]) for b in range(2)]
         g_b = [([m[x, a] for x in range(2)], [n[a, b, 1] for b in range(2)]) for a in range(2)]
         for side, name in enumerate(("alice_terms", "bob_terms")):

@@ -2,10 +2,8 @@
 
 A process matrix W on A_in (x) A_out (x) B_in (x) B_out assigns the joint
 outcome probability Tr[W (M (x) N)] to local instrument elements M, N without
-presupposing an order between the two laboratories. Instrument-element Choi
-operators entering the probability rule must use the TRANSPOSED convention;
-the PLAIN convention is rejected so the two can never be mixed, which would
-silently transpose one tensor factor.
+presupposing an order between the two laboratories, with M and N the
+transposed Choi matrices of :mod:`switchlab.ops`.
 """
 
 import functools
@@ -26,7 +24,7 @@ from .linalg import (
     require_psd,
     trace_and_replace,
 )
-from .ops import Convention, _built, _choi_vec, _cptp_choi_pairs
+from .ops import _built, _choi_vec, _cptp_choi_pairs
 
 __all__ = [
     "ProcessMatrix",
@@ -77,18 +75,6 @@ def _require_dims(w, party, dims):
         raise ValueError(f"{party} Choi dimensions do not match the process")
 
 
-def _party_dims(party, chois):
-    """The probability rule's checks on the Choi operators of `party`: each
-    is TRANSPOSED, and all share the (d_in, d_out) that is returned."""
-    if any(c.convention is not Convention.TRANSPOSED for c in chois):
-        raise ValueError(f"probability rule requires TRANSPOSED-convention Choi operators; one of {party}'s is PLAIN")
-    shapes = {(c.d_in, c.d_out) for c in chois}
-    if len(shapes) != 1:
-        # No process matches two of a party's shapes.
-        raise ValueError(f"{party} Chois must share one (d_in, d_out), not {sorted(shapes)}")
-    return shapes.pop()
-
-
 def _real_probability(val):
     # The probability rule's values must be real (NaN fails); the mask names the first.
     val = np.asarray(val)
@@ -121,7 +107,7 @@ def _rule_trace(w, dims, alice, bob):
 def probability(w, choi_a, choi_b):
     """Joint probability Tr[W (M (x) N)] for one instrument element each,
     scored on their rows vec(M^T), vec(N^T) by the rule of :func:`_rule_trace`."""
-    dims = _party_dims("Alice", (choi_a,)) + _party_dims("Bob", (choi_b,))
+    dims = (choi_a.d_in, choi_a.d_out, choi_b.d_in, choi_b.d_out)
     return float(_rule_trace(w, dims, _choi_vec(choi_a.matrix), _choi_vec(choi_b.matrix)))
 
 
@@ -133,8 +119,6 @@ def _one_way(rho, channel_choi, perm):
     positivity proof is on that W itself, since from a state at -DEFAULT_TOL,
     rho (x) C^T (x) 1 can reach -d_in * DEFAULT_TOL; W is then wrapped
     without the constructor's checks."""
-    if channel_choi.convention is not Convention.TRANSPOSED:
-        raise ValueError("channel Choi must use the TRANSPOSED convention")
     if not channel_choi.is_cptp():
         raise ValueError("channel Choi is not trace-preserving")
     rho = np.asarray(rho, dtype=complex)

@@ -76,6 +76,24 @@ MUTANTS = (
         "w = kron(rho, channel_choi.matrix, _identity(d_out))",
     ),
     (
+        "Choi matrix of a Kraus family left untransposed",
+        "ops.py",
+        "return m.swapaxes(-1, -2)",
+        "return m",
+    ),
+    (
+        "kraus_from_choi decomposes the Choi matrix untransposed",
+        "ops.py",
+        "w, v = hermitian_eigen(choi.matrix.T)",
+        "w, v = hermitian_eigen(choi.matrix)",
+    ),
+    (
+        "apply_choi drops its closing transpose",
+        "ops.py",
+        'return np.einsum("im,maib->ab", rho, t).T',
+        'return np.einsum("im,maib->ab", rho, t)',
+    ),
+    (
         "imaginary-part tolerance of the probability rule widened",
         "process.py",
         "if not np.abs(val.imag).max() <= DEFAULT_TOL:",

@@ -13,7 +13,6 @@ import numpy as np
 from switchlab import agents, gravity, order, process
 from switchlab.linalg import ID2, PAULI_Z, hermitian_eigen, kron
 from switchlab.ops import (
-    Convention,
     apply_choi,
     apply_operation,
     choi_of_operation,
@@ -140,8 +139,7 @@ def test_criterion_07_round_trips():
         d_out = int(rng.choice([2, 3]))
         k = int(rng.integers(-(-d_in // d_out), d_in * d_out + 1))
         op = rand_cptp(d_in, d_out, k, rng) if i % 2 else rand_operation(d_in, d_out, k, rng)
-        convention = Convention.TRANSPOSED if i % 3 else Convention.PLAIN
-        choi = choi_of_operation(op, convention)
+        choi = choi_of_operation(op)
         rebuilt = kraus_from_choi(choi)
         w, _ = hermitian_eigen(choi.matrix)
         ranks_ok = ranks_ok and len(rebuilt.kraus) == int(np.sum(w > 1e-9))

@@ -223,13 +223,14 @@ def _golden_report(scenario):
 
 def _printed(report, skip=()):
     """{name: value} of every float the report prints, outputs and check
-    values alike, less the keys in `skip`."""
-    printed = {k: v for k, v in report["outputs"].items() if not isinstance(v, bool)}
+    values alike, less the keys in `skip` and the ROUNDOFF fields."""
+    printed = {k: v for k, v in report["outputs"].items() if isinstance(v, float)}
     for check in report["checks"]:
-        if not isinstance(check["actual"], bool):
+        if isinstance(check["actual"], float):
             printed[f"{check['name']}/expected"] = check["expected"]
             printed[f"{check['name']}/actual"] = check["actual"]
-    return {k: v for k, v in printed.items() if k not in skip}
+    roundoff = {path.removeprefix("/outputs/").removeprefix("/checks/") for path in ROUNDOFF}
+    return {k: v for k, v in printed.items() if k not in roundoff and k not in skip}
 
 
 def _surd(a, b):
@@ -274,6 +275,46 @@ def test_every_printed_ocb_and_chsh_digit_is_exact():
         assert printed.keys() == references.keys(), scenario
         for key, value in printed.items():
             assert value == _round12(_surd(*references[key])), (scenario, key)
+
+
+# The printed floats that are exact by construction, as literals.
+LITERAL = {
+    "validate-process": {
+        "trace": 4.0,
+        "trace_equals_4/expected": 4.0,
+        "trace_equals_4/actual": 4.0,
+        "normalization_deviation/expected": 0.0,
+    },
+    "switch-contract": {"contraction_equals_supermap/expected": 0.0},
+    "agent-switch": {
+        **{f"{name}_fidelity": 1.0 for name in ("e1_plus", "e1_minus", "e4")},
+        "postselection_total": 1.0,
+        **{f"{name}/{key}": 1.0
+           for name in ("e1_plus_target", "e1_minus_target", "e4_trivial_switch", "postselection_completeness")
+           for key in ("expected", "actual")},
+        "max_isometry_deviation": 0.0,
+        "orders_are_isometries/expected": 0.0,
+        "orders_are_isometries/actual": 0.0,
+    },
+}
+
+
+def test_every_printed_literal_is_exact():
+    for scenario, references in LITERAL.items():
+        assert _printed(_golden_report(scenario)) == references, scenario
+
+
+# test_gravity.py::test_every_printed_gravity_digit_is_right holds these to a
+# 100-digit reference.
+GRAVITY_SCENARIOS = {"grav-duration", "grav-order"}
+
+
+def test_every_golden_scenario_has_a_reference_table():
+    # A scenario added to the golden suite, or one that starts to print a
+    # float, must come with the exact values of what it prints.
+    suite = json.loads(_suite_stdout(SUITES / "golden.json"))
+    printing = {r["scenario"] for r in suite["reports"] if _printed(r)}
+    assert printing <= EXACT.keys() | LITERAL.keys() | GRAVITY_SCENARIOS | {"trigger"}
 
 
 def _arctan_inverse(x):

@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from switchlab import order
+from switchlab import gravity, order
 from switchlab.linalg import ID2, partial_trace
-from switchlab.ops import ChoiOperator, Convention
+from switchlab.ops import ChoiOperator
 from switchlab.process import (
     ProcessMatrix,
     causal_mixture,
@@ -38,8 +38,6 @@ def rng():
         (lambda: ProcessMatrix((2, 2, 2, 2), np.eye(4)), "matrix shape (4, 4) does not match dims (2, 2, 2, 2)"),
         (lambda: ProcessMatrix((2, 2, 2), ID2 / 2), "ProcessMatrix dims (2, 2, 2) must be four dimensions"),
         (lambda: channel_process(ID2 / 2, ChoiOperator(2, 2, np.eye(4))), "channel Choi is not trace-preserving"),
-        (lambda: channel_process(ID2 / 2, ChoiOperator(2, 2, np.eye(4) / 2, Convention.PLAIN)),
-         "channel Choi must use the TRANSPOSED convention"),
         (lambda: causal_mixture(ocb_process(), ProcessMatrix((4, 1, 2, 2), np.eye(16) / 4), 0.5),
          "process dimensions disagree"),
         (lambda: validate_process(ocb_process(), 0, rng()), "need at least one sample"),
@@ -54,6 +52,10 @@ def rng():
          "switch target state needs a last axis of length 2 (a qubit), not shape (3,)"),
         (lambda: order.temporal_order_state(*order.TEMPORAL_ORDER_UNITARIES, np.array([1, 0, 0]), ID2[0], 1),
          "temporal-order target states must be qubits of shape (2,), not (3,)"),
+        (lambda: gravity.BodyConfig(np.nan, 1.0), "body mass is not positive and finite"),
+        (lambda: gravity.BodyConfig(1.0, np.inf), "body radius is not positive and finite"),
+        (lambda: gravity.SwitchGeometry(1.0, np.nan), "geometry d is not positive and finite"),
+        (lambda: gravity.ClockModel(np.nan), "clock energy_gap is not nonnegative and finite"),
     ],
     ids=[
         "check-dims-shape",
@@ -61,7 +63,6 @@ def rng():
         "process-matrix-shape",
         "process-matrix-three-dims",
         "one-way-non-tp-channel",
-        "one-way-plain-channel",
         "causal-mixture-dims",
         "validate-zero-samples",
         "party-dims-mixed-shapes",
@@ -72,6 +73,10 @@ def rng():
         "temporal-order-sign",
         "switch-target-not-a-qubit",
         "temporal-order-target-not-a-qubit",
+        "body-nan-mass",
+        "body-infinite-radius",
+        "geometry-nan-separation",
+        "clock-nan-gap",
     ],
 )
 def test_named_input_errors(call, message):

@@ -21,7 +21,6 @@ from switchlab.linalg import (
 )
 from switchlab.ops import (
     ChoiOperator,
-    Convention,
     Operation,
     apply_choi,
     apply_operation,
@@ -87,7 +86,7 @@ def test_apply_operation_linearity():
 
 def test_choi_transposed_of_identity_channel():
     op = Operation(2, 2, (ID2,))
-    choi = choi_of_operation(op, Convention.TRANSPOSED)
+    choi = choi_of_operation(op)
     # |1>><<1| = sum_{jk} |jj><kk|
     expected = np.zeros((4, 4), dtype=complex)
     for j in range(2):
@@ -96,13 +95,13 @@ def test_choi_transposed_of_identity_channel():
     assert np.abs(choi.matrix - expected).max() < 1e-12
 
 
-def test_choi_plain_of_unitary_is_rank_one():
+def test_choi_of_unitary_is_rank_one():
     rng = np.random.default_rng(1)
     u = rand_unitary(2, rng)
-    choi = choi_of_operation(Operation(2, 2, (u,)), Convention.PLAIN)
+    choi = choi_of_operation(Operation(2, 2, (u,)))
     w, _ = hermitian_eigen(choi.matrix)
     assert np.sum(w > 1e-9) == 1
-    assert abs(w[-1] - 2.0) < 1e-9  # squared norm of (1 (x) U)|1>>
+    assert abs(w[-1] - 2.0) < 1e-9  # squared norm of the Choi vector |U*>>
 
 
 @pytest.mark.parametrize("d, shape", [(2, (3,)), (3, (2, 4))])
@@ -123,34 +122,32 @@ def test_choi_of_trace_operation_is_identity():
     op = Operation(3, 1, kraus)
     # explicit summation oracle: sum_k |v_k><v_k| reshaped to H_in
     expected = sum(np.outer(u[:, k], u[:, k].conj()) for k in range(3))
-    for convention in Convention:
-        choi = choi_of_operation(op, convention)
-        assert np.abs(choi.matrix - expected).max() < 1e-9
-        assert np.abs(choi.matrix - np.eye(3)).max() < 1e-9
+    choi = choi_of_operation(op)
+    assert np.abs(choi.matrix - expected).max() < 1e-9
+    assert np.abs(choi.matrix - np.eye(3)).max() < 1e-9
 
 
-def test_trace_of_plain_choi_equals_d_in():
+def test_trace_of_choi_equals_d_in():
     rng = np.random.default_rng(3)
     for d_in, d_out in [(2, 2), (3, 2), (2, 4)]:
         op = rand_cptp(d_in, d_out, 3, rng)
-        choi = choi_of_operation(op, Convention.PLAIN)
+        choi = choi_of_operation(op)
         assert abs(np.trace(choi.matrix) - d_in) < 1e-9
 
 
 def test_apply_choi_identity_and_bit_flip():
-    ident = choi_of_operation(Operation(2, 2, (ID2,)), Convention.TRANSPOSED)
+    ident = choi_of_operation(Operation(2, 2, (ID2,)))
     rng = np.random.default_rng(4)
     rho = rand_density(2, rng)
     assert np.abs(apply_choi(ident, rho) - rho).max() < 1e-12
-    flip = choi_of_operation(Operation(2, 2, (PAULI_X,)), Convention.TRANSPOSED)
+    flip = choi_of_operation(Operation(2, 2, (PAULI_X,)))
     assert np.abs(apply_choi(flip, proj(KET0)) - proj(KET1)).max() < 1e-12
 
 
-@pytest.mark.parametrize("convention", list(Convention))
-def test_apply_choi_round_trip_random(convention):
+def test_apply_choi_round_trip_random():
     rng = np.random.default_rng(5)
     op = rand_operation(2, 2, 3, rng)
-    choi = choi_of_operation(op, convention)
+    choi = choi_of_operation(op)
     worst = 0.0
     for _ in range(20):
         rho = rand_density(2, rng)
@@ -160,7 +157,7 @@ def test_apply_choi_round_trip_random(convention):
 
 
 def test_kraus_from_choi_identity_channel():
-    choi = choi_of_operation(Operation(2, 2, (ID2,)), Convention.TRANSPOSED)
+    choi = choi_of_operation(Operation(2, 2, (ID2,)))
     op = kraus_from_choi(choi)
     assert len(op.kraus) == 1
     e = op.kraus[0]
@@ -168,8 +165,8 @@ def test_kraus_from_choi_identity_channel():
 
 
 def test_kraus_from_choi_depolarizing_rank_four():
-    # completely depolarizing channel rho -> 1/2: TRANSPOSED Choi is 1_4 / 2
-    choi = ChoiOperator(2, 2, np.eye(4) / 2, Convention.TRANSPOSED)
+    # completely depolarizing channel rho -> 1/2: its Choi is 1_4 / 2
+    choi = ChoiOperator(2, 2, np.eye(4) / 2)
     op = kraus_from_choi(choi)
     assert len(op.kraus) == 4
     rng = np.random.default_rng(6)
@@ -181,7 +178,7 @@ def test_kraus_from_choi_orthogonality_and_rank():
     rng = np.random.default_rng(7)
     for k in (1, 2, 4):
         op = rand_cptp(2, 2, k, rng)
-        choi = choi_of_operation(op, Convention.TRANSPOSED)
+        choi = choi_of_operation(op)
         w, _ = hermitian_eigen(choi.matrix)
         extracted = kraus_from_choi(choi)
         assert len(extracted.kraus) == int(np.sum(w > 1e-9))
@@ -203,24 +200,23 @@ DEGENERATE_CHANNELS = {
 }
 
 
-@pytest.mark.parametrize("convention", list(Convention))
 @pytest.mark.parametrize("name", list(DEGENERATE_CHANNELS))
-def test_kraus_from_choi_degenerate_spectrum_roundtrip(convention, name):
+def test_kraus_from_choi_degenerate_spectrum_roundtrip(name):
     # Eigenvectors of a degenerate eigenvalue are fixed only up to a unitary
     # mixing, so only Kraus-invariant quantities are compared.
     kraus, rank = DEGENERATE_CHANNELS[name]
     op = Operation(2, 2, kraus)
-    choi = choi_of_operation(op, convention)
+    choi = choi_of_operation(op)
     extracted = kraus_from_choi(choi)
     assert len(extracted.kraus) == rank
     assert close(sum(dagger(e) @ e for e in extracted.kraus), ID2)
-    rebuilt = choi_of_operation(extracted, convention)
+    rebuilt = choi_of_operation(extracted)
     assert np.abs(rebuilt.matrix - choi.matrix).max() < 1e-9
 
 
 def test_choi_rejects_non_cp():
     with pytest.raises(ValueError):
-        ChoiOperator(2, 2, kron(PAULI_Z, ID2), Convention.TRANSPOSED)
+        ChoiOperator(2, 2, kron(PAULI_Z, ID2))
 
 
 def test_stinespring_unitary_channel():
@@ -298,10 +294,9 @@ def test_full_round_trip_sweep():
         k_min = -(-d_in // d_out)
         k = int(rng.integers(k_min, d_in * d_out + 1))
         op = rand_cptp(d_in, d_out, k, rng) if i % 2 else rand_operation(d_in, d_out, k, rng)
-        convention = Convention.TRANSPOSED if i % 3 else Convention.PLAIN
-        choi = choi_of_operation(op, convention)
+        choi = choi_of_operation(op)
         rebuilt = kraus_from_choi(choi)
-        choi2 = choi_of_operation(rebuilt, convention)
+        choi2 = choi_of_operation(rebuilt)
         assert np.abs(choi.matrix - choi2.matrix).max() < 1e-9
         rho = rand_density(d_in, rng)
         dev = np.abs(apply_operation(rebuilt, rho) - apply_operation(op, rho)).max()
@@ -330,16 +325,15 @@ def test_operation_dims_are_positive(build, message):
     d_out=st.integers(1, 3),
     rank=st.integers(1, 4),
     sampler=st.sampled_from([rand_cptp, rand_operation]),
-    convention=st.sampled_from(list(Convention)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_choi_kraus_round_trip(d_in, d_out, rank, sampler, convention, seed):
+def test_choi_kraus_round_trip(d_in, d_out, rank, sampler, seed):
     # Choi -> Kraus acts as the sampled operation, with one Kraus operator per
     # Choi eigenvalue above DEFAULT_TOL, and the Choi acts the same way.
     assume(d_out * rank >= d_in)
     rng = np.random.default_rng(seed)
     op = sampler(d_in, d_out, rank, rng)
-    choi = choi_of_operation(op, convention)
+    choi = choi_of_operation(op)
     rebuilt = kraus_from_choi(choi)
     assert len(rebuilt.kraus) == np.sum(np.linalg.eigvalsh(choi.matrix) > DEFAULT_TOL)
     rho = rand_density(d_in, rng)
@@ -352,13 +346,12 @@ def test_choi_kraus_round_trip(d_in, d_out, rank, sampler, convention, seed):
 @given(
     dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
     sampler=st.sampled_from([rand_cptp, rand_operation]),
-    convention=st.sampled_from(list(Convention)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_is_cptp_decides_as_the_partial_trace(dims, sampler, convention, seed):
+def test_is_cptp_decides_as_the_partial_trace(dims, sampler, seed):
     # rand_operation scales a CPTP map by a weight in [sqrt 0.2, 1): trace-decreasing.
     d_in, d_out = dims
-    choi = choi_of_operation(sampler(d_in, d_out, 2, np.random.default_rng(seed)), convention)
+    choi = choi_of_operation(sampler(d_in, d_out, 2, np.random.default_rng(seed)))
     want = close(partial_trace(choi.matrix, dims, keep=(0,)), np.eye(d_in))
     assert choi.is_cptp() is want
     if sampler is rand_cptp:
@@ -428,13 +421,14 @@ def test_trace_nonincreasing_decision_matches_the_per_operator_gram(d_in, d_out,
     assert got is want
 
 
-def reference_choi_matrix(kraus, convention):
-    """The per-operator sum that choi_of_operation stacks: 0 + |E_0>><<E_0| + ..."""
+def reference_choi_matrix(kraus):
+    """The per-operator sum that choi_of_operation stacks, transposed:
+    [0 + |E_0>><<E_0| + ...]^T"""
     m = 0
     for e in kraus:
         v = e.T.reshape(-1)
         m = m + np.outer(v, v.conj())
-    return m.T if convention is Convention.TRANSPOSED else m
+    return m.T
 
 
 @settings(max_examples=80, deadline=None)
@@ -443,14 +437,13 @@ def reference_choi_matrix(kraus, convention):
     d_out=st.integers(1, 3),
     rank=st.integers(1, 4),
     sampler=st.sampled_from([rand_cptp, rand_operation]),
-    convention=st.sampled_from(list(Convention)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_choi_of_operation_equals_the_per_operator_sum_bit_for_bit(d_in, d_out, rank, sampler, convention, seed):
+def test_choi_of_operation_equals_the_per_operator_sum_bit_for_bit(d_in, d_out, rank, sampler, seed):
     # The stacked outer products are added in the family's order; only the
     # sign of an exact zero may differ (the loop's 0 + x), which array_equal
     # does not see. A sum over the Kraus axis fails here: at d_in = d_out = 1
     # it reorders the additions.
     assume(d_out * rank >= d_in)
     op = sampler(d_in, d_out, rank, np.random.default_rng(seed))
-    assert np.array_equal(choi_of_operation(op, convention).matrix, reference_choi_matrix(op.kraus, convention))
+    assert np.array_equal(choi_of_operation(op).matrix, reference_choi_matrix(op.kraus))

@@ -12,7 +12,6 @@ from switchlab import linalg, order
 from switchlab.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dagger, is_unitary, kron, partial_trace
 from switchlab.ops import (
     ChoiOperator,
-    Convention,
     Operation,
     choi_of_operation,
     rand_cptp,
@@ -160,22 +159,10 @@ def test_ocb_branch_values():
     assert abs(p_alice - P_OCB) < 1e-9 and abs(p_bob - P_OCB) < 1e-9
 
 
-def plain(chois):
-    """`chois` as PLAIN-convention Choi operators of the same maps."""
-    return {k: ChoiOperator(c.d_in, c.d_out, c.matrix.T, Convention.PLAIN) for k, c in chois.items()}
-
-
 def wide(chois):
-    """A 2 x 3 Choi in place of each of `chois`."""
-    return {k: ChoiOperator(2, 3, np.eye(6) / 3) for k in chois}
-
-
-def test_game_strategy_rejects_plain_chois_on_construction():
-    good = ocb_strategy()
-    with pytest.raises(ValueError, match="TRANSPOSED-convention Choi operators; one of Alice's is PLAIN"):
-        GameStrategy(plain(good.alice), good.bob)
-    with pytest.raises(ValueError, match="TRANSPOSED-convention Choi operators; one of Bob's is PLAIN"):
-        GameStrategy(good.alice, plain(good.bob))
+    """A 2 x 3 Choi in place of each of `chois`: half the completely
+    depolarizing channel's, so each pair summed over the guess bit is CPTP."""
+    return {k: ChoiOperator(2, 3, np.eye(6) / 6) for k in chois}
 
 
 def test_success_probability_enforces_the_probability_rule():
@@ -792,6 +779,18 @@ def test_game_strategy_checks_the_process_on_every_call():
     with pytest.raises(ValueError, match="Bob Choi dimensions do not match the process"):
         success_probability(narrow, good)
     assert abs(success_probability(ocb_process(), good) - P_OCB) < 1e-9
+
+
+def test_game_strategy_rejects_instruments_that_are_not_trace_preserving():
+    # Doubled, Alice's OCB Chois scored 1.7071 on the OCB process. Bob's
+    # instrument is checked for each (b, b'): here only (1, 1) is off.
+    good = ocb_strategy()
+    doubled = {k: ChoiOperator(2, 2, 2 * c.matrix) for k, c in good.alice.items()}
+    with pytest.raises(ValueError, match="Alice's instrument elements, summed over the guess bit, are not"):
+        GameStrategy(doubled, good.bob)
+    one_off = {k: ChoiOperator(2, 2, 2 * c.matrix) if k == (0, 1, 1) else c for k, c in good.bob.items()}
+    with pytest.raises(ValueError, match="Bob's instrument elements, summed over the guess bit, are not"):
+        GameStrategy(good.alice, one_off)
 
 
 def test_game_strategy_rejects_mixed_choi_shapes():

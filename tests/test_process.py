@@ -21,7 +21,6 @@ from switchlab.linalg import (
 )
 from switchlab.ops import (
     ChoiOperator,
-    Convention,
     Operation,
     apply_operation,
     choi_of_operation,
@@ -72,8 +71,8 @@ def proof_shapes(monkeypatch):
 
 
 def effect_choi(p):
-    # POVM element as a d_out = 1 instrument-element Choi (TRANSPOSED).
-    return ChoiOperator(p.shape[0], 1, p, Convention.TRANSPOSED)
+    # POVM element as a d_out = 1 instrument-element Choi.
+    return ChoiOperator(p.shape[0], 1, p)
 
 
 def permuted(m, dims, perm):
@@ -167,7 +166,7 @@ def test_channel_process_depolarizing_hides_bob():
         bob = rand_instrument(2, 2, 2, rng)
         for pa in alice_povm:
             # Alice measures pa, then reprepares the maximally mixed state.
-            m = ChoiOperator(2, 2, kron(pa, ID2 / 2), Convention.TRANSPOSED)
+            m = ChoiOperator(2, 2, kron(pa, ID2 / 2))
             marginal = sum(
                 probability(w, m, choi_of_operation(n_op)) for n_op in bob
             )
@@ -195,7 +194,7 @@ def test_probability_is_bilinear():
     m2 = choi_of_operation(rand_cptp(2, 2, 2, rng))
     n = choi_of_operation(rand_cptp(2, 2, 2, rng))
     lam = 0.3
-    mix = ChoiOperator(2, 2, lam * m1.matrix + (1 - lam) * m2.matrix, Convention.TRANSPOSED)
+    mix = ChoiOperator(2, 2, lam * m1.matrix + (1 - lam) * m2.matrix)
     lhs = probability(w, mix, n)
     rhs = lam * probability(w, m1, n) + (1 - lam) * probability(w, m2, n)
     assert abs(lhs - rhs) < 1e-9
@@ -224,15 +223,6 @@ def test_realigned_rule_equals_the_written_out_trace(dims, seed, samples):
         assert abs(want.imag) < 1e-14 and abs(probability(w, ma, nb) - want.real) < 1e-14
         worst = max(worst, abs(want.real - 1.0))
     assert abs(validate_process(w, samples, draws).max_norm_deviation - worst) < 1e-14
-
-
-def test_probability_rejects_plain_convention():
-    w = ocb_process()
-    rng = np.random.default_rng(6)
-    plain = choi_of_operation(rand_cptp(2, 2, 2, rng), Convention.PLAIN)
-    good = choi_of_operation(rand_cptp(2, 2, 2, rng))
-    with pytest.raises(ValueError):
-        probability(w, plain, good)
 
 
 def test_causal_mixture_endpoints_and_validity():
@@ -351,8 +341,8 @@ def reference_validate_process(w, samples, rng):
     d_a_in, d_a_out, d_b_in, d_b_out = w.dims
     worst = 0.0
     for _ in range(samples):
-        ma = choi_of_operation(rand_cptp(d_a_in, d_a_out, 2, rng), Convention.TRANSPOSED)
-        nb = choi_of_operation(rand_cptp(d_b_in, d_b_out, 2, rng), Convention.TRANSPOSED)
+        ma = choi_of_operation(rand_cptp(d_a_in, d_a_out, 2, rng))
+        nb = choi_of_operation(rand_cptp(d_b_in, d_b_out, 2, rng))
         worst = max(worst, abs(probability(w, ma, nb) - 1.0))
     return ValidationReport(float(np.trace(w.matrix).real), worst)
 
@@ -554,8 +544,7 @@ def test_chois_of_operations_and_mixtures_are_not_proved_again(proof_shapes):
     w_ab = channel_process_reverse(rand_density(2, rng), choi_of_operation(rand_cptp(2, 2, 1, rng)))
     proof_shapes.clear()
     for op in ops:
-        for convention in Convention:
-            choi_of_operation(op, convention)
+        choi_of_operation(op)
     for q in (0.0, 0.3, 1.0):
         causal_mixture(w_ba, w_ab, q)
     assert proof_shapes == []
@@ -577,7 +566,7 @@ def test_causal_bound_operation_makes_four_proofs(proof_shapes):
 
 
 def _identity_channel(m):
-    # The TRANSPOSED Choi of the qubit channel with the one Kraus operator
+    # The Choi of the qubit channel with the one Kraus operator
     # 4 m[:2, :2], the identity at m = 1/4.
     return choi_of_operation(Operation(2, 2, (4 * m[:2, :2],)))
 
@@ -633,19 +622,18 @@ def process_constructions(draw):
     """(W, every ChoiOperator and ProcessMatrix built on the way, W among
     them) for a state, one-way channel or causal-mixture process W with local
     dimensions 1-3, channel Kraus ranks 1-4 and a mixing weight that may be 0
-    or 1. The first Choi built is of a CPTP or trace-decreasing operation in
-    either convention."""
+    or 1. The first Choi built is of a CPTP or trace-decreasing operation."""
     kind = draw(st.sampled_from(["state", "b-to-a", "a-to-b", "mixture"]))
     (a_in, a_out), (b_in, b_out) = draw(SIDE), draw(SIDE)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     built = []
 
-    def choi(d_in, d_out, sample=rand_cptp, convention=Convention.TRANSPOSED):
+    def choi(d_in, d_out, sample=rand_cptp):
         rank = draw(st.integers(-(-d_in // d_out), 4))
-        built.append(choi_of_operation(sample(d_in, d_out, rank, rng), convention))
+        built.append(choi_of_operation(sample(d_in, d_out, rank, rng)))
         return built[-1]
 
-    choi(a_in, a_out, draw(st.sampled_from([rand_cptp, rand_operation])), draw(st.sampled_from(Convention)))
+    choi(a_in, a_out, draw(st.sampled_from([rand_cptp, rand_operation])))
     if kind == "state":
         built.append(shared_state_process(rand_density(a_in * b_in, rng), (a_in, a_out, b_in, b_out)))
         return built[-1], built
@@ -673,7 +661,7 @@ def test_process_constructions_are_normalized(construction, seed):
 
 
 PUBLIC_CONSTRUCTORS = {
-    ChoiOperator: lambda c: ChoiOperator(c.d_in, c.d_out, c.matrix, c.convention),
+    ChoiOperator: lambda c: ChoiOperator(c.d_in, c.d_out, c.matrix),
     ProcessMatrix: lambda w: ProcessMatrix(w.dims, w.matrix),
 }
 

@@ -1,3 +1,4 @@
+import enum
 import re
 
 import numpy as np
@@ -144,10 +145,36 @@ def test_apply_choi_identity_and_bit_flip():
     assert np.abs(apply_choi(flip, proj(KET0)) - proj(KET1)).max() < 1e-12
 
 
-def test_apply_choi_round_trip_random():
+class Convention(enum.Enum):
+    """How a test builds a Choi matrix. PLAIN: the textbook
+    J = sum_ab |a><b| (x) E(|a><b|), from the operation's action alone, handed
+    to ChoiOperator as J^T. TRANSPOSED: choi_of_operation."""
+
+    PLAIN = "plain"
+    TRANSPOSED = "transposed"
+
+
+def textbook_choi(op):
+    j = np.zeros((op.d_in * op.d_out,) * 2, dtype=complex)
+    for a in range(op.d_in):
+        for b in range(op.d_in):
+            unit = np.zeros((op.d_in, op.d_in), dtype=complex)
+            unit[a, b] = 1.0
+            j += kron(unit, apply_operation(op, unit))
+    return j
+
+
+def choi_built(op, convention):
+    if convention is Convention.PLAIN:
+        return ChoiOperator(op.d_in, op.d_out, textbook_choi(op).T)
+    return choi_of_operation(op)
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_apply_choi_round_trip_random(convention):
     rng = np.random.default_rng(5)
     op = rand_operation(2, 2, 3, rng)
-    choi = choi_of_operation(op)
+    choi = choi_built(op, convention)
     worst = 0.0
     for _ in range(20):
         rho = rand_density(2, rng)
@@ -200,13 +227,14 @@ DEGENERATE_CHANNELS = {
 }
 
 
+@pytest.mark.parametrize("convention", list(Convention))
 @pytest.mark.parametrize("name", list(DEGENERATE_CHANNELS))
-def test_kraus_from_choi_degenerate_spectrum_roundtrip(name):
+def test_kraus_from_choi_degenerate_spectrum_roundtrip(convention, name):
     # Eigenvectors of a degenerate eigenvalue are fixed only up to a unitary
     # mixing, so only Kraus-invariant quantities are compared.
     kraus, rank = DEGENERATE_CHANNELS[name]
     op = Operation(2, 2, kraus)
-    choi = choi_of_operation(op)
+    choi = choi_built(op, convention)
     extracted = kraus_from_choi(choi)
     assert len(extracted.kraus) == rank
     assert close(sum(dagger(e) @ e for e in extracted.kraus), ID2)

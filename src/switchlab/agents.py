@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .gravity import HBAR
-from .linalg import DEFAULT_TOL, MODULUS_TOL, ZERO_PROB_TOL, _frozen, _identity, close
+from .linalg import DEFAULT_TOL, MODULUS_TOL, ROUNDOFF_TOL, ZERO_PROB_TOL, _frozen, _identity, close
 
 __all__ = [
     "DIMS",
@@ -33,6 +33,8 @@ __all__ = [
     "SwitchModelResult",
     "TriggerParams",
     "crossing_rotation_angle",
+    "trigger_scenario",
+    "agent_switch_scenario",
 ]
 
 DIMS = (6, 5, 5, 2, 2)
@@ -357,3 +359,69 @@ def crossing_rotation_angle(p):
     the interaction zone; pi/2 up to roundoff, because A is derived to give it.
     The model holds only where `p.regime_ok` is true."""
     return p.potential * p.crossing_window / HBAR
+
+
+# The scenarios of this module's headline numbers. Each takes its parameters
+# and a seeded generator, and returns its outputs and its checks, each check a
+# (name, expected, actual, tolerance) tuple.
+
+
+def trigger_scenario(params, rng):
+    """The trigger set by `tau_star`, `width`, `potential` and `mass`: its
+    rotation angle checked at pi/2, its period at 4 tau*, the rotated idle
+    level's overlap with A_1 at one, and the model's regime."""
+    p = TriggerParams(params["tau_star"], params["width"], params["potential"], params["mass"])
+    angle = crossing_rotation_angle(p)
+    fidelity = abs(np.sin(angle))  # |<A1| exp(-i angle sigma_x) |A0>|
+    outputs = {
+        "omega": p.omega,
+        "period": p.period,
+        "amplitude": p.amplitude,
+        "sigma": p.sigma,
+        "crossing_window": p.crossing_window,
+        "rotation_angle": angle,
+        "regime_ok": p.regime_ok,
+        "rotated_fidelity_with_A1": fidelity,
+    }
+    checks = (
+        ("rotation_angle_is_pi_over_2", float(np.pi / 2), angle, ROUNDOFF_TOL),
+        ("period_is_4_tau_star", 4.0 * p.tau_star, p.period, ROUNDOFF_TOL),
+        ("rotation_lands_on_A1", 1.0, fidelity, ROUNDOFF_TOL),
+        ("regime_ok", True, p.regime_ok, 0),
+    )
+    return outputs, checks
+
+
+def agent_switch_scenario(params, rng):
+    """The switch model at the default amplitudes: photon e_1 postselected on
+    no herald lands on (e_3 +- e_5)/sqrt 2, e_4 with only B's herald passes
+    to e_5, a random target's four herald probabilities sum to one, and both
+    orders are isometries."""
+    amps = AgentAmplitudes()
+    e = np.eye(5)  # e[i] is the target photon e_{i+1}
+    fid = {}
+    for sign in (+1, -1):
+        result = run_switch_model(amps, e[0], zeta=3, sign=sign)
+        fid[sign] = abs(np.vdot((e[2] + sign * e[4]) / np.sqrt(2.0), result.target)) ** 2
+    res_e4 = run_switch_model(amps, e[3], zeta=2, sign=+1)
+    fid_e4 = abs(np.vdot(e[4], res_e4.target)) ** 2
+    rng_alpha = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    rng_alpha /= np.linalg.norm(rng_alpha)
+    full = apply_agent_a_then_b(amps, rng_alpha)
+    total = sum(postselect(full, zeta)[1] for zeta in range(4))
+    isometry_dev = max_isometry_deviation(amps)
+    outputs = {
+        "e1_plus_fidelity": fid[+1],
+        "e1_minus_fidelity": fid[-1],
+        "e4_fidelity": fid_e4,
+        "postselection_total": total,
+        "max_isometry_deviation": isometry_dev,
+    }
+    checks = (
+        ("e1_plus_target", 1.0, fid[+1], DEFAULT_TOL),
+        ("e1_minus_target", 1.0, fid[-1], DEFAULT_TOL),
+        ("e4_trivial_switch", 1.0, fid_e4, DEFAULT_TOL),
+        ("postselection_completeness", 1.0, total, DEFAULT_TOL),
+        ("orders_are_isometries", 0.0, isometry_dev, ROUNDOFF_TOL),
+    )
+    return outputs, checks

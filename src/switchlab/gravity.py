@@ -8,11 +8,12 @@ exhibiting the entanglement/resynchronization cycle.
 Radial coordinates are those of a distant observer; all quantities SI.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ID2, kron
+from .linalg import APPROX_REL_TOL, ESTIMATE_REL_TOL, ID2, kron
 
 __all__ = [
     "C_LIGHT",
@@ -33,6 +34,8 @@ __all__ = [
     "ProtocolDuration",
     "ClockModel",
     "grav_switch_resync_purity",
+    "grav_duration_scenario",
+    "grav_order_scenario",
 ]
 
 C_LIGHT = 2.99792458e8  # m/s
@@ -71,9 +74,26 @@ class BodyConfig:
 
 EARTH = BodyConfig(mass=5.9722e24, radius=6.371e6)
 
+# What each float argument of the functions below measures, as
+# :func:`_require_finite` names it.
+_KINDS = {
+    "r": "radius", "r1": "radius", "r2": "radius", "r_a": "radius", "r_b": "radius",
+    "h": "height", "L": "length", "t": "time", "tau_star": "proper time",
+}
+
+
+def _require_finite(**arguments):
+    """Raise ValueError naming the first argument that is NaN or infinite, as
+    "radius r_a is not finite". The checks that follow it compare lengths,
+    which NaN passes or fails without naming its cause."""
+    for name, value in arguments.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{_KINDS[name]} {name} is not finite")
+
 
 def lapse(r, body):
     """d tau / dt = sqrt(1 - R_S/r) of a static Schwarzschild observer."""
+    _require_finite(r=r)
     rs = body.schwarzschild_radius
     if r <= rs:
         raise ValueError("no static observer at or below the Schwarzschild radius")
@@ -85,6 +105,7 @@ def light_coordinate_time(r1, r2, body):
     t_c = (1/c)[(r2 - r1) + R_S ln((r2 - R_S)/(r1 - R_S))], the closed form of
     (1/c) integral dr / (1 - R_S/r).
     """
+    _require_finite(r1=r1, r2=r2)
     if not r1 < r2:
         raise ValueError("need r1 < r2")
     rs = body.schwarzschild_radius
@@ -129,6 +150,7 @@ def order_margin(tau_star, r_a, r_b, body):
     clock readings: lapse(r_b) t_c - tau* (lapse(r_a) - lapse(r_b)) / lapse(r_a).
     Negative when event A = (a's clock reads tau*) lies in the past lightcone
     of B = (b's clock reads tau*)."""
+    _require_finite(tau_star=tau_star, r_a=r_a, r_b=r_b)
     t_c = 0.0 if r_a == r_b else light_coordinate_time(min(r_a, r_b), max(r_a, r_b), body)
     return lapse(r_b, body) * t_c - tau_star * _lapse_gap(r_b, r_a - r_b, body) / lapse(r_a, body)
 
@@ -137,6 +159,7 @@ def min_tau_for_order(r_a, r_b, body):
     """Threshold proper time tau* above which event A = (a's clock reads tau*)
     enters the past lightcone of B = (b's clock reads tau*): the zero of
     :func:`order_margin`. It needs b's clock to run slower than a's (r_b < r_a)."""
+    _require_finite(r_a=r_a, r_b=r_b)
     if not r_b < r_a:
         raise ValueError("no ordering threshold: b's clock does not run slower than a's")
     t_c = light_coordinate_time(r_b, r_a, body)
@@ -152,6 +175,7 @@ def asymmetric_order_threshold(r, h, L, body):
     other. Raises ValueError when h vanishes beside r or r + L in floating
     point, where a light time would run between equal radii.
     """
+    _require_finite(r=r, h=h, L=L)
     if min(r, h, L) <= 0.0:
         raise ValueError("geometry lengths must be positive")
     for base in (r, r + L):
@@ -172,6 +196,7 @@ def asymmetric_order_threshold(r, h, L, body):
 def switch_ratio_exact(body, h):
     """Exact Delta t_r / Delta t_c = lapse(R+h) / (lapse(R+h) - lapse(R)) of
     the switch condition; :func:`_lapse_gap` keeps it to R_S/R down to 1e-37."""
+    _require_finite(h=h)
     if h <= 0.0:
         raise ValueError("height must be positive")
     r = body.radius
@@ -196,6 +221,7 @@ def switch_ratio_weak_field(body, h):
     `deviation` = switch_ratio_exact / ratio - 1 = L1 (L1 + L0)/2 - 1
     = -(a + (a + b - ab)/(1 + L0 L1))/2, with L0 = lapse(R), L1 = lapse(R + h),
     a = R_S/(R + h) and b = R_S/R, so that nothing cancels."""
+    _require_finite(h=h)
     body.require_weak_field()
     if h <= 0.0:
         raise ValueError("height must be positive")
@@ -302,6 +328,7 @@ def grav_switch_resync_purity(clock_a, clock_b, r_a, r_b, body, t):
     The swap makes both branches accumulate the same total phase per clock,
     so the after-value returns to one.
     """
+    _require_finite(r_a=r_a, r_b=r_b, t=t)
     taus_ab, taus_ba = _configuration_times(r_a, r_b, body, t)
     before = _control_purity(_joint_state(clock_a, clock_b, taus_ab, taus_ba))
     # after the swap each branch has also spent t in the other configuration
@@ -309,3 +336,75 @@ def grav_switch_resync_purity(clock_a, clock_b, r_a, r_b, body, t):
     totals_ba = (taus_ba[0] + taus_ab[0], taus_ba[1] + taus_ab[1])
     after = _control_purity(_joint_state(clock_a, clock_b, totals_ab, totals_ba))
     return before, after
+
+
+# The scenarios of this module's headline numbers. Each takes its parameters
+# and a seeded generator, and returns its outputs and its checks, each check a
+# (name, expected, actual, tolerance) tuple.
+
+
+def grav_duration_scenario(params, rng):
+    """The switch duration Delta t_r for a body (`mass`, `radius`) and a
+    geometry (`h`, `d`), checked inside [window_low, window_high], with the
+    weak-field ratio checked against the exact one. For Earth it also checks
+    the coefficient of Delta t_r ~ 3e7 (d/h) s."""
+    lo, hi = params["window_low"], params["window_high"]
+    if not lo < hi:
+        raise ValueError(f"window_low must be below window_high, got {lo} and {hi}")
+    body = BodyConfig(mass=params["mass"], radius=params["radius"])
+    geom = SwitchGeometry(h=params["h"], d=params["d"])
+    report = protocol_duration(body, geom)
+    wf = switch_ratio_weak_field(body, geom.h)
+    outputs = {
+        "body_mass": body.mass,
+        "body_radius": body.radius,
+        "schwarzschild_radius": body.schwarzschild_radius,
+        "d": geom.d,
+        "h": geom.h,
+        "dt_c": report.dt_c,
+        "ratio_exact": report.ratio,
+        "ratio_weak_field": wf.ratio,
+        "gravity_term": wf.gravity_term,
+        "curvature_term": wf.curvature_term,
+        "dt_r": report.dt_r,
+        "dt_exp_low": report.dt_exp_low,
+        "dt_exp_high": report.dt_exp_high,
+    }
+    checks = (
+        ("dt_r_in_window", 0.5 * (lo + hi), report.dt_r, 0.5 * (hi - lo)),
+        ("weak_field_consistent", 0.0, abs(wf.deviation), APPROX_REL_TOL),
+    )
+    if body == EARTH:
+        # dt_r = (ratio / c) d, with ratio / c ~ 3e7 / h s/m near Earth's surface
+        coefficient = report.ratio / C_LIGHT * geom.h
+        checks += (("earth_coefficient", 3.0e7, coefficient, ESTIMATE_REL_TOL * 3.0e7),)
+    return outputs, checks
+
+
+def grav_order_scenario(params, rng):
+    """The threshold tau* for clocks at `r_a_offset` and `r_b_offset` above
+    the body's surface, with the event order checked at 1.01 tau* (A precedes
+    B) and 0.99 tau* (it does not), and the asymmetric-switch threshold at
+    (`asym_r_offset`, `asym_h`, `asym_l`)."""
+    body = BodyConfig(mass=params["mass"], radius=params["radius"])
+    r_a = body.radius + params["r_a_offset"]
+    r_b = body.radius + params["r_b_offset"]
+    threshold = min_tau_for_order(r_a, r_b, body)
+    # Python bools: a check subtracts its expected from its actual value,
+    # which np.bool_ does not allow.
+    orders_above = bool(order_margin(1.01 * threshold, r_a, r_b, body) < 0.0)
+    orders_below = bool(order_margin(0.99 * threshold, r_a, r_b, body) < 0.0)
+    asym = asymmetric_order_threshold(body.radius + params["asym_r_offset"], params["asym_h"], params["asym_l"], body)
+    outputs = {
+        "r_a": r_a,
+        "r_b": r_b,
+        "min_tau_threshold": threshold,
+        "orders_above_threshold": orders_above,
+        "orders_below_threshold": orders_below,
+        "asymmetric_threshold": asym,
+    }
+    checks = (
+        ("event_a_precedes_b_above_threshold", True, orders_above, 0),
+        ("no_order_below_threshold", False, orders_below, 0),
+    )
+    return outputs, checks

@@ -6,6 +6,7 @@ Bit convention throughout: bit 0 encodes |up> = |0>, bit 1 encodes
 Switch states live on target (x) control, in that factor order.
 """
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -24,7 +25,7 @@ from .linalg import (
     kron,
 )
 from .ops import ChoiOperator, _choi_vec, _trace_preserving, rand_unitary
-from .process import _BLOCK, _realigned, _require_dims, _rule_trace
+from .process import _BLOCK, _realigned, _require_dims, _rule_trace, ocb_process
 
 __all__ = [
     "GameStrategy",
@@ -43,7 +44,15 @@ __all__ = [
     "CHSH_SETTINGS",
     "temporal_order_state",
     "TEMPORAL_ORDER_UNITARIES",
+    "ocb_game_scenario",
+    "switch_contract_scenario",
+    "chsh_temporal_scenario",
 ]
+
+# The OCB game's value (2 + sqrt 2)/4, which both branches reach, and the
+# Tsirelson bound 2 sqrt 2 on |CHSH|.
+_OCB_GAME_VALUE = (2.0 + math.sqrt(2.0)) / 4.0
+_TSIRELSON = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +300,7 @@ def chsh_value(state):
     bra, ket = state.conj()[..., None, :], state[..., :, None]
     e00, e01, e10, e11 = (np.real(bra @ k @ ket)[..., 0, 0] for k in _CHSH_OPERATORS)
     values = e00 + e01 + e10 - e11
-    beyond = ~(np.abs(values) <= 2 * np.sqrt(2) + DEFAULT_TOL)
+    beyond = ~(np.abs(values) <= _TSIRELSON + DEFAULT_TOL)
     if beyond.any():
         value = float(values[beyond].flat[0])
         raise RuntimeError(f"CHSH value {value} beyond the Tsirelson bound; broken state or settings")
@@ -361,3 +370,62 @@ def temporal_order_state(u_a1, u_b1, u_a2, u_b2, psi1, psi2, sign):
     if not norm > DEFAULT_TOL * np.linalg.norm(branch_k):
         raise ValueError("degenerate choice: the two order branches cancel")
     return out / norm
+
+
+# The scenarios of this module's headline numbers. Each takes its parameters
+# and a seeded generator, and returns its outputs and its checks, each check a
+# (name, expected, actual, tolerance) tuple.
+
+
+def ocb_game_scenario(params, rng):
+    """:func:`ocb_strategy` on ``process.ocb_process()``: the success
+    probability and both branches, each checked against (2 + sqrt 2)/4,
+    beside the causal bound 3/4."""
+    w = ocb_process()
+    strategy = ocb_strategy()
+    p_alice, p_bob = branch_probabilities(w, strategy)
+    success = success_probability(w, strategy)
+    outputs = {
+        "success_probability": success,
+        "p_alice_guesses_b": p_alice,
+        "p_bob_guesses_a": p_bob,
+        "causal_bound": 0.75,
+    }
+    checks = (
+        ("success_equals_(2+sqrt2)/4", _OCB_GAME_VALUE, success, DEFAULT_TOL),
+        ("alice_branch_value", _OCB_GAME_VALUE, p_alice, DEFAULT_TOL),
+        ("bob_branch_value", _OCB_GAME_VALUE, p_bob, DEFAULT_TOL),
+    )
+    return outputs, checks
+
+
+def switch_contract_scenario(params, rng):
+    """The switch process vector contracted with `pairs` random unitary pairs,
+    checked against the supermap (:func:`max_contraction_deviation`)."""
+    pairs = params["pairs"]
+    worst = max_contraction_deviation(pairs, rng)
+    outputs = {"pairs": pairs, "max_fidelity_deviation": worst}
+    return outputs, (("contraction_equals_supermap", 0.0, worst, DEFAULT_TOL),)
+
+
+def chsh_temporal_scenario(params, rng):
+    """CHSH on the two temporal-order states of |up, up>, checked at -+ 2 sqrt 2,
+    and the largest |CHSH| over `samples` random product states, checked
+    within the classical bound 2."""
+    up = np.array([1, 0], dtype=complex)
+    state_plus = temporal_order_state(*TEMPORAL_ORDER_UNITARIES, up, up, +1)
+    state_minus = temporal_order_state(*TEMPORAL_ORDER_UNITARIES, up, up, -1)
+    chsh_plus = chsh_value(state_plus)
+    chsh_minus = chsh_value(state_minus)
+    worst_sep = max_separable_chsh(params["samples"], rng)
+    outputs = {
+        "chsh_plus_state": chsh_plus,
+        "chsh_minus_state": chsh_minus,
+        "max_separable_chsh": worst_sep,
+    }
+    checks = (
+        ("plus_state_reaches_-2sqrt2", -_TSIRELSON, chsh_plus, DEFAULT_TOL),
+        ("minus_state_reaches_+2sqrt2", _TSIRELSON, chsh_minus, DEFAULT_TOL),
+        ("separable_within_classical_bound", 0.0, max(0.0, worst_sep - 2.0), DEFAULT_TOL),
+    )
+    return outputs, checks

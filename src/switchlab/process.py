@@ -14,6 +14,8 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    ID2,
+    NORMALIZATION_TOL,
     PAULI_X,
     PAULI_Z,
     _frozen,
@@ -40,6 +42,7 @@ __all__ = [
     "ocb_process",
     "no_signaling_a_to_b",
     "no_signaling_b_to_a",
+    "validate_process_scenario",
 ]
 
 
@@ -271,15 +274,21 @@ def _block_deviation(w, k, rng):
     return float(np.abs(_rule_trace(w, w.dims, _choi_vec(ma), _choi_vec(nb)) - 1.0).max())
 
 
+_OCB_PROCESS = ProcessMatrix(
+    (2, 2, 2, 2),
+    0.25 * (np.eye(16) + (kron(ID2, PAULI_Z, PAULI_Z, ID2) + kron(PAULI_Z, ID2, PAULI_X, PAULI_Z)) / np.sqrt(2.0)),
+)
+
+
 def ocb_process():
     """The 16x16 process violating the causal inequality:
     W = 1/4 [1 + (s_z^{A_out} s_z^{B_in} + s_z^{A_in} s_x^{B_in} s_z^{B_out})/sqrt(2)].
+    Its two Pauli terms anticommute, so W's spectrum is {0, 1/2}.
+
+    W is built and proved positive once, at import; every call returns that
+    one read-only instance.
     """
-    i2 = np.eye(2)
-    term1 = kron(i2, PAULI_Z, PAULI_Z, i2)
-    term2 = kron(PAULI_Z, i2, PAULI_X, PAULI_Z)
-    w = 0.25 * (np.eye(16) + (term1 + term2) / np.sqrt(2.0))
-    return ProcessMatrix((2, 2, 2, 2), w)
+    return _OCB_PROCESS
 
 
 def no_signaling_a_to_b(w):
@@ -290,3 +299,22 @@ def no_signaling_a_to_b(w):
 def no_signaling_b_to_a(w):
     """Diagnostic: W carries no B -> A signaling, L_{B_out}(W) = W."""
     return close(trace_and_replace(w.matrix, w.dims, 3), w.matrix)
+
+
+def validate_process_scenario(params, rng):
+    """:func:`validate_process` on ``ocb_process()`` with `samples` random
+    CPTP pairs: the trace checked at d_A_out d_B_out = 4, the worst
+    normalization deviation at zero. Returns the outputs and the checks, each
+    a (name, expected, actual, tolerance) tuple."""
+    samples = params["samples"]
+    report = validate_process(ocb_process(), samples, rng)
+    outputs = {
+        "samples": samples,
+        "trace": report.trace,
+        "max_norm_deviation": report.max_norm_deviation,
+    }
+    checks = (
+        ("trace_equals_4", 4.0, report.trace, DEFAULT_TOL),
+        ("normalization_deviation", 0.0, report.max_norm_deviation, NORMALIZATION_TOL),
+    )
+    return outputs, checks

@@ -53,9 +53,9 @@ MUTANTS = (
     ),
     (
         "trigger angle tolerance widened to 1",
-        "cli.py",
-        '_check("rotation_angle_is_pi_over_2", float(np.pi / 2), angle, ROUNDOFF_TOL),',
-        '_check("rotation_angle_is_pi_over_2", float(np.pi / 2), angle, 1.0),',
+        "agents.py",
+        '("rotation_angle_is_pi_over_2", float(np.pi / 2), angle, ROUNDOFF_TOL),',
+        '("rotation_angle_is_pi_over_2", float(np.pi / 2), angle, 1.0),',
     ),
     (
         "CHSH sign of E(1,0) flipped",
@@ -131,15 +131,15 @@ MUTANTS = (
     ),
     (
         "OCB success tolerance widened to 0.5",
-        "cli.py",
-        '_check("success_equals_(2+sqrt2)/4", (2.0 + SQRT2) / 4.0, success, DEFAULT_TOL),',
-        '_check("success_equals_(2+sqrt2)/4", (2.0 + SQRT2) / 4.0, success, 0.5),',
+        "order.py",
+        '("success_equals_(2+sqrt2)/4", _OCB_GAME_VALUE, success, DEFAULT_TOL),',
+        '("success_equals_(2+sqrt2)/4", _OCB_GAME_VALUE, success, 0.5),',
     ),
     (
         "agent-switch e1_plus_target tolerance widened to 0.5",
-        "cli.py",
-        '_check("e1_plus_target", 1.0, fid[+1], DEFAULT_TOL),',
-        '_check("e1_plus_target", 1.0, fid[+1], 0.5),',
+        "agents.py",
+        '("e1_plus_target", 1.0, fid[+1], DEFAULT_TOL),',
+        '("e1_plus_target", 1.0, fid[+1], 0.5),',
     ),
 )
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchlab import agents
+from switchlab import agents, cli, linalg
 from switchlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -589,3 +590,24 @@ def test_cli_suite_rejects_a_negative_seed_before_any_entry_runs(tmp_path):
     config.write_text('[{"scenario": "trigger"}, {"scenario": "ocb-game", "seed": -5}]')
     error = run_cli_usage_error(["suite", "--config", str(config)])
     assert error == "suite entry 1: ocb-game: seed must be a non-negative integer, got -5"
+
+
+def test_cli_holds_no_physics():
+    # Each scenario's expected values, tolerances and derived quantities live
+    # in the library function beside its physics; cli only coerces, rounds
+    # and prints what that function returns.
+    tolerances = {name for name in linalg.__all__ if name.endswith("_TOL")}
+    assert not (tolerances | {"C_LIGHT", "SQRT2"}) & vars(cli).keys()
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    numpy_calls = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "numpy" and not (node.module or "").startswith("numpy.")
+        if isinstance(node, ast.Call):
+            root = node.func
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id == "np":
+                numpy_calls.add(ast.unparse(node.func))
+    assert numpy_calls == {"np.random.default_rng", "np.errstate"}
+    assert not [name for name in vars(cli) if name.startswith("_scenario_")]

@@ -497,3 +497,48 @@ def test_resync_purity_random_draws():
         before, after = grav_switch_resync_purity(a, b, r_a, r_b, LAB_BODY, t)
         assert abs(after - 1.0) < 1e-9
         assert before < 1.0 - 1e-6
+
+
+# Finite arguments each public gravity function accepts; every float among
+# them is replaced in turn by NaN and by each infinity below.
+FLOAT_ARGUMENTS = {
+    lapse: dict(r=EARTH.radius, body=EARTH),
+    light_coordinate_time: dict(r1=EARTH.radius, r2=EARTH.radius + 1e5, body=EARTH),
+    order_margin: dict(tau_star=1.0, r_a=EARTH.radius + 1e5, r_b=EARTH.radius, body=EARTH),
+    min_tau_for_order: dict(r_a=EARTH.radius + 1e5, r_b=EARTH.radius, body=EARTH),
+    asymmetric_order_threshold: dict(r=EARTH.radius, h=1e5, L=1e5, body=EARTH),
+    switch_ratio_exact: dict(body=EARTH, h=1.0),
+    switch_ratio_weak_field: dict(body=EARTH, h=1.0),
+    grav_switch_resync_purity: dict(
+        clock_a=ClockModel(1e-20),
+        clock_b=ClockModel(1e-20),
+        r_a=EARTH.radius + 1e5,
+        r_b=EARTH.radius,
+        body=EARTH,
+        t=1.0,
+    ),
+}
+KINDS = {
+    "r": "radius", "r1": "radius", "r2": "radius", "r_a": "radius", "r_b": "radius",
+    "h": "height", "L": "length", "t": "time", "tau_star": "proper time",
+}
+FLOAT_CASES = [(fn, name) for fn, args in FLOAT_ARGUMENTS.items() for name, value in args.items() if type(value) is float]
+
+
+def test_float_argument_table_holds_accepted_arguments():
+    # Each function gives a finite value at its table's arguments, so each
+    # refusal below is due to the one argument replaced.
+    assert len(FLOAT_CASES) == 16
+    for fn, args in FLOAT_ARGUMENTS.items():
+        result = fn(**args)
+        values = result if isinstance(result, tuple) else [getattr(result, "ratio", result)]
+        assert np.isfinite(values).all(), fn.__name__
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fn, name", FLOAT_CASES, ids=[f"{fn.__name__}-{name}" for fn, name in FLOAT_CASES])
+def test_non_finite_argument_is_named(fn, name, bad):
+    # NaN passes some of the length comparisons and fails others; an infinite
+    # radius would give the lapse 1 and a light time inf. Each is refused by name.
+    with pytest.raises(ValueError, match=f"^{KINDS[name]} {name} is not finite$"):
+        fn(**{**FLOAT_ARGUMENTS[fn], name: bad})

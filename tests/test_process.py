@@ -450,6 +450,18 @@ def test_ocb_process_spectrum_and_trace():
     vals, _ = hermitian_eigen(w.matrix)
     assert vals[0] >= -1e-9
     assert abs(np.trace(w.matrix).real - 4.0) < 1e-12
+    # The two Pauli terms anticommute, so the spectrum is {0, 1/2}.
+    assert np.allclose(vals, np.repeat([0.0, 0.5], 8), rtol=0.0, atol=1e-14)
+
+
+def test_ocb_process_is_one_read_only_instance():
+    # Built and proved once, at import; no caller can write to its matrix.
+    w = ocb_process()
+    assert w is ocb_process()
+    with pytest.raises(ValueError, match="read-only"):
+        w.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        w.matrix.setflags(write=True)
 
 
 def test_signaling_diagnostics():

@@ -13,13 +13,13 @@ State layout: (A levels 6) x (B levels 5) x (target e_1..e_5) x (det A 2)
 x (det B 2).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from .gravity import HBAR
-from .linalg import DEFAULT_TOL, MODULUS_TOL, ROUNDOFF_TOL, ZERO_PROB_TOL, _frozen, _identity, close
+from .linalg import DEFAULT_TOL, MODULUS_TOL, ROUNDOFF_TOL, ZERO_PROB_TOL, _frozen, _identity, close, require_finite
 
 __all__ = [
     "DIMS",
@@ -74,6 +74,9 @@ class AgentAmplitudes:
     gamma_ab: float = 0.0
 
     def __post_init__(self):
+        # NaN fails the modulus check below and passes the length check, so
+        # each amplitude and phase is named first.
+        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
         for name in ("c_1a", "c_4a", "c_1b", "c_2b", "f_ba", "f_ab"):
             if not abs(getattr(self, name)) <= 1.0 + MODULUS_TOL:
                 raise ValueError(f"|{name}| exceeds one")
@@ -117,7 +120,7 @@ class ModelState:
         if t.shape != DIMS:
             raise ValueError(f"state tensor must have shape {DIMS}")
         if not close(np.linalg.norm(t), 1.0):
-            raise ValueError("state is not normalized")
+            raise ValueError("state tensor is not normalized")
         object.__setattr__(self, "tensor", t)
 
 
@@ -160,6 +163,7 @@ def _isometry(first, amps):
 
 def _apply(v, alpha):
     alpha = np.asarray(alpha, dtype=complex)
+    require_finite(alpha=alpha)
     if alpha.shape != (5,):
         raise ValueError("target amplitudes must be a 5-vector")
     norm = np.linalg.norm(alpha)
@@ -247,6 +251,7 @@ def run_switch_model(amps, target_in, zeta, sign):
     the agent levels are measured together, so for such inputs the returned
     `target` realizes the superposition-of-orders state.
     """
+    require_finite(target_in=target_in)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     path_amp = 1 / np.sqrt(2.0)
@@ -299,12 +304,11 @@ class TriggerParams:
     mass: float
 
     def __post_init__(self):
-        # `x > 0` is false for NaN, so NaN is rejected too.
-        if not all(x > 0 for x in (self.tau_star, self.interaction_width, self.potential, self.mass)):
-            raise ValueError("trigger parameters must be positive")
-        # The fields can be in range while a quantity derived from them under-
-        # or overflows, or raises on the way.
-        for name in ("omega", "amplitude", "sigma", "crossing_window", "energy"):
+        # Each field, then each quantity derived from them, which can under-
+        # or overflow, or raise on the way, while the fields are in range.
+        # The comparisons are false for NaN, so NaN is refused by name too.
+        for name in ("tau_star", "interaction_width", "potential", "mass", "omega", "amplitude", "sigma",
+                     "crossing_window", "energy"):
             try:
                 ok = 0.0 < getattr(self, name) < np.inf
             except ArithmeticError:

@@ -29,6 +29,7 @@ __all__ = [
     "is_psd",
     "require_psd",
     "require_dims",
+    "require_finite",
     "is_unitary",
     "kron",
     "hermitian_eigen",
@@ -124,6 +125,14 @@ def require_dims(dims, what):
         if not ((type(d) is int or isinstance(d, numbers.Integral) and not isinstance(d, bool)) and d >= 1):
             raise ValueError(f"{what} dims {dims} must each be an integer of at least 1")
     return tuple(map(int, dims))
+
+
+def require_finite(**arguments):
+    """Raise ValueError naming the first argument, a number or an array, that
+    holds NaN or an infinity: "alpha is not finite"."""
+    for name, value in arguments.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} is not finite")
 
 
 def partial_trace(m, dims, keep):

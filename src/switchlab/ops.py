@@ -23,7 +23,6 @@ from .linalg import (
     dagger,
     hermitian_eigen,
     is_psd,
-    kron,
     partial_trace,
     require_dims,
     require_psd,
@@ -90,10 +89,7 @@ def apply_operation(op, rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (op.d_in, op.d_in):
         raise ValueError(f"state shape {rho.shape} != ({op.d_in}, {op.d_in})")
-    out = np.zeros((op.d_out, op.d_out), dtype=complex)
-    for e in op.kraus:
-        out += e @ rho @ dagger(e)
-    return out
+    return (op.kraus @ rho @ dagger(op.kraus)).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -181,14 +177,11 @@ def kraus_from_choi(choi):
     the Kraus rank equals the numerical rank and Tr(E_i E_j^dag) = lam_i d_ij.
     """
     w, v = hermitian_eigen(choi.matrix.T)
-    kraus = []
-    for lam, vec in zip(w, v.T):
-        if lam > DEFAULT_TOL:
-            e = np.sqrt(lam) * vec.reshape(choi.d_in, choi.d_out).T
-            kraus.append(e)
-    if not kraus:
-        kraus = [np.zeros((choi.d_out, choi.d_in), dtype=complex)]
-    return Operation(choi.d_in, choi.d_out, tuple(kraus))
+    keep = w > DEFAULT_TOL
+    # Column j of v, scaled by sqrt(w_j), is |E_j>> (``_choi_vec``); the
+    # zero map keeps one zero operator.
+    kraus = (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, choi.d_in, choi.d_out).swapaxes(-1, -2)
+    return Operation(choi.d_in, choi.d_out, kraus if keep.any() else np.zeros((1, choi.d_out, choi.d_in)))
 
 
 @dataclass(frozen=True)
@@ -209,15 +202,13 @@ class StinespringDilation:
 
     def apply(self, rho):
         rho = np.asarray(rho, dtype=complex)
-        d_sys = max(self.d_in, self.d_out)
-        big = np.zeros((d_sys, d_sys), dtype=complex)
-        big[: self.d_in, : self.d_in] = rho
-        env0 = np.zeros((self.env_dim, self.env_dim), dtype=complex)
-        env0[0, 0] = 1.0
-        joint = self.unitary @ kron(big, env0) @ dagger(self.unitary)
+        # V: U's columns (s, 0), at s * env_dim, for the d_in inputs s, so
+        # U (rho (x) |0><0|) U^dag = V rho V^dag.
+        v = self.unitary[:, :: self.env_dim][:, : self.d_in]
+        joint = v @ rho @ dagger(v)
         if self.projector is not None:
             joint = self.projector @ joint @ self.projector
-        out = partial_trace(joint, (d_sys, self.env_dim), keep=(0,))
+        out = partial_trace(joint, (max(self.d_in, self.d_out), self.env_dim), keep=(0,))
         return out[: self.d_out, : self.d_out]
 
 
@@ -229,38 +220,31 @@ def stinespring_dilation(op):
     which the returned projector then excludes.
     """
     d_sys = max(op.d_in, op.d_out)
-    padded = []
-    for e in op.kraus:
-        p = np.zeros((d_sys, d_sys), dtype=complex)
-        p[: op.d_out, : op.d_in] = e
-        padded.append(p)
-    defect = np.eye(d_sys, dtype=complex) - sum(dagger(p) @ p for p in padded)
+    r = len(op.kraus)
+    # The r Kraus operators, and room for the completion, each padded to d_sys x d_sys.
+    padded = np.zeros((r + 1, d_sys, d_sys), dtype=complex)
+    padded[:r, : op.d_out, : op.d_in] = op.kraus
+    # 1 - sum E^dag E as the one product V^dag V of the r * d_sys stacked rows V.
+    rows = padded[:r].reshape(-1, d_sys)
+    defect = _identity(d_sys) - rows.conj().T @ rows
     needs_completion = not close(defect, 0)
     if needs_completion:
         # Operation proved the defect PSD; clipping drops its roundoff below 0.
         w, v = hermitian_eigen(defect)
-        padded.append((v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v))
-    k = len(padded)
-    n_phys = k - 1 if needs_completion else k
-
+        padded[r] = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
+    k = r + needs_completion
     dim = d_sys * k
     # Isometry V|psi> = sum_i K_i|psi> (x) |i>; row index (s, e) = s*k + e.
-    v = np.zeros((dim, d_sys), dtype=complex)
-    for i, p in enumerate(padded):
-        v[i::k, :] = p
-    u = np.zeros((dim, dim), dtype=complex)
-    u[:, ::k] = v
-    # The remaining columns: an orthonormal basis of the complement of V's range.
-    u[:, [j for j in range(dim) if j % k != 0]] = np.linalg.qr(v, mode="complete")[0][:, d_sys:]
-
-    projector = None
-    if needs_completion or op.d_out < d_sys:
-        sys_proj = np.zeros((d_sys, d_sys), dtype=complex)
-        sys_proj[: op.d_out, : op.d_out] = np.eye(op.d_out)
-        env_proj = np.zeros((k, k), dtype=complex)
-        env_proj[:n_phys, :n_phys] = np.eye(n_phys)
-        projector = kron(sys_proj, env_proj)
-    return StinespringDilation(op.d_in, op.d_out, u, k, projector)
+    v = padded[:k].swapaxes(0, 1).reshape(dim, d_sys)
+    # U's columns (s, 0) are V's; the columns (s, e > 0), in order, an
+    # orthonormal basis of the complement of V's range.
+    u = np.empty((dim, d_sys, k), dtype=complex)
+    u[:, :, 0] = v
+    u[:, :, 1:] = np.linalg.qr(v, mode="complete")[0][:, d_sys:].reshape(dim, d_sys, k - 1)
+    # The physical block: system levels below d_out, environment levels below r.
+    physical = (np.arange(d_sys) < op.d_out)[:, None] & (np.arange(k) < r)
+    projector = None if physical.all() else np.diag(physical.ravel()).astype(complex)
+    return StinespringDilation(op.d_in, op.d_out, u.reshape(dim, dim), k, projector)
 
 
 def rand_unitary(d, rng, shape=()):

@@ -23,9 +23,10 @@ from .linalg import (
     close,
     is_unitary,
     kron,
+    require_finite,
 )
 from .ops import ChoiOperator, _choi_vec, _trace_preserving, rand_unitary
-from .process import _BLOCK, _realigned, _require_dims, _rule_trace, ocb_process
+from .process import _realigned, _require_dims, _rule_trace, _worst_over_blocks, ocb_process
 
 __all__ = [
     "GameStrategy",
@@ -175,6 +176,7 @@ class SwitchSpec:
         )
         if psi.shape[-1:] != (2,):
             raise ValueError(f"switch target state needs a last axis of length 2 (a qubit), not shape {psi.shape}")
+        require_finite(target_state=psi)
         if not close(np.linalg.norm(psi, axis=-1), 1.0):
             raise ValueError("target state must be normalized")
         object.__setattr__(self, "target_state", psi)
@@ -184,8 +186,8 @@ def switch_supermap_state(ua, ub, spec):
     """Output of the switch supermap on unitaries: the target (x) control state
     (U_B U_A |psi>|0> + U_A U_B |psi>|1>)/sqrt 2, or one per member when the
     unitaries and the target are stacks."""
-    ua = np.asarray(ua, dtype=complex)
-    ub = np.asarray(ub, dtype=complex)
+    ua, ub = np.asarray(ua, dtype=complex), np.asarray(ub, dtype=complex)
+    require_finite(ua=ua, ub=ub)
     for u in (ua, ub):
         if not is_unitary(u):
             raise ValueError("switch branches must be unitary")
@@ -224,9 +226,8 @@ def contract_switch_vector(w_vec, ua, ub):
     """Contract the switch process vector with the Choi vectors of two
     unitaries, leaving the target (x) control state at Charlie; or, for
     stacks with equal leading axes, one state per member."""
-    w_vec = np.asarray(w_vec, dtype=complex)
-    ua = np.asarray(ua, dtype=complex)
-    ub = np.asarray(ub, dtype=complex)
+    w_vec, ua, ub = (np.asarray(x, dtype=complex) for x in (w_vec, ua, ub))
+    require_finite(w_vec=w_vec, ua=ua, ub=ub)
     lead = w_vec.shape[:-1]
     if not lead == ua.shape[:-2] == ub.shape[:-2]:
         raise ValueError("process vectors and unitaries must stack alike")
@@ -245,21 +246,19 @@ def max_contraction_deviation(pairs, rng):
 
     Each pair consumes `rng` exactly as three ``rand_unitary(2, rng)`` calls
     would: the target is the first column of the first, then U_A, then U_B.
-    Pairs are drawn, checked and contracted in stacks of at most ``_BLOCK``.
+    Pairs are drawn, checked and contracted in blocks (``process._worst_over_blocks``).
     """
-    if pairs < 1:
-        raise ValueError("need at least one pair")
-    worst = 0.0
-    for start in range(0, pairs, _BLOCK):
-        draws = rand_unitary(2, rng, (min(_BLOCK, pairs - start), 3))
-        target, ua, ub = np.moveaxis(draws, 1, 0)
+
+    def block(k):
+        target, ua, ub = np.moveaxis(rand_unitary(2, rng, (k, 3)), 1, 0)
         spec = SwitchSpec(target_state=target[..., 0])
         # contract_switch_vector proves ua and ub unitary for both.
         contracted = contract_switch_vector(switch_process_vector(spec), ua, ub)
         supermap = _switch_supermap(ua, ub, spec)
         overlaps = (contracted.conj()[:, None, :] @ supermap[:, :, None])[:, 0, 0]
-        worst = max(worst, float(np.abs(np.abs(overlaps) ** 2 - 1.0).max()))
-    return worst
+        return float(np.abs(np.abs(overlaps) ** 2 - 1.0).max())
+
+    return _worst_over_blocks(pairs, "pair", block)
 
 
 def _unit_scale(v):
@@ -294,7 +293,7 @@ def chsh_value(state):
         raise ValueError("CHSH evaluation needs a two-qubit state vector")
     # hypot sums without squaring, so a finite state's norm cannot overflow.
     norms = np.hypot.reduce(np.abs(state), axis=-1)
-    off = np.abs(norms - 1.0) > DEFAULT_TOL
+    off = ~(np.abs(norms - 1.0) <= DEFAULT_TOL)
     if off.any():
         raise ValueError(f"CHSH evaluation needs a normalized state, not one of norm {norms[off].flat[0]:.6g}")
     bra, ket = state.conj()[..., None, :], state[..., :, None]
@@ -312,16 +311,14 @@ def max_separable_chsh(samples, rng):
 
     Each sample consumes `rng` exactly as two ``rand_unitary(2, rng)`` calls
     would: a and b are the first columns of the first and the second.
-    Samples are drawn and scored in stacks of at most ``_BLOCK``.
+    Samples are drawn and scored in blocks (``process._worst_over_blocks``).
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    worst = 0.0
-    for start in range(0, samples, _BLOCK):
-        draws = rand_unitary(2, rng, (min(_BLOCK, samples - start), 2))
-        products = kron(draws[:, 0, :, :1], draws[:, 1, :, :1])
-        worst = max(worst, float(np.abs(chsh_value(products[..., 0])).max()))
-    return worst
+
+    def block(k):
+        a, b = np.moveaxis(rand_unitary(2, rng, (k, 2)), 1, 0)
+        return float(np.abs(chsh_value(kron(a[..., :1], b[..., :1])[..., 0])).max())
+
+    return _worst_over_blocks(samples, "sample", block)
 
 
 # The gravitational-switch example choice: U_A1 = U_B2 = Hadamard,
@@ -341,9 +338,10 @@ def temporal_order_state(u_a1, u_b1, u_a2, u_b2, psi1, psi2, sign):
         [ (U_B1 U_A1 psi1) (x) (U_A2 U_B2 psi2)
           +- (U_A1 U_B1 psi1) (x) (U_B2 U_A2 psi2) ] / sqrt(2),
 
-    normalized, on system-1 (x) system-2. A non-finite target, or a zero
+    normalized, on system-1 (x) system-2. A non-finite argument, or a zero
     vector (identical branches with sign -), raises ValueError.
     """
+    require_finite(u_a1=u_a1, u_b1=u_b1, u_a2=u_a2, u_b2=u_b2, psi1=psi1, psi2=psi2)
     mats = [np.asarray(u, dtype=complex) for u in (u_a1, u_b1, u_a2, u_b2)]
     for u in mats:
         if not is_unitary(u):
@@ -356,8 +354,6 @@ def temporal_order_state(u_a1, u_b1, u_a2, u_b2, psi1, psi2, sign):
     for psi in (psi1, psi2):
         if psi.shape != (2,):
             raise ValueError(f"temporal-order target states must be qubits of shape (2,), not {psi.shape}")
-    if not (np.isfinite(psi1).all() and np.isfinite(psi2).all()):
-        raise ValueError("target states are not finite")
     # The output is bilinear in the targets, so scaling each by _unit_scale
     # leaves the normalized result's bits unchanged. They are column kets for kron.
     psi1, psi2 = (psi1 * _unit_scale(psi1))[:, None], (psi2 * _unit_scale(psi2))[:, None]

@@ -242,10 +242,19 @@ class ValidationReport:
     max_norm_deviation: float
 
 
-# validate_process checks its random pairs in stacks of at most this many,
-# so that peak memory does not grow with the sample count.
+# Sampled checks draw in blocks of at most this many, so peak memory is flat.
 _BLOCK = 64
 _KRAUS_RANK = 2
+
+
+def _worst_over_blocks(count, what, block):
+    # The largest of block(k), or 0, over blocks of k <= _BLOCK of `count` draws of `what`, in order.
+    if count < 1:
+        raise ValueError(f"need at least one {what}")
+    worst = 0.0
+    for start in range(0, count, _BLOCK):
+        worst = max(worst, block(min(_BLOCK, count - start)))
+    return worst
 
 
 def validate_process(w, samples, rng):
@@ -257,13 +266,8 @@ def validate_process(w, samples, rng):
     ``rand_cptp(d_in, d_out, 2, rng)`` for Alice and then for Bob would, once
     per sample, and reports the largest deviation of Tr[W (M (x) N)] from one.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    trace = float(np.trace(w.matrix).real)
-    worst = 0.0
-    for start in range(0, samples, _BLOCK):
-        worst = max(worst, _block_deviation(w, min(_BLOCK, samples - start), rng))
-    return ValidationReport(trace, worst)
+    worst = _worst_over_blocks(samples, "sample", lambda k: _block_deviation(w, k, rng))
+    return ValidationReport(float(np.trace(w.matrix).real), worst)
 
 
 def _block_deviation(w, k, rng):

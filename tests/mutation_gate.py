@@ -34,22 +34,22 @@ DESELECTED = (
 # (name, file under src/switchlab, line as written, defective line)
 MUTANTS = (
     (
-        "validate_process keeps only the last block's worst",
+        "the sampled checks keep only the last block's worst",
         "process.py",
-        "worst = max(worst, _block_deviation(w, min(_BLOCK, samples - start), rng))",
-        "worst = _block_deviation(w, min(_BLOCK, samples - start), rng)",
+        "worst = max(worst, block(min(_BLOCK, count - start)))",
+        "worst = block(min(_BLOCK, count - start))",
     ),
     (
         "max_separable_chsh takes each block's min",
         "order.py",
-        "worst = max(worst, float(np.abs(chsh_value(products[..., 0])).max()))",
-        "worst = max(worst, float(np.abs(chsh_value(products[..., 0])).min()))",
+        "return float(np.abs(chsh_value(kron(a[..., :1], b[..., :1])[..., 0])).max())",
+        "return float(np.abs(chsh_value(kron(a[..., :1], b[..., :1])[..., 0])).min())",
     ),
     (
         "switch contraction overlap left unsquared",
         "order.py",
-        "worst = max(worst, float(np.abs(np.abs(overlaps) ** 2 - 1.0).max()))",
-        "worst = max(worst, float(np.abs(np.abs(overlaps) - 1.0).max()))",
+        "return float(np.abs(np.abs(overlaps) ** 2 - 1.0).max())",
+        "return float(np.abs(np.abs(overlaps) - 1.0).max())",
     ),
     (
         "trigger angle tolerance widened to 1",
@@ -92,6 +92,30 @@ MUTANTS = (
         "ops.py",
         'return np.einsum("im,maib->ab", rho, t).T',
         'return np.einsum("im,maib->ab", rho, t)',
+    ),
+    (
+        "apply_operation drops the dagger",
+        "ops.py",
+        "return (op.kraus @ rho @ dagger(op.kraus)).sum(axis=0)",
+        "return (op.kraus @ rho @ op.kraus).sum(axis=0)",
+    ),
+    (
+        "kraus_from_choi drops its swapaxes",
+        "ops.py",
+        "kraus = (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, choi.d_in, choi.d_out).swapaxes(-1, -2)",
+        "kraus = (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, choi.d_in, choi.d_out)",
+    ),
+    (
+        "Stinespring isometry reshaped without swapaxes(0, 1)",
+        "ops.py",
+        "v = padded[:k].swapaxes(0, 1).reshape(dim, d_sys)",
+        "v = padded[:k].reshape(dim, d_sys)",
+    ),
+    (
+        "StinespringDilation.apply reads U[:, :d_in]",
+        "ops.py",
+        "v = self.unitary[:, :: self.env_dim][:, : self.d_in]",
+        "v = self.unitary[:, : self.d_in]",
     ),
     (
         "imaginary-part tolerance of the probability rule widened",

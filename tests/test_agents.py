@@ -123,13 +123,13 @@ def test_isometries_are_built_once_and_read_only():
 def test_rejects_vanishing_or_nan_states():
     with pytest.raises(ValueError, match="must not all vanish"):
         apply_agent_a_then_b(AgentAmplitudes(), np.zeros(5))
-    with pytest.raises(ValueError, match="must not all vanish"):
+    with pytest.raises(ValueError, match="^alpha is not finite$"):
         apply_agent_a_then_b(AgentAmplitudes(), [np.nan, 1, 0, 0, 0])
     nan_state = np.zeros(DIMS, dtype=complex)
     nan_state[1, 0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="normalized"):
         ModelState(nan_state)
-    with pytest.raises(ValueError, match="exceeds one"):
+    with pytest.raises(ValueError, match="^c_1a is not finite$"):
         AgentAmplitudes(c_1a=np.nan)
 
 
@@ -303,7 +303,7 @@ def test_trigger_params_built_directly_must_be_positive(field, value):
     # tau*, Delta, V0 and m, each in turn, set to a non-positive or NaN value.
     args = [1.0, 1e-6, 1e-30, 1e-20]
     args[field] = value
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ValueError, match="is not positive and finite"):
         TriggerParams(*args)
 
 

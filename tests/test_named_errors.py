@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from switchlab import gravity, order
-from switchlab.linalg import ID2, partial_trace
+from switchlab import agents, gravity, order
+from switchlab.linalg import ID2, PAULI_X, partial_trace
 from switchlab.ops import ChoiOperator
 from switchlab.process import (
     ProcessMatrix,
@@ -82,3 +82,62 @@ def rng():
 def test_named_input_errors(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+# Accepted arguments of every public routine of agents and order that takes a
+# float or an array from its caller; each gives a finite result.
+E1 = np.eye(5)[0]
+FINITE_ARGUMENTS = {
+    agents.AgentAmplitudes: dict(
+        c_1a=1.0, c_4a=1.0, c_1b=1.0, c_2b=1.0, f_ba=1.0, f_ab=1.0,
+        delta_a=(0.0,) * 5, delta_b=(0.0,) * 5, gamma_ba=0.0, gamma_ab=0.0,
+    ),
+    agents.ModelState: dict(tensor=np.eye(1, np.prod(agents.DIMS)).reshape(agents.DIMS)),
+    agents.apply_agent_a_then_b: dict(amps=agents.AgentAmplitudes(), alpha=E1),
+    agents.apply_agent_b_then_a: dict(amps=agents.AgentAmplitudes(), alpha=E1),
+    agents.run_switch_model: dict(amps=agents.AgentAmplitudes(), target_in=E1, zeta=3, sign=1),
+    agents.TriggerParams: dict(tau_star=1.0, interaction_width=1e-6, potential=1e-30, mass=1e-20),
+    order.SwitchSpec: dict(target_state=ID2[0]),
+    order.switch_supermap_state: dict(ua=ID2, ub=PAULI_X, spec=order.SwitchSpec()),
+    order.contract_switch_vector: dict(w_vec=order.switch_process_vector(order.SwitchSpec()), ua=ID2, ub=PAULI_X),
+    order.chsh_value: dict(state=np.eye(4)[0]),
+    order.temporal_order_state: dict(
+        u_a1=ID2, u_b1=PAULI_X, u_a2=PAULI_X, u_b2=ID2, psi1=ID2[0], psi2=ID2[0], sign=1,
+    ),
+}
+FINITE_CASES = [
+    (fn, name) for fn, args in FINITE_ARGUMENTS.items() for name, value in args.items()
+    if isinstance(value, (float, tuple, np.ndarray))
+]
+
+
+def _finite(result):
+    values = vars(result).values() if hasattr(result, "__dict__") else [result]
+    return all(np.isfinite(value).all() for value in values if value is not None)
+
+
+def _with_first_entry(value, bad):
+    # `value` with its one float, or the first entry of its array, set to `bad`.
+    if isinstance(value, float):
+        return bad
+    out = np.array(value, dtype=complex if np.iscomplexobj(value) else float)
+    out.flat[0] = bad
+    return tuple(out) if isinstance(value, tuple) else out
+
+
+def test_finite_argument_table_holds_accepted_arguments():
+    # Each routine gives a finite result at its table's arguments, so each
+    # refusal below is due to the one entry replaced.
+    assert len(FINITE_CASES) == 31
+    for fn, args in FINITE_ARGUMENTS.items():
+        assert _finite(fn(**args)), fn.__name__
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fn, name", FINITE_CASES, ids=[f"{fn.__name__}-{name}" for fn, name in FINITE_CASES])
+def test_non_finite_agents_and_order_argument_is_named(fn, name, bad):
+    # NaN fails a modulus or norm check and passes a length one, so without a
+    # guard it blamed another cause or gave a NaN result; each is refused by name.
+    args = FINITE_ARGUMENTS[fn]
+    with pytest.raises(ValueError, match=rf"(?<!\w){name}(?!\w)"):
+        fn(**{**args, name: _with_first_entry(args[name], bad)})

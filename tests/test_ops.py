@@ -475,3 +475,112 @@ def test_choi_of_operation_equals_the_per_operator_sum_bit_for_bit(d_in, d_out, 
     assume(d_out * rank >= d_in)
     op = sampler(d_in, d_out, rank, np.random.default_rng(seed))
     assert np.array_equal(choi_of_operation(op).matrix, reference_choi_matrix(op.kraus))
+
+
+def per_eigenpair_kraus(choi):
+    """The loop kraus_from_choi stacks: one operator sqrt(lam) E per
+    eigenvalue above DEFAULT_TOL, in ascending order, or one zero operator."""
+    w, v = hermitian_eigen(choi.matrix.T)
+    kraus = []
+    for lam, vec in zip(w, v.T):
+        if lam > DEFAULT_TOL:
+            kraus.append(np.sqrt(lam) * vec.reshape(choi.d_in, choi.d_out).T)
+    return np.array(kraus or [np.zeros((choi.d_out, choi.d_in), dtype=complex)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d_in=st.integers(1, 4),
+    d_out=st.integers(1, 4),
+    rank=st.integers(1, 4),
+    sampler=st.sampled_from([rand_cptp, rand_operation]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kraus_from_choi_equals_the_per_eigenpair_loop_bit_for_bit(d_in, d_out, rank, sampler, seed):
+    # The masked eigenpairs scale and transpose each entry as the loop did,
+    # so the stack keeps every bit of the operators the loop built.
+    assume(d_out * rank >= d_in)
+    choi = choi_of_operation(sampler(d_in, d_out, rank, np.random.default_rng(seed)))
+    assert np.array_equal(kraus_from_choi(choi).kraus, per_eigenpair_kraus(choi))
+
+
+@pytest.mark.parametrize("d_in, d_out", [(1, 1), (2, 3), (3, 2)])
+def test_kraus_from_choi_of_the_zero_map_is_one_zero_operator(d_in, d_out):
+    op = kraus_from_choi(ChoiOperator(d_in, d_out, np.zeros((d_in * d_out,) * 2)))
+    assert op.kraus.shape == (1, d_out, d_in) and not op.kraus.any()
+
+
+def per_operator_dilation(op):
+    """(unitary, env_dim, projector) of the per-operator construction that
+    stinespring_dilation stacks: each Kraus operator padded in turn, the
+    defect summed operator by operator and the complement columns listed."""
+    d_sys = max(op.d_in, op.d_out)
+    padded = []
+    for e in op.kraus:
+        p = np.zeros((d_sys, d_sys), dtype=complex)
+        p[: op.d_out, : op.d_in] = e
+        padded.append(p)
+    defect = np.eye(d_sys) - sum(dagger(p) @ p for p in padded)
+    needs_completion = not close(defect, 0)
+    if needs_completion:
+        w, v = hermitian_eigen(defect)
+        padded.append((v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v))
+    k = len(padded)
+    n_phys = k - 1 if needs_completion else k
+    v = np.zeros((d_sys * k, d_sys), dtype=complex)
+    for i, p in enumerate(padded):
+        v[i::k, :] = p
+    u = np.zeros((d_sys * k,) * 2, dtype=complex)
+    u[:, ::k] = v
+    u[:, [j for j in range(d_sys * k) if j % k != 0]] = np.linalg.qr(v, mode="complete")[0][:, d_sys:]
+    projector = None
+    if needs_completion or op.d_out < d_sys:
+        sys_proj = np.zeros((d_sys, d_sys))
+        sys_proj[: op.d_out, : op.d_out] = np.eye(op.d_out)
+        env_proj = np.zeros((k, k))
+        env_proj[:n_phys, :n_phys] = np.eye(n_phys)
+        projector = kron(sys_proj, env_proj)
+    return u, k, projector
+
+
+def per_operator_dilation_apply(u, k, projector, d_in, d_out, rho):
+    # rho padded to the system register, |0><0| on the environment, U, P, Tr_E.
+    d_sys = max(d_in, d_out)
+    big = np.zeros((d_sys, d_sys), dtype=complex)
+    big[:d_in, :d_in] = rho
+    env0 = np.zeros((k, k))
+    env0[0, 0] = 1.0
+    joint = u @ kron(big, env0) @ dagger(u)
+    if projector is not None:
+        joint = projector @ joint @ projector
+    return partial_trace(joint, (d_sys, k), keep=(0,))[:d_out, :d_out]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.sampled_from([(1, 2), (2, 3), (1, 4), (2, 1), (3, 2), (4, 3)]),
+    rank=st.integers(1, 4),
+    weight=st.just(1.0) | st.floats(0.3, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dilation_and_apply_equal_the_per_operator_construction(dims, rank, weight, seed):
+    # d_out > d_in and d_out < d_in, for CPTP maps (weight 1) and maps scaled
+    # to be trace-decreasing. The stacked products reorder only roundoff. The
+    # completion is the square root of the defect, which amplifies roundoff
+    # on its eigenvalues near 0 in either construction: those of a weight near
+    # 1 are left out, and so is the unitary of a CPTP map with d_out > d_in,
+    # whose completion on the unused inputs is roundoff elsewhere. The
+    # projector drops the completion from both outputs.
+    d_in, d_out = dims
+    assume(d_out * rank >= d_in)
+    rng = np.random.default_rng(seed)
+    op = Operation(d_in, d_out, weight * rand_cptp(d_in, d_out, rank, rng).kraus)
+    dil = stinespring_dilation(op)
+    u, k, projector = per_operator_dilation(op)
+    assert dil.env_dim == k
+    assert (dil.projector is None and projector is None) or np.array_equal(dil.projector, projector)
+    if weight < 1.0 or d_out < d_in:
+        assert np.abs(dil.unitary - u).max() < 1e-14
+    rho = rand_density(d_in, rng)
+    assert np.abs(apply_operation(op, rho) - kraus_sum_oracle(op.kraus, rho)).max() < 1e-14
+    assert np.abs(dil.apply(rho) - per_operator_dilation_apply(u, k, projector, d_in, d_out, rho)).max() < 1e-14

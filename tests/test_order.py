@@ -731,9 +731,9 @@ def corrupt_one_draw(index, which, scale):
         ("switch-contract", 1, 1.01, ValueError, "defined here for unitary operations"),
         ("switch-contract", 0, 1.01, ValueError, "target state must be normalized"),
         ("chsh-temporal", 0, 10.0, ValueError, "normalized state, not one of norm 10"),
-        ("chsh-temporal", 0, np.nan, RuntimeError, "Tsirelson bound"),
+        ("chsh-temporal", 0, np.nan, ValueError, "normalized state, not one of norm nan"),
     ],
-    ids=["non-unitary-U_A", "unnormalized-target", "unnormalized-state", "beyond-Tsirelson"],
+    ids=["non-unitary-U_A", "unnormalized-target", "unnormalized-state", "nan-state"],
 )
 def test_stacked_sampling_checks_every_member(monkeypatch, name, which, scale, error, message):
     # Only sample 100 of 129, inside the second block, is corrupted.
@@ -746,8 +746,17 @@ def test_stacked_sampling_checks_every_member(monkeypatch, name, which, scale, e
 
 
 def test_chsh_value_rejects_a_nan_state():
-    with pytest.raises(RuntimeError, match="Tsirelson"):
+    with pytest.raises(ValueError, match="normalized state, not one of norm nan"):
         chsh_value(np.array([np.nan, 0, 0, 0]))
+
+
+def test_chsh_value_beyond_tsirelson_names_broken_settings(monkeypatch):
+    # No normalized state exceeds 2 sqrt 2 with CHSH_SETTINGS, and a NaN state
+    # fails the norm check first; doubled correlation operators stand in for
+    # broken settings.
+    monkeypatch.setattr(order, "_CHSH_OPERATORS", tuple(2 * k for k in order._CHSH_OPERATORS))
+    with pytest.raises(RuntimeError, match="beyond the Tsirelson bound"):
+        chsh_value(temporal_order_state(*TEMPORAL_ORDER_UNITARIES, KET0, KET0, +1))
 
 
 def test_temporal_order_state_rejects_a_nan_target():
@@ -855,7 +864,7 @@ def test_temporal_order_state_scales_its_targets_without_overflow():
     assert np.abs(huge - want).max() < 1e-15
     with pytest.raises(ValueError, match="not finite"):
         temporal_order_state(*TEMPORAL_ORDER_UNITARIES, np.array([np.inf, 0]), KET0, +1)
-    with pytest.raises(ValueError, match="must be unitary"):
+    with pytest.raises(ValueError, match="^u_a1 is not finite$"):
         temporal_order_state(np.diag([np.inf, 1.0]), ID2, ID2, ID2, KET0, KET0, +1)
     with pytest.raises(ValueError, match="cancel"):
         temporal_order_state(ID2, ID2, ID2, ID2, 1e200 * KET0, 1e200 * KET0, -1)
